@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 
 from .blades import Signature, grade
@@ -21,7 +22,7 @@ from .exprio import (
 )
 from .multivector import ConvergenceFailure, Field, Multivector
 from .qtype import OpKind, TYPE_ORDER, detect_qtype, emit_table, pattern_of
-from .verify import CheckConfig, CheckStatus, run_suite
+from .verify import SUITE_NAMES, CheckConfig, CheckStatus, run_suite
 
 _OP_BY_FLAG = {
     "product": OpKind.GEOMETRIC,
@@ -43,9 +44,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     v.add_argument("--p", type=int, default=2, help="generators squaring to +1")
     v.add_argument("--q", type=int, default=2, help="generators squaring to -1")
-    v.add_argument("--suite", default="all",
-                   choices=["axioms", "grades", "tables", "theorems", "rank", "all"],
-                   help="which checks to run")
+    v.add_argument("--suite", default="all", choices=SUITE_NAMES,
+                   help="which checks to run: a group or a single check")
     v.add_argument("--samples", type=int, default=200, help="random sample budget")
     v.add_argument("--seed", type=int, default=0, help="base seed for sampling")
     v.add_argument("--tol", type=float, default=1e-12, help="leakage tolerance")
@@ -161,8 +161,8 @@ def _load_operand(args: argparse.Namespace, sig: Signature) -> Multivector:
 
 def cmd_type(args: argparse.Namespace) -> int:
     sig = Signature(args.p, args.q)
-    if args.tol < 0:
-        return _fail_usage("--tol must be nonnegative")
+    if not (math.isfinite(args.tol) and args.tol >= 0):
+        return _fail_usage("--tol must be finite and nonnegative")
     u = _load_operand(args, sig)
     qt = detect_qtype(u, args.tol)
     print(f"signature: {sig}")

@@ -291,5 +291,9 @@ def mv_from_document(doc: dict, sig: Signature | None = None) -> Multivector:
         re, im = entry["re"], entry["im"]
         if not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in (re, im)):
             raise ValueError("term coefficients must be numbers")
-        terms[mask] = terms.get(mask, 0j) + complex(re, im)
+        try:
+            coeff = complex(re, im)
+        except OverflowError:
+            raise ValueError("term coefficient too large for a double") from None
+        terms[mask] = terms.get(mask, 0j) + coeff
     return Multivector(doc_sig, field, terms)

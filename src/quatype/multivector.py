@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import operator
 from enum import Enum
 from types import MappingProxyType
 
@@ -42,7 +43,10 @@ class Field(Enum):
 
 
 def _check_coeff(c: complex, field: Field) -> complex:
-    c = complex(c)
+    try:
+        c = complex(c)
+    except OverflowError:
+        raise ValueError("coefficient too large for a double") from None
     if not (math.isfinite(c.real) and math.isfinite(c.imag)):
         raise ValueError(f"non-finite coefficient {c!r}")
     if field is Field.REAL and c.imag != 0.0:
@@ -143,27 +147,24 @@ class Multivector:
         if self.field != other.field:
             raise FieldMismatch(f"{self.field.value} vs {other.field.value}")
 
-    def __add__(self, other) -> "Multivector":
+    def _combine(self, other, op) -> "Multivector":
+        # op is operator.add or operator.sub; scaling c by a -1 sign would
+        # not give -c exactly when a part of c is a signed zero
         self._like(other)
         data = dict(self._terms)
         for m, c in other._terms.items():
-            s = data.get(m, 0j) + c
+            s = op(data.get(m, 0j), c)
             if s == 0:
                 data.pop(m, None)
             else:
                 data[m] = s
         return Multivector._raw(self.sig, self.field, data)
 
+    def __add__(self, other) -> "Multivector":
+        return self._combine(other, operator.add)
+
     def __sub__(self, other) -> "Multivector":
-        self._like(other)
-        data = dict(self._terms)
-        for m, c in other._terms.items():
-            s = data.get(m, 0j) - c
-            if s == 0:
-                data.pop(m, None)
-            else:
-                data[m] = s
-        return Multivector._raw(self.sig, self.field, data)
+        return self._combine(other, operator.sub)
 
     def __neg__(self) -> "Multivector":
         return Multivector._raw(self.sig, self.field,

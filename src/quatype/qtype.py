@@ -14,9 +14,11 @@ imaginary odd part is closed under the commutator".
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum, IntFlag
 
+from .blades import grade
 from .multivector import Multivector
 
 
@@ -205,25 +207,17 @@ class SubspacePattern:
         projection; a class without an imaginary bit bounds the imaginary
         parts.  COMPLEX constrains nothing, ZERO constrains both.
         """
-        for k in range(4):
-            proj = mv.qtype_project(k)
-            cls = self.classes[k]
-            if not cls & CoeffClass.REAL and proj.real_inf_norm() > tol:
-                return False
-            if not cls & CoeffClass.IMAGINARY and proj.imag_inf_norm() > tol:
-                return False
-        return True
+        return self.leakage(mv) <= tol
 
     def leakage(self, mv: Multivector) -> float:
         """Largest forbidden-part magnitude (0.0 when mv matches exactly)."""
+        re, im, _ = _type_profile(mv)
         worst = 0.0
-        for k in range(4):
-            proj = mv.qtype_project(k)
-            cls = self.classes[k]
+        for k, cls in enumerate(self.classes):
             if not cls & CoeffClass.REAL:
-                worst = max(worst, proj.real_inf_norm())
+                worst = max(worst, re[k])
             if not cls & CoeffClass.IMAGINARY:
-                worst = max(worst, proj.imag_inf_norm())
+                worst = max(worst, im[k])
         return worst
 
     def __str__(self) -> str:
@@ -244,13 +238,9 @@ def pattern_compose(op: OpKind, p1: SubspacePattern, p2: SubspacePattern) -> Sub
         return pattern_compose(OpKind.COMMUTATOR, p1, p2).join(
             pattern_compose(OpKind.ANTICOMMUTATOR, p1, p2)
         )
-    classes = [CoeffClass.ZERO] * 4
+    classes = [CoeffClass.ZERO] * 4  # a ZERO class contributes ZERO below
     for a in range(4):
-        if p1.classes[a] == CoeffClass.ZERO:
-            continue
         for b in range(4):
-            if p2.classes[b] == CoeffClass.ZERO:
-                continue
             target = main_compose(op, a, b)
             classes[target] = coeff_join(
                 classes[target], coeff_mul(p1.classes[a], p2.classes[b])
@@ -263,34 +253,43 @@ def is_closed(op: OpKind, pattern: SubspacePattern) -> bool:
     return pattern.contains(pattern_compose(op, pattern, pattern))
 
 
+def _type_profile(mv: Multivector) -> tuple[list[float], list[float], list[float]]:
+    """Per main type, in one pass: max |re|, max |im| and max(|re| + |im|)."""
+    re, im, mag = [0.0] * 4, [0.0] * 4, [0.0] * 4
+    for mask, c in mv.terms.items():
+        k = grade(mask) & 3
+        a, b = abs(c.real), abs(c.imag)
+        if a > re[k]:
+            re[k] = a
+        if b > im[k]:
+            im[k] = b
+        if a + b > mag[k]:
+            mag[k] = a + b
+    return re, im, mag
+
+
+def _threshold(mag: list[float], tol: float) -> float:
+    """tol * (1 + inf_norm(mv)); a NaN or infinite tol is refused."""
+    if not (math.isfinite(tol) and tol >= 0):
+        raise ValueError("tolerance must be finite and nonnegative")
+    return tol * (1.0 + max(mag))
+
+
 def detect_qtype(mv: Multivector, tol: float = 1e-12) -> QType:
     """Main types whose projection exceeds ``tol * (1 + inf_norm(mv))``."""
-    if tol < 0:
-        raise ValueError("tolerance must be nonnegative")
-    thresh = tol * (1.0 + mv.inf_norm())
-    mask = 0
-    for k in range(4):
-        if mv.qtype_project(k).inf_norm() > thresh:
-            mask |= 1 << k
-    return QType(mask)
+    _, _, mag = _type_profile(mv)
+    thresh = _threshold(mag, tol)
+    return QType(sum(1 << k for k in range(4) if mag[k] > thresh))
 
 
 def pattern_of(mv: Multivector, tol: float = 1e-12) -> SubspacePattern:
     """Observed coefficient class per main type, at the same relative
     threshold as detect_qtype."""
-    if tol < 0:
-        raise ValueError("tolerance must be nonnegative")
-    thresh = tol * (1.0 + mv.inf_norm())
-    classes = []
-    for k in range(4):
-        proj = mv.qtype_project(k)
-        cls = CoeffClass.ZERO
-        if proj.real_inf_norm() > thresh:
-            cls |= CoeffClass.REAL
-        if proj.imag_inf_norm() > thresh:
-            cls |= CoeffClass.IMAGINARY
-        classes.append(cls)
-    return SubspacePattern(tuple(classes))
+    re, im, mag = _type_profile(mv)
+    thresh = _threshold(mag, tol)
+    return SubspacePattern(tuple(
+        CoeffClass((re[k] > thresh) | (im[k] > thresh) << 1) for k in range(4)
+    ))
 
 
 def emit_table(op: OpKind) -> list[list[QType]]:

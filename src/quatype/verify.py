@@ -14,9 +14,11 @@ float tolerance, unless the caller widens ``cfg.tol``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+import math
+from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Optional
+from functools import lru_cache
+from typing import Callable, Iterator, Optional
 
 from .blades import Signature, grade, canonical_sign
 from .multivector import Field, Multivector
@@ -26,6 +28,7 @@ from .qtype import (
     QType,
     SubspacePattern,
     TYPE_ORDER,
+    _type_profile,
     detect_qtype,
     is_closed,
     main_compose,
@@ -96,10 +99,11 @@ class CheckConfig:
             raise TypeError("sig must be a Signature")
         if self.samples < 1:
             raise ValueError("samples must be at least 1")
-        if self.tol < 0.0:
-            raise ValueError("tol must be nonnegative")
-        if not (self.exp_eps > 0.0):
-            raise ValueError("exp_eps must be positive")
+        # NaN compares false with everything, so tol=nan would pass any leak.
+        if not (math.isfinite(self.tol) and self.tol >= 0.0):
+            raise ValueError("tol must be finite and nonnegative")
+        if not (math.isfinite(self.exp_eps) and self.exp_eps > 0.0):
+            raise ValueError("exp_eps must be finite and positive")
         if self.exp_max_terms < 1:
             raise ValueError("exp_max_terms must be at least 1")
         object.__setattr__(self, "seed", int(self.seed) & _MASK64)
@@ -153,6 +157,33 @@ class UnknownCheck(Exception):
 # ----------------------------------------------------------------------
 # sampling
 
+@lru_cache(maxsize=None)
+def _draw_plan(sig: Signature, pattern: SubspacePattern,
+               rank: Optional[int] = None) -> tuple[tuple[int, bool, bool], ...]:
+    """(mask, draw real, draw imaginary) for every blade the pattern allows,
+    in ascending mask order; only blades of grade ``rank`` when given.  The
+    cache stays small: a signature has 256 patterns and n + 1 ranks."""
+    plan = []
+    for mask in sig.blades():
+        cls = pattern[grade(mask) & 3]
+        if cls and (rank is None or grade(mask) == rank):
+            plan.append((mask, bool(cls & CoeffClass.REAL),
+                         bool(cls & CoeffClass.IMAGINARY)))
+    return tuple(plan)
+
+
+def _sample(sig: Signature, plan: tuple[tuple[int, bool, bool], ...],
+            rng: SplitMix64, field: Field,
+            lo: int = -3, hi: int = 3) -> Multivector:
+    terms = {}
+    for mask, draw_re, draw_im in plan:
+        re = rng.next_int(lo, hi) if draw_re else 0
+        im = rng.next_int(lo, hi) if draw_im else 0
+        if re or im:
+            terms[mask] = complex(re, im)
+    return Multivector(sig, field, terms)
+
+
 def sample_pattern_mv(sig: Signature, pattern: SubspacePattern, rng: SplitMix64,
                       field: Field, lo: int = -3, hi: int = 3) -> Multivector:
     """Integer-coefficient element matching ``pattern``.
@@ -161,37 +192,27 @@ def sample_pattern_mv(sig: Signature, pattern: SubspacePattern, rng: SplitMix64,
     next integer is drawn (real part first), so the element is a pure
     function of the generator state.
     """
-    terms = {}
-    for mask in sig.blades():
-        cls = pattern[grade(mask) & 3]
-        if cls is CoeffClass.ZERO:
-            continue
-        re = rng.next_int(lo, hi) if cls & CoeffClass.REAL else 0
-        im = rng.next_int(lo, hi) if cls & CoeffClass.IMAGINARY else 0
-        if re or im:
-            terms[mask] = complex(re, im)
-    return Multivector(sig, field, terms)
+    return _sample(sig, _draw_plan(sig, pattern), rng, field, lo, hi)
+
+
+def _field_pattern(qt: QType, field: Field) -> SubspacePattern:
+    cls = CoeffClass.COMPLEX if field is Field.COMPLEX else CoeffClass.REAL
+    return SubspacePattern(tuple(cls if k in qt else CoeffClass.ZERO for k in range(4)))
 
 
 def sample_type_mv(sig: Signature, qt: QType, rng: SplitMix64,
                    field: Field = Field.COMPLEX) -> Multivector:
-    cls = CoeffClass.COMPLEX if field is Field.COMPLEX else CoeffClass.REAL
-    classes = tuple(cls if k in qt else CoeffClass.ZERO for k in range(4))
-    return sample_pattern_mv(sig, SubspacePattern(classes), rng, field)
+    return _sample(sig, _draw_plan(sig, _field_pattern(qt, field)), rng, field)
 
 
 def sample_rank_mv(sig: Signature, k: int, rng: SplitMix64,
                    field: Field = Field.COMPLEX) -> Multivector:
-    terms = {}
-    for mask in sig.blades():
-        if grade(mask) != k:
-            continue
-        re = rng.next_int(-3, 3)
-        im = rng.next_int(-3, 3) if field is Field.COMPLEX else 0
-        if re or im:
-            terms[mask] = complex(re, im)
-    return Multivector(sig, field, terms)
+    plan = _draw_plan(sig, _field_pattern(QType.of(k & 3), field), k)
+    return _sample(sig, plan, rng, field)
 
+
+# ----------------------------------------------------------------------
+# shared by the checks
 
 def _apply(op: OpKind, u: Multivector, v: Multivector) -> Multivector:
     if op is OpKind.COMMUTATOR:
@@ -201,27 +222,67 @@ def _apply(op: OpKind, u: Multivector, v: Multivector) -> Multivector:
     return u.geometric_product(v)
 
 
-def _blade_text(sig: Signature, mask: int) -> str:
-    return format_expression(Multivector.basis_blade(sig, mask, 1, Field.REAL))
+def _blade(sig: Signature, mask: int) -> Multivector:
+    return Multivector.basis_blade(sig, mask, 1, Field.REAL)
+
+
+def _blade_pairs(sig: Signature) -> Iterator[tuple[int, int, int, int, int]]:
+    """Every ordered pair of basis blades as (a, b, a ^ b, s_ab, s_ba), where
+    ab = s_ab (a ^ b) and ba = s_ba (a ^ b).  Both signs come from the sign
+    kernel, so the checks built on this pass test the kernel itself."""
+    for a in sig.blades():
+        for b in sig.blades():
+            s_ab, m = canonical_sign(a, b, sig)
+            s_ba, _ = canonical_sign(b, a, sig)
+            yield a, b, m, s_ab, s_ba
+
+
+def _bracket_coeff(op: OpKind, s_ab: int, s_ba: int) -> int:
+    """Coefficient of a ^ b in the bracket of blades a and b."""
+    return s_ab - s_ba if op is OpKind.COMMUTATOR else s_ab + s_ba
+
+
+def _fail(name: str, cases: int, operation: str, lhs: Multivector,
+          rhs: Optional[Multivector], component: str, magnitude: float,
+          notes: str = "") -> CheckReport:
+    """FAIL report whose counterexample is ``operation(lhs, rhs)``."""
+    return CheckReport(
+        name, CheckStatus.FAIL, cases,
+        Counterexample(
+            lhs=format_expression(lhs),
+            rhs=None if rhs is None else format_expression(rhs),
+            operation=operation, component=component, magnitude=magnitude,
+        ),
+        notes,
+    )
 
 
 # ----------------------------------------------------------------------
 # membership predicates
 
+def _wc_defect(u: Multivector) -> float:
+    return (u.conjugate() + u).inf_norm()
+
+
+def _unitary_defect(u: Multivector) -> float:
+    e = Multivector.scalar(u.sig, 1.0, u.field)
+    return (u.conjugate().geometric_product(u) - e).inf_norm()
+
+
 def is_pseudo_unitary(u: Multivector, tol: float = 1e-12) -> bool:
     """Whether conj(U) * U is the identity within ``tol`` (inf-norm)."""
-    e = Multivector.scalar(u.sig, 1.0, u.field)
-    return (u.conjugate().geometric_product(u) - e).inf_norm() <= tol
+    return _unitary_defect(u) <= tol
 
 
 def is_in_wc(u: Multivector, tol: float = 1e-12) -> bool:
     """Lie algebra membership: conj(u) = -u within ``tol`` (inf-norm)."""
-    return (u.conjugate() + u).inf_norm() <= tol
+    return _wc_defect(u) <= tol
 
 
 # Equivalent description of the same Lie algebra: imaginary coefficients on
 # types 0 and 1, real coefficients on types 2 and 3.
 WC_PATTERN = SubspacePattern.from_parts(real="23", imag="01")
+_EVERYTHING = SubspacePattern.from_parts(real="0123", imag="0123")
 
 
 # ----------------------------------------------------------------------
@@ -246,25 +307,16 @@ def check_quaternion_axioms(
     sig = cfg.sig
     cases = 0
     if cfg.strategy is Strategy.EXHAUSTIVE:
-        for a in sig.blades():
-            for b in sig.blades():
-                s_ab, m = canonical_sign(a, b, sig)
-                s_ba, _ = canonical_sign(b, a, sig)
-                coeff = s_ab - s_ba if op is OpKind.COMMUTATOR else s_ab + s_ba
-                cases += 1
-                if coeff == 0:
-                    continue
-                target = rule(op, grade(a) & 3, grade(b) & 3)
-                if grade(m) & 3 != target:
-                    return CheckReport(
-                        name, CheckStatus.FAIL, cases,
-                        Counterexample(
-                            lhs=_blade_text(sig, a), rhs=_blade_text(sig, b),
-                            operation=op.value,
-                            component=f"type {grade(m) & 3} (expected {target})",
-                            magnitude=float(abs(coeff)),
-                        ),
-                    )
+        for a, b, m, s_ab, s_ba in _blade_pairs(sig):
+            coeff = _bracket_coeff(op, s_ab, s_ba)
+            cases += 1
+            if coeff == 0:
+                continue
+            target = rule(op, grade(a) & 3, grade(b) & 3)
+            if grade(m) & 3 != target:
+                return _fail(name, cases, op.value, _blade(sig, a), _blade(sig, b),
+                             f"type {grade(m) & 3} (expected {target})",
+                             float(abs(coeff)))
         notes = ("all basis-blade pairs checked exactly; bilinearity extends "
                  "the result to the full type subspaces")
     else:
@@ -276,22 +328,12 @@ def check_quaternion_axioms(
                 for _ in range(per_pair):
                     u = sample_type_mv(sig, QType.of(t1), rng)
                     v = sample_type_mv(sig, QType.of(t2), rng)
-                    w = _apply(op, u, v)
+                    _, _, mag = _type_profile(_apply(op, u, v))
                     cases += 1
-                    leak = 0.0
-                    for k in range(4):
-                        if k != target:
-                            leak = max(leak, w.qtype_project(k).inf_norm())
+                    leak = max(mag[k] for k in range(4) if k != target)
                     if leak > cfg.tol:
-                        return CheckReport(
-                            name, CheckStatus.FAIL, cases,
-                            Counterexample(
-                                lhs=format_expression(u), rhs=format_expression(v),
-                                operation=op.value,
-                                component=f"outside type {target}",
-                                magnitude=leak,
-                            ),
-                        )
+                        return _fail(name, cases, op.value, u, v,
+                                     f"outside type {target}", leak)
         notes = f"random integer samples, {per_pair} per main-type pair"
     return CheckReport(name, CheckStatus.PASS, cases, None, notes)
 
@@ -307,6 +349,9 @@ def _grade_residue(op: OpKind, k: int, l: int) -> int:
     return s & 3
 
 
+_BRACKETS = (OpKind.COMMUTATOR, OpKind.ANTICOMMUTATOR)
+
+
 def check_grade_pattern(cfg: CheckConfig) -> CheckReport:
     """Rank-level refinement: op on ranks (k, l) only reaches grades in one
     residue class mod 4 (k-l or k-l+2, depending on the operation and on the
@@ -315,29 +360,17 @@ def check_grade_pattern(cfg: CheckConfig) -> CheckReport:
     sig = cfg.sig
     cases = 0
     if cfg.strategy is Strategy.EXHAUSTIVE:
-        for a in sig.blades():
-            ka = grade(a)
-            for b in sig.blades():
-                s_ab, m = canonical_sign(a, b, sig)
-                s_ba, _ = canonical_sign(b, a, sig)
-                cases += 1
-                for op, coeff in (
-                    (OpKind.COMMUTATOR, s_ab - s_ba),
-                    (OpKind.ANTICOMMUTATOR, s_ab + s_ba),
-                ):
-                    if coeff == 0:
-                        continue
-                    want = _grade_residue(op, ka, grade(b))
-                    if grade(m) & 3 != want:
-                        return CheckReport(
-                            name, CheckStatus.FAIL, cases,
-                            Counterexample(
-                                lhs=_blade_text(sig, a), rhs=_blade_text(sig, b),
-                                operation=op.value,
-                                component=f"grade {grade(m)} (want residue {want})",
-                                magnitude=float(abs(coeff)),
-                            ),
-                        )
+        for a, b, m, s_ab, s_ba in _blade_pairs(sig):
+            cases += 1
+            for op in _BRACKETS:
+                coeff = _bracket_coeff(op, s_ab, s_ba)
+                if coeff == 0:
+                    continue
+                want = _grade_residue(op, grade(a), grade(b))
+                if grade(m) & 3 != want:
+                    return _fail(name, cases, op.value, _blade(sig, a), _blade(sig, b),
+                                 f"grade {grade(m)} (want residue {want})",
+                                 float(abs(coeff)))
         notes = "all basis-blade pairs, both operations, exact"
     else:
         rng = SplitMix64(derive_subseed(cfg.seed, name))
@@ -349,22 +382,15 @@ def check_grade_pattern(cfg: CheckConfig) -> CheckReport:
                     u = sample_rank_mv(sig, k, rng)
                     v = sample_rank_mv(sig, l, rng)
                     cases += 1
-                    for op in (OpKind.COMMUTATOR, OpKind.ANTICOMMUTATOR):
+                    for op in _BRACKETS:
                         w = _apply(op, u, v)
                         want = _grade_residue(op, k, l)
                         for m in w.terms:
                             if grade(m) & 3 != want:
-                                return CheckReport(
-                                    name, CheckStatus.FAIL, cases,
-                                    Counterexample(
-                                        lhs=format_expression(u),
-                                        rhs=format_expression(v),
-                                        operation=op.value,
-                                        component=(
-                                            f"grade {grade(m)} (want residue {want})"
-                                        ),
-                                        magnitude=w.grade_project(grade(m)).inf_norm(),
-                                    ),
+                                return _fail(
+                                    name, cases, op.value, u, v,
+                                    f"grade {grade(m)} (want residue {want})",
+                                    w.grade_project(grade(m)).inf_norm(),
                                 )
         notes = f"random integer samples, {per_pair} per rank pair, both operations"
     return CheckReport(name, CheckStatus.PASS, cases, None, notes)
@@ -380,33 +406,22 @@ def check_type_table(op: OpKind, cfg: CheckConfig) -> CheckReport:
     reached = [[0] * len(TYPE_ORDER) for _ in TYPE_ORDER]
     rng = SplitMix64(derive_subseed(cfg.seed, name))
     per_cell = max(8, cfg.samples // 25)
-    main_index = {TYPE_ORDER[k].mask: k for k in range(4)}
 
     if cfg.strategy is Strategy.EXHAUSTIVE and op is not OpKind.GEOMETRIC:
-        # Blade pairs settle the sixteen main-type cells exactly.
-        for a in sig.blades():
-            for b in sig.blades():
-                s_ab, m = canonical_sign(a, b, sig)
-                s_ba, _ = canonical_sign(b, a, sig)
-                coeff = s_ab - s_ba if op is OpKind.COMMUTATOR else s_ab + s_ba
-                cases += 1
-                if coeff == 0:
-                    continue
-                i = main_index[1 << (grade(a) & 3)]
-                j = main_index[1 << (grade(b) & 3)]
-                cell = qtype_compose(op, TYPE_ORDER[i], TYPE_ORDER[j])
-                got = QType.of(grade(m) & 3)
-                if not got <= cell:
-                    return CheckReport(
-                        name, CheckStatus.FAIL, cases,
-                        Counterexample(
-                            lhs=_blade_text(sig, a), rhs=_blade_text(sig, b),
-                            operation=op.value,
-                            component=f"type {got} outside cell {cell}",
-                            magnitude=float(abs(coeff)),
-                        ),
-                    )
-                reached[i][j] |= got.mask
+        # Blade pairs settle the sixteen main-type cells exactly; the main
+        # types come first in TYPE_ORDER, so type k sits at index k.
+        for a, b, m, s_ab, s_ba in _blade_pairs(sig):
+            coeff = _bracket_coeff(op, s_ab, s_ba)
+            cases += 1
+            if coeff == 0:
+                continue
+            i, j = grade(a) & 3, grade(b) & 3
+            cell = qtype_compose(op, TYPE_ORDER[i], TYPE_ORDER[j])
+            got = QType.of(grade(m) & 3)
+            if not got <= cell:
+                return _fail(name, cases, op.value, _blade(sig, a), _blade(sig, b),
+                             f"type {got} outside cell {cell}", float(abs(coeff)))
+            reached[i][j] |= got.mask
 
     for i, t1 in enumerate(TYPE_ORDER):
         for j, t2 in enumerate(TYPE_ORDER):
@@ -419,15 +434,9 @@ def check_type_table(op: OpKind, cfg: CheckConfig) -> CheckReport:
                 cases += 1
                 if not got <= cell:
                     bad = next(k for k in got if k not in cell)
-                    return CheckReport(
-                        name, CheckStatus.FAIL, cases,
-                        Counterexample(
-                            lhs=format_expression(u), rhs=format_expression(v),
-                            operation=op.value,
-                            component=f"type {got} outside cell {cell}",
-                            magnitude=w.qtype_project(bad).inf_norm(),
-                        ),
-                    )
+                    return _fail(name, cases, op.value, u, v,
+                                 f"type {got} outside cell {cell}",
+                                 w.qtype_project(bad).inf_norm())
                 reached[i][j] |= got.mask
 
     possible = 0
@@ -453,58 +462,31 @@ def check_pattern_closure(
     """One subspace closure claim, checked abstractly (pattern composition)
     and concretely (integer samples, exact leakage).  Callable with any
     pattern, so deliberately non-closed subspaces serve as negative
-    controls."""
+    controls.
+
+    When the abstract composition already leaks, the samples only look for
+    a concrete witness (at least 16 pairs), and the report counts the
+    abstract case plus the witness if one turned up."""
     label = name or f"closure:{op.value}:{field.value}:{pattern}"
     rng = SplitMix64(derive_subseed(cfg.seed, label))
     composed = pattern_compose(op, pattern, pattern)
-    if not pattern.contains(composed):
-        witness = _concrete_leak_witness(op, pattern, cfg, field, rng)
-        return CheckReport(
-            label, CheckStatus.FAIL, 1 + (witness is not None), witness,
-            f"abstract composition leaks: {pattern} composes to {composed}",
-        )
-    cases = 1
-    for _ in range(cfg.samples):
-        u = sample_pattern_mv(cfg.sig, pattern, rng, field)
-        v = sample_pattern_mv(cfg.sig, pattern, rng, field)
-        w = _apply(op, u, v)
-        cases += 1
-        leak = pattern.leakage(w)
-        if leak > cfg.tol:
-            return CheckReport(
-                label, CheckStatus.FAIL, cases,
-                Counterexample(
-                    lhs=format_expression(u), rhs=format_expression(v),
-                    operation=op.value,
-                    component=f"outside pattern {pattern}",
-                    magnitude=leak,
-                ),
-            )
-    return CheckReport(
-        label, CheckStatus.PASS, cases, None,
-        f"abstract composition contained; {cfg.samples} integer sample pairs",
-    )
-
-
-def _concrete_leak_witness(
-    op: OpKind,
-    pattern: SubspacePattern,
-    cfg: CheckConfig,
-    field: Field,
-    rng: SplitMix64,
-) -> Optional[Counterexample]:
-    for _ in range(max(cfg.samples, 16)):
+    contained = pattern.contains(composed)
+    notes = "" if contained else (
+        f"abstract composition leaks: {pattern} composes to {composed}")
+    pairs = cfg.samples if contained else max(cfg.samples, 16)
+    for i in range(1, pairs + 1):
         u = sample_pattern_mv(cfg.sig, pattern, rng, field)
         v = sample_pattern_mv(cfg.sig, pattern, rng, field)
         leak = pattern.leakage(_apply(op, u, v))
         if leak > cfg.tol:
-            return Counterexample(
-                lhs=format_expression(u), rhs=format_expression(v),
-                operation=op.value,
-                component=f"outside pattern {pattern}",
-                magnitude=leak,
-            )
-    return None
+            return _fail(label, 1 + (i if contained else 1), op.value, u, v,
+                         f"outside pattern {pattern}", leak, notes)
+    if not contained:
+        return CheckReport(label, CheckStatus.FAIL, 1, None, notes)
+    return CheckReport(
+        label, CheckStatus.PASS, 1 + pairs, None,
+        f"abstract composition contained; {cfg.samples} integer sample pairs",
+    )
 
 
 # Closed-subspace catalogs: (real digits, imaginary digits) per pattern.
@@ -596,19 +578,11 @@ def check_theorem5(cfg: CheckConfig) -> CheckReport:
         for _ in range(cfg.samples):
             u = sample_pattern_mv(cfg.sig, p1, rng, Field.COMPLEX)
             v = sample_pattern_mv(cfg.sig, p2, rng, Field.COMPLEX)
-            w = u.commutator(v)
             cases += 1
-            leak = target.leakage(w)
+            leak = target.leakage(u.commutator(v))
             if leak > cfg.tol:
-                return CheckReport(
-                    name, CheckStatus.FAIL, cases,
-                    Counterexample(
-                        lhs=format_expression(u), rhs=format_expression(v),
-                        operation="comm",
-                        component=f"[{p1}, {p2}] outside {target}",
-                        magnitude=leak,
-                    ),
-                )
+                return _fail(name, cases, "comm", u, v,
+                             f"[{p1}, {p2}] outside {target}", leak)
     return CheckReport(
         name, CheckStatus.PASS, cases, None,
         f"10 relations, abstract plus {cfg.samples} integer sample pairs each",
@@ -629,51 +603,56 @@ LIE_SUBALGEBRA_ROWS = (
 )
 
 
+def _theorem6_row(cfg: CheckConfig, lie: SubspacePattern) -> CheckReport:
+    name = f"theorem6:{lie}"
+    if not is_closed(OpKind.COMMUTATOR, lie):
+        return CheckReport(name, CheckStatus.FAIL, 1, None,
+                           "abstract commutator closure fails")
+    rng = SplitMix64(derive_subseed(cfg.seed, name))
+    for i in range(2, cfg.samples + 2):
+        u = sample_pattern_mv(cfg.sig, lie, rng, Field.COMPLEX)
+        v = sample_pattern_mv(cfg.sig, lie, rng, Field.COMPLEX)
+        anti = _wc_defect(u)
+        if anti > cfg.tol:
+            return _fail(name, i, "conj", u, None, "conj(u) + u", anti)
+        leak = lie.leakage(u.commutator(v))
+        if leak > cfg.tol:
+            return _fail(name, i, "comm", u, v, f"outside pattern {lie}", leak)
+    return CheckReport(name, CheckStatus.PASS, 1 + cfg.samples, None,
+                       f"closure and membership exact on {cfg.samples} samples")
+
+
 def check_theorem6(cfg: CheckConfig) -> list[CheckReport]:
     """The four Lie subalgebras: commutator-closed and pointwise inside the
     Lie algebra (conj(u) = -u exactly on integer samples)."""
-    out = []
-    for lie, _ in LIE_SUBALGEBRA_ROWS:
-        name = f"theorem6:{lie}"
-        if not is_closed(OpKind.COMMUTATOR, lie):
-            out.append(CheckReport(name, CheckStatus.FAIL, 1, None,
-                                   "abstract commutator closure fails"))
-            continue
-        rng = SplitMix64(derive_subseed(cfg.seed, name))
-        cases = 1
-        report = None
-        for _ in range(cfg.samples):
-            u = sample_pattern_mv(cfg.sig, lie, rng, Field.COMPLEX)
-            v = sample_pattern_mv(cfg.sig, lie, rng, Field.COMPLEX)
-            cases += 1
-            anti = (u.conjugate() + u).inf_norm()
-            if anti > cfg.tol:
-                report = CheckReport(
-                    name, CheckStatus.FAIL, cases,
-                    Counterexample(
-                        lhs=format_expression(u), rhs=None, operation="conj",
-                        component="conj(u) + u", magnitude=anti,
-                    ),
-                )
-                break
-            leak = lie.leakage(u.commutator(v))
-            if leak > cfg.tol:
-                report = CheckReport(
-                    name, CheckStatus.FAIL, cases,
-                    Counterexample(
-                        lhs=format_expression(u), rhs=format_expression(v),
-                        operation="comm",
-                        component=f"outside pattern {lie}", magnitude=leak,
-                    ),
-                )
-                break
-        if report is None:
-            report = CheckReport(
-                name, CheckStatus.PASS, cases, None,
-                f"closure and membership exact on {cfg.samples} samples",
-            )
-        out.append(report)
-    return out
+    return [_theorem6_row(cfg, lie) for lie, _ in LIE_SUBALGEBRA_ROWS]
+
+
+def _theorem7_row(cfg: CheckConfig, lie: SubspacePattern,
+                  ambient: SubspacePattern, group_tol: float) -> CheckReport:
+    name = f"theorem7:{lie}->{ambient}"
+    rng = SplitMix64(derive_subseed(cfg.seed, name))
+    for i in range(1, cfg.samples + 1):
+        u = sample_pattern_mv(cfg.sig, lie, rng, Field.COMPLEX)
+        nrm = u.inf_norm()
+        if nrm > 1.0:
+            u = u.scale(1.0 / nrm)
+        while u.inf_norm() > 1.0:  # float-rounding guard
+            u = u.scale(0.9999999999999999)
+        anti = _wc_defect(u)
+        if anti > cfg.tol:
+            return _fail(name, i, "conj", u, None, "conj(u) + u", anti)
+        big_u = u.exp(cfg.exp_eps, cfg.exp_max_terms)
+        defect = _unitary_defect(big_u)
+        if defect > group_tol:
+            return _fail(name, i, "exp", u, None, "conj(U) U - 1", defect)
+        leak = ambient.leakage(big_u)
+        if leak > group_tol:
+            return _fail(name, i, "exp", u, None, f"outside pattern {ambient}", leak)
+    return CheckReport(
+        name, CheckStatus.PASS, cfg.samples, None,
+        f"exp image pseudo-unitary and inside {ambient} to {group_tol:g}",
+    )
 
 
 def check_theorem7(cfg: CheckConfig) -> list[CheckReport]:
@@ -683,60 +662,8 @@ def check_theorem7(cfg: CheckConfig) -> list[CheckReport]:
     Only the exponential image is probed; this does not decide whether the
     exponential map covers the corresponding group component.
     """
-    group_tol = 1e-9
-    out = []
-    for lie, ambient in LIE_SUBALGEBRA_ROWS:
-        name = f"theorem7:{lie}->{ambient}"
-        rng = SplitMix64(derive_subseed(cfg.seed, name))
-        cases = 0
-        report = None
-        for _ in range(cfg.samples):
-            u = sample_pattern_mv(cfg.sig, lie, rng, Field.COMPLEX)
-            nrm = u.inf_norm()
-            if nrm > 1.0:
-                u = u.scale(1.0 / nrm)
-            while u.inf_norm() > 1.0:  # float-rounding guard
-                u = u.scale(0.9999999999999999)
-            cases += 1
-            anti = (u.conjugate() + u).inf_norm()
-            if anti > cfg.tol:
-                report = CheckReport(
-                    name, CheckStatus.FAIL, cases,
-                    Counterexample(
-                        lhs=format_expression(u), rhs=None, operation="conj",
-                        component="conj(u) + u", magnitude=anti,
-                    ),
-                )
-                break
-            big_u = u.exp(cfg.exp_eps, cfg.exp_max_terms)
-            e = Multivector.scalar(cfg.sig, 1.0, Field.COMPLEX)
-            defect = (big_u.conjugate().geometric_product(big_u) - e).inf_norm()
-            if defect > group_tol:
-                report = CheckReport(
-                    name, CheckStatus.FAIL, cases,
-                    Counterexample(
-                        lhs=format_expression(u), rhs=None, operation="exp",
-                        component="conj(U) U - 1", magnitude=defect,
-                    ),
-                )
-                break
-            leak = ambient.leakage(big_u)
-            if leak > group_tol:
-                report = CheckReport(
-                    name, CheckStatus.FAIL, cases,
-                    Counterexample(
-                        lhs=format_expression(u), rhs=None, operation="exp",
-                        component=f"outside pattern {ambient}", magnitude=leak,
-                    ),
-                )
-                break
-        if report is None:
-            report = CheckReport(
-                name, CheckStatus.PASS, cases, None,
-                f"exp image pseudo-unitary and inside {ambient} to {group_tol:g}",
-            )
-        out.append(report)
-    return out
+    return [_theorem7_row(cfg, lie, ambient, 1e-9)
+            for lie, ambient in LIE_SUBALGEBRA_ROWS]
 
 
 def check_theorem6_7(cfg: CheckConfig) -> list[CheckReport]:
@@ -748,38 +675,35 @@ def check_wc_membership(cfg: CheckConfig) -> CheckReport:
     imaginary-0,1 / real-2,3 pattern) agree on every sample."""
     name = "wc"
     rng = SplitMix64(derive_subseed(cfg.seed, name))
-    everything = SubspacePattern.from_parts(real="0123", imag="0123")
     cases = 0
     for positive in (True, False):
-        source = WC_PATTERN if positive else everything
+        source = WC_PATTERN if positive else _EVERYTHING
         for _ in range(cfg.samples):
             u = sample_pattern_mv(cfg.sig, source, rng, Field.COMPLEX)
             cases += 1
             by_conj = is_in_wc(u, cfg.tol)
             by_pattern = WC_PATTERN.matches(u, cfg.tol)
             if by_conj != by_pattern:
-                return CheckReport(
-                    name, CheckStatus.FAIL, cases,
-                    Counterexample(
-                        lhs=format_expression(u), rhs=None, operation="conj",
-                        component=(f"conjugation says {by_conj}, "
-                                   f"pattern says {by_pattern}"),
-                        magnitude=(u.conjugate() + u).inf_norm(),
-                    ),
-                )
-            if positive and not by_conj:
-                return CheckReport(
-                    name, CheckStatus.FAIL, cases,
-                    Counterexample(
-                        lhs=format_expression(u), rhs=None, operation="conj",
-                        component="pattern sample rejected",
-                        magnitude=(u.conjugate() + u).inf_norm(),
-                    ),
-                )
+                component = f"conjugation says {by_conj}, pattern says {by_pattern}"
+            elif positive and not by_conj:
+                component = "pattern sample rejected"
+            else:
+                continue
+            return _fail(name, cases, "conj", u, None, component, _wc_defect(u))
     return CheckReport(
         name, CheckStatus.PASS, cases, None,
         "conjugation and pattern criteria agree on members and on generic elements",
     )
+
+
+def _projection_mismatch(u: Multivector) -> Optional[tuple[int, float]]:
+    """First k whose type projection differs from the grade projection, with
+    the size of the difference."""
+    for k in range(u.sig.n + 1):
+        diff = u.qtype_project(k) - u.grade_project(k)
+        if diff:
+            return k, diff.inf_norm()
+    return None
 
 
 def check_rank_coincidence(cfg: CheckConfig) -> CheckReport:
@@ -797,40 +721,22 @@ def check_rank_coincidence(cfg: CheckConfig) -> CheckReport:
     for mask in sig.blades():
         u = Multivector.basis_blade(sig, mask, 1, Field.COMPLEX)
         cases += 1
-        if detect_qtype(u, 0.0) != QType.of(grade(mask)):
-            return CheckReport(
-                name, CheckStatus.FAIL, cases,
-                Counterexample(
-                    lhs=_blade_text(sig, mask), rhs=None, operation="detect",
-                    component=f"type {detect_qtype(u, 0.0)}",
-                    magnitude=1.0,
-                ),
-            )
-        for k in range(sig.n + 1):
-            if u.qtype_project(k) != u.grade_project(k):
-                return CheckReport(
-                    name, CheckStatus.FAIL, cases,
-                    Counterexample(
-                        lhs=_blade_text(sig, mask), rhs=None, operation="project",
-                        component=f"type vs grade projection at {k}",
-                        magnitude=(u.qtype_project(k) - u.grade_project(k)).inf_norm(),
-                    ),
-                )
+        got = detect_qtype(u, 0.0)
+        if got != QType.of(grade(mask)):
+            return _fail(name, cases, "detect", _blade(sig, mask), None,
+                         f"type {got}", 1.0)
+        mismatch = _projection_mismatch(u)
+        if mismatch:
+            return _fail(name, cases, "project", _blade(sig, mask), None,
+                         f"type vs grade projection at {mismatch[0]}", mismatch[1])
     rng = SplitMix64(derive_subseed(cfg.seed, name))
-    everything = SubspacePattern.from_parts(real="0123", imag="0123")
     for _ in range(cfg.samples):
-        u = sample_pattern_mv(sig, everything, rng, Field.COMPLEX)
+        u = sample_pattern_mv(sig, _EVERYTHING, rng, Field.COMPLEX)
         cases += 1
-        for k in range(sig.n + 1):
-            if u.qtype_project(k) != u.grade_project(k):
-                return CheckReport(
-                    name, CheckStatus.FAIL, cases,
-                    Counterexample(
-                        lhs=format_expression(u), rhs=None, operation="project",
-                        component=f"type vs grade projection at {k}",
-                        magnitude=(u.qtype_project(k) - u.grade_project(k)).inf_norm(),
-                    ),
-                )
+        mismatch = _projection_mismatch(u)
+        if mismatch:
+            return _fail(name, cases, "project", u, None,
+                         f"type vs grade projection at {mismatch[0]}", mismatch[1])
     return CheckReport(
         name, CheckStatus.PASS, cases, None,
         "every blade and sampled element: type projections equal grade projections",

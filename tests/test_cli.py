@@ -76,6 +76,26 @@ def test_verify_usage_errors(capsys):
     assert run_cli(capsys, "verify", "--p", "9", "--q", "9")[0] == 2
 
 
+def test_verify_rejects_non_finite_tol(capsys):
+    for tol in ("nan", "inf"):
+        code, out, err = run_cli(capsys, "verify", "--suite", "rank", "--tol", tol)
+        assert code == 2
+        assert out == ""
+        assert "tol" in err
+
+
+def test_verify_single_leaf_suite(capsys):
+    code, out, _ = run_cli(capsys, "verify", "--p", "2", "--q", "1",
+                           "--suite", "closures", "--samples", "5",
+                           "--format", "json")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["suite"] == "closures"
+    names = [r["name"] for r in payload["reports"]]
+    assert len(names) == 43
+    assert all(name.startswith("closure:") for name in names)
+
+
 # ----------------------------------------------------------------------
 # table
 
@@ -151,6 +171,14 @@ def test_type_mixed_grades(capsys):
     assert lines["odd"] == "e1"
 
 
+def test_type_rejects_non_finite_tol(capsys):
+    for tol in ("nan", "inf"):
+        code, out, err = run_cli(capsys, "type", "--expr", "1 + 2e12", "--tol", tol)
+        assert code == 2
+        assert out == ""
+        assert "--tol" in err
+
+
 def test_type_rejects_decreasing_indices(capsys):
     code, _, err = run_cli(capsys, "type", "--p", "2", "--q", "0",
                            "--expr", "e21")
@@ -187,6 +215,17 @@ def test_type_input_errors(capsys, tmp_path):
     # --expr and --input are mutually exclusive
     assert run_cli(capsys, "type", "--expr", "1",
                    "--input", str(missing))[0] == 2
+
+
+def test_type_rejects_oversized_document_coefficient(capsys, tmp_path):
+    # 10**400 parses as a JSON integer but fits no double: usage error, exit 2
+    huge = tmp_path / "huge.json"
+    huge.write_text('{"p": 2, "q": 2, "field": "R", "terms": '
+                    '[{"blade": [], "re": 1' + "0" * 400 + ', "im": 0}]}')
+    code, out, err = run_cli(capsys, "type", "--input", str(huge))
+    assert code == 2
+    assert out == ""
+    assert "too large" in err
 
 
 # ----------------------------------------------------------------------

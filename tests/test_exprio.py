@@ -202,6 +202,7 @@ def test_document_duplicate_blades_accumulate():
     lambda d: d["terms"][0].__setitem__("blade", [True]),
     lambda d: d["terms"][0].__setitem__("re", "1"),
     lambda d: d["terms"][0].__setitem__("re", math.nan),
+    lambda d: d["terms"][0].__setitem__("re", 10 ** 400),
 ])
 def test_document_validation(mutate):
     doc = {"p": 2, "q": 2, "field": "R", "terms": [

@@ -77,6 +77,8 @@ def test_nonfinite_coefficients_rejected():
         Multivector(S22, Field.COMPLEX, {0: float("nan")})
     with pytest.raises(ValueError):
         Multivector(S22, Field.COMPLEX, {0: float("inf") * 1j})
+    with pytest.raises(ValueError):  # no double holds it
+        Multivector(S22, Field.COMPLEX, {0: 10 ** 400})
 
 
 def test_invalid_blade_mask_rejected():

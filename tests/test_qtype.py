@@ -287,6 +287,11 @@ def test_detect_qtype_basics():
     assert detect_qtype(Multivector.zero(S22), 0.0) == EMPTY_TYPE
     with pytest.raises(ValueError):
         detect_qtype(u, -1.0)
+    for bad in (float("nan"), float("inf")):
+        with pytest.raises(ValueError):
+            detect_qtype(u, bad)
+        with pytest.raises(ValueError):
+            pattern_of(u, bad)
 
 
 def test_detect_qtype_relative_threshold():

@@ -8,6 +8,8 @@ should: a corrupted composition rule and two subspaces that are not closed.
 
 import pytest
 
+from quatype import verify
+
 from quatype.blades import Signature
 from quatype.multivector import Field, Multivector
 from quatype.qtype import OpKind, QType, SubspacePattern, main_compose
@@ -107,6 +109,11 @@ def test_config_validation():
         CheckConfig(sig="Cl(2,2)")
     with pytest.raises(ValueError):
         CheckConfig(sig=S22, exp_max_terms=0)
+    for bad in (float("nan"), float("inf")):
+        with pytest.raises(ValueError):
+            CheckConfig(sig=S22, tol=bad)
+        with pytest.raises(ValueError):
+            CheckConfig(sig=S22, exp_eps=bad)
 
 
 # ----------------------------------------------------------------------
@@ -305,3 +312,237 @@ def test_report_serialization_shape():
     assert d["status"] == "fail"
     assert set(d["counterexample"]) == \
         {"lhs", "rhs", "operation", "component", "magnitude"}
+
+
+# ----------------------------------------------------------------------
+# failure reports
+#
+# Each test corrupts one piece of rule data and pins the whole report the
+# check returns, so a rewrite of a check's failure path cannot change what a
+# user sees.
+
+S21 = Signature(2, 1)
+R0, R1, R2 = (SubspacePattern.from_parts(real=d) for d in "012")
+R02 = SubspacePattern.from_parts(real="02")
+I1 = SubspacePattern.from_parts(imag="1")
+
+
+def _failed(name, cases, counterexample, notes=""):
+    """The to_dict() of a FAIL report; counterexample is (lhs, rhs,
+    operation, component, magnitude) or None."""
+    keys = ("lhs", "rhs", "operation", "component", "magnitude")
+    return {
+        "name": name, "status": "fail", "cases_run": cases,
+        "counterexample": (None if counterexample is None
+                           else dict(zip(keys, counterexample))),
+        "notes": notes,
+    }
+
+
+def _comm_11_off_by_one(original):
+    def residue(op, k, l):
+        value = original(op, k, l)
+        return (value + 1) & 3 if (op, k, l) == (OpKind.COMMUTATOR, 1, 1) else value
+    return residue
+
+
+def _flip_comm_target(op, a, b):
+    return main_compose(op, a, b) ^ (1 if op is OpKind.COMMUTATOR else 0)
+
+
+def test_axioms_exhaustive_fail_report():
+    report = check_quaternion_axioms(OpKind.COMMUTATOR, cfg_for(S21),
+                                     rule=_flip_comm_target)
+    assert report.to_dict() == _failed("axioms:comm", 11, (
+        "e1", "e2", "comm", "type 2 (expected 3)", 2.0))
+
+
+def test_axioms_random_fail_report():
+    cfg = cfg_for(S21, strategy=Strategy.RANDOM, samples=16)
+    report = check_quaternion_axioms(OpKind.COMMUTATOR, cfg, rule=_flip_comm_target)
+    assert report.to_dict() == _failed("axioms:comm", 6, (
+        "-(3-2i)e1 + (2+1i)e2 + (3-1i)e3", "3e1 - (3+2i)e2 - (2+3i)e3", "comm",
+        "outside type 3", 30.0))
+
+
+def test_grade_pattern_exhaustive_fail_report(monkeypatch):
+    monkeypatch.setattr(verify, "_grade_residue",
+                        _comm_11_off_by_one(verify._grade_residue))
+    report = check_grade_pattern(cfg_for(S21))
+    assert report.to_dict() == _failed("grades", 11, (
+        "e1", "e2", "comm", "grade 2 (want residue 3)", 2.0))
+
+
+def test_grade_pattern_random_fail_report(monkeypatch):
+    monkeypatch.setattr(verify, "_grade_residue",
+                        _comm_11_off_by_one(verify._grade_residue))
+    report = check_grade_pattern(cfg_for(S21, strategy=Strategy.RANDOM, samples=16))
+    assert report.to_dict() == _failed("grades", 6, (
+        "-(1-3i)e1 + (0+1i)e2", "-2e1 - (3-3i)e2 - (1-2i)e3", "comm",
+        "grade 2 (want residue 3)", 32.0))
+
+
+def _drop_type_2(monkeypatch):
+    original = verify.qtype_compose
+    monkeypatch.setattr(verify, "qtype_compose", lambda op, t1, t2: QType(
+        original(op, t1, t2).mask & 0b1011))
+
+
+def test_type_table_exhaustive_fail_report(monkeypatch):
+    _drop_type_2(monkeypatch)
+    report = check_type_table(OpKind.COMMUTATOR, cfg_for(S21))
+    assert report.to_dict() == _failed("tables:comm", 11, (
+        "e1", "e2", "comm", "type 2 outside cell ", 2.0))
+
+
+def test_type_table_sampled_fail_report(monkeypatch):
+    _drop_type_2(monkeypatch)
+    report = check_type_table(OpKind.GEOMETRIC, cfg_for(S21))
+    assert report.to_dict() == _failed("tables:product", 17, (
+        "2", "(0-2i)e12 + (2+1i)e13 - e23", "product", "type 2 outside cell 0", 6.0))
+
+
+def test_closure_abstract_fail_report_with_witness():
+    report = check_pattern_closure(OpKind.COMMUTATOR, R1, cfg_for(S21, samples=5))
+    assert report.to_dict() == _failed("closure:comm:C:1", 2, (
+        "-3e1 + e2 - 2e3", "3e1", "comm", "outside pattern 1", 12.0),
+        "abstract composition leaks: 1 composes to 2")
+
+
+def test_closure_abstract_fail_report_without_witness():
+    # [e1, e1] = 0: nothing concrete leaks in Cl(1,0).
+    report = check_pattern_closure(OpKind.COMMUTATOR, R1,
+                                   cfg_for(Signature(1, 0), samples=5))
+    assert report.to_dict() == _failed("closure:comm:C:1", 1, None,
+        "abstract composition leaks: 1 composes to 2")
+
+
+def test_closure_sampled_fail_report(monkeypatch):
+    monkeypatch.setattr(verify, "pattern_compose", lambda op, p1, p2: p1)
+    report = check_pattern_closure(OpKind.COMMUTATOR, R1, cfg_for(S21, samples=5))
+    assert report.to_dict() == _failed("closure:comm:C:1", 2, (
+        "-3e1 + e2 - 2e3", "3e1", "comm", "outside pattern 1", 12.0))
+
+
+def _wrong_second_relation(monkeypatch):
+    rows = list(verify.WC_RELATIONS)
+    p1, p2, _ = rows[1]
+    rows[1] = (p1, p2, SubspacePattern.from_parts(real="3"))
+    monkeypatch.setattr(verify, "WC_RELATIONS", tuple(rows))
+
+
+def test_theorem5_abstract_fail_report(monkeypatch):
+    _wrong_second_relation(monkeypatch)
+    report = check_theorem5(cfg_for(S21, samples=5))
+    assert report.to_dict() == _failed("theorem5", 7, None,
+        "abstract relation [i1, i1] leaks outside 3")
+
+
+def test_theorem5_sampled_fail_report(monkeypatch):
+    _wrong_second_relation(monkeypatch)
+    monkeypatch.setattr(verify, "pattern_compose",
+                        lambda op, p1, p2: SubspacePattern.from_parts())
+    report = check_theorem5(cfg_for(S21, samples=5))
+    assert report.to_dict() == _failed("theorem5", 8, (
+        "(0-3i)e1 + (0-3i)e2 + (0-2i)e3", "(0+3i)e2 + (0-3i)e3", "comm",
+        "[i1, i1] outside 3", 30.0))
+
+
+def test_theorem6_fail_reports(monkeypatch):
+    # Real type 0 is not commutator-closed on its own; with type 2 it is,
+    # but conj(u) = u on real scalars breaks the membership.
+    monkeypatch.setattr(verify, "LIE_SUBALGEBRA_ROWS", ((R0, R0), (R02, R02)))
+    reports = check_theorem6(cfg_for(S21, samples=5))
+    assert [r.to_dict() for r in reports] == [
+        _failed("theorem6:0", 1, None,
+            "abstract commutator closure fails"),
+        _failed("theorem6:02", 2, ("-2 + 3e13", None, "conj", "conj(u) + u", 4.0)),
+    ]
+
+
+def test_theorem6_commutator_fail_report(monkeypatch):
+    monkeypatch.setattr(verify, "LIE_SUBALGEBRA_ROWS", ((I1, I1),))
+    monkeypatch.setattr(verify, "is_closed", lambda op, pattern: True)
+    reports = check_theorem6(cfg_for(S21, samples=5))
+    assert [r.to_dict() for r in reports] == [
+        _failed("theorem6:i1", 2, (
+            "(0+1i)e1 + (0-1i)e2 + (0-2i)e3", "(0-1i)e1 + (0+2i)e2 + (0-1i)e3", "comm",
+            "outside pattern i1", 10.0)),
+    ]
+
+
+def test_theorem7_fail_reports(monkeypatch):
+    monkeypatch.setattr(verify, "LIE_SUBALGEBRA_ROWS", ((R02, R02), (R2, R0)))
+    reports = check_theorem7(cfg_for(S21, samples=5))
+    assert [r.to_dict() for r in reports] == [
+        _failed("theorem7:02->02", 1, (
+            "-1 + 0.6666666666666666e12 - 0.3333333333333333e13", None, "conj",
+            "conj(u) + u", 2.0)),
+        _failed("theorem7:2->0", 1, (
+            "-e12 + e13 + e23", None, "exp", "outside pattern 0", 1.1752011936438016)),
+    ]
+
+
+def test_theorem7_defect_fail_report(monkeypatch):
+    # A tolerance of 10 lets real scalars through the membership test, so
+    # the group test is the first to see them.
+    monkeypatch.setattr(verify, "LIE_SUBALGEBRA_ROWS", ((R02, R02),))
+    reports = check_theorem7(cfg_for(S21, samples=5, tol=10.0))
+    assert [r.to_dict() for r in reports] == [
+        _failed("theorem7:02->02", 1, (
+            "-1 + 0.6666666666666666e12 - 0.3333333333333333e13", None, "exp",
+            "conj(U) U - 1", 0.8646647167633873)),
+    ]
+
+
+def test_wc_membership_disagreement_fail_report(monkeypatch):
+    monkeypatch.setattr(verify, "WC_PATTERN",
+                        SubspacePattern.from_parts(real="01", imag="23"))
+    report = check_wc_membership(cfg_for(S21, samples=5))
+    assert report.to_dict() == _failed("wc", 1, (
+        "3 + 3e1 + 2e2 + (0+3i)e12 + (0+3i)e13 + (0+3i)e23 + (0+3i)e123", None, "conj",
+        "conjugation says False, pattern says True", 6.0))
+
+
+def test_wc_membership_rejected_sample_fail_report(monkeypatch):
+    monkeypatch.setattr(verify, "is_in_wc", lambda u, tol=1e-12: False)
+    monkeypatch.setattr(SubspacePattern, "matches", lambda self, mv, tol=0.0: False)
+    report = check_wc_membership(cfg_for(S21, samples=5))
+    assert report.to_dict() == _failed("wc", 1, (
+        "(0+3i) + (0+3i)e1 + (0+2i)e2 + 3e12 + 3e13 + 3e23 + 3e123", None, "conj",
+        "pattern sample rejected", 0.0))
+
+
+def test_rank_detect_fail_report(monkeypatch):
+    monkeypatch.setattr(verify, "detect_qtype", lambda mv, tol=1e-12: QType.of(0))
+    report = check_rank_coincidence(cfg_for(S21, samples=5))
+    assert report.to_dict() == _failed("rank", 2, ("e1", None, "detect", "type 0", 1.0))
+
+
+def test_rank_blade_projection_fail_report(monkeypatch):
+    original = Multivector.qtype_project
+
+    def project(self, kbar):
+        return original(self, kbar).scale(2) if kbar == 1 else original(self, kbar)
+
+    monkeypatch.setattr(Multivector, "qtype_project", project)
+    report = check_rank_coincidence(cfg_for(S21, samples=5))
+    assert report.to_dict() == _failed("rank", 2, (
+        "e1", None, "project", "type vs grade projection at 1", 1.0))
+
+
+def test_rank_sampled_projection_fail_report(monkeypatch):
+    original = Multivector.qtype_project
+
+    def project(self, kbar):
+        part = original(self, kbar)
+        if len(self.terms) < 2:
+            return part
+        return part - original(Multivector.basis_blade(self.sig, 0b1), kbar)
+
+    monkeypatch.setattr(Multivector, "qtype_project", project)
+    report = check_rank_coincidence(cfg_for(S21, samples=5))
+    assert report.to_dict() == _failed("rank", 9, (
+        "(3+2i) - (1+2i)e1 - (3+2i)e2 - (2+1i)e3 - (2+2i)e12 + (2-2i)e13"
+        " + (2+2i)e23 + (3-2i)e123",
+        None, "project", "type vs grade projection at 1", 1.0))
