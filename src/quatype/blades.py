@@ -4,6 +4,9 @@ A blade is an ``int`` whose bit ``i-1`` says whether generator ``e^i`` is
 present (indices are 1-based).  The geometric product of two basis blades is
 always ``sign * (a ^ b)`` with ``sign`` in ``{+1, -1}``, so all structure
 constants are computed exactly in integer arithmetic.
+
+Each signature builds one split sign table of at most 4**6 entries
+(``sign_table``); every product and every ``canonical_sign`` call reads it.
 """
 
 from __future__ import annotations
@@ -12,10 +15,6 @@ import functools
 from dataclasses import dataclass
 
 MAX_GENERATORS = 12
-
-# Dense sign tables are cached per signature up to this many generators
-# (4**8 = 65536 entries); beyond that signs are computed on the fly.
-_TABLE_CAP = 8
 
 
 @dataclass(frozen=True)
@@ -122,20 +121,26 @@ def canonical_sign(a: int, b: int, sig: Signature) -> tuple[int, int]:
     """Geometric product of basis blades: returns (sign, result mask)."""
     sig.check_blade(a)
     sig.check_blade(b)
-    return reorder_sign(a, b) * metric_sign(a, b, sig), a ^ b
+    h, low, high = sign_table(sig)
+    lo = (1 << h) - 1
+    ah = a >> h
+    return low[ah.bit_count() & 1][a & lo][b & lo] * high[ah][b >> h], a ^ b
 
 
 @functools.lru_cache(maxsize=None)
 def sign_table(sig: Signature):
-    """Flat product-sign table indexed by ``(a << n) | b``, or None if n is
-    too large to cache densely."""
-    n = sig.n
-    if n > _TABLE_CAP:
-        return None
-    size = 1 << n
-    table = [1] * (size * size)
-    for a in range(size):
-        row = a << n
-        for b in range(size):
-            table[row | b] = reorder_sign(a, b) * metric_sign(a, b, sig)
-    return table
+    """Split sign table ``(h, (low0, low1), high)`` with h = (n+1)//2: for
+    aL = a & (2**h - 1) and aH = a >> h, the sign of ``a * b`` is
+    ``low[|aH| & 1][aL][bL] * high[aH][bH]``.  The reorder count splits as
+    T(a,b) = T(aL,bL) + T(aH,bH) + |aH|*|bL|; ``low1`` negates the odd-|bL|
+    columns of ``low0`` to fold in the cross term, and the metric sign
+    splits over the shared generators of each half."""
+    h = (sig.n + 1) // 2
+    lows, highs = range(1 << h), range(1 << (sig.n - h))
+    low0 = [[reorder_sign(a, b) * metric_sign(a, b, sig) for b in lows]
+            for a in lows]
+    low1 = [[-s if b.bit_count() & 1 else s for b, s in enumerate(row)]
+            for row in low0]
+    high = [[reorder_sign(a, b) * metric_sign(a << h, b << h, sig)
+             for b in highs] for a in highs]
+    return h, (low0, low1), high

@@ -8,13 +8,15 @@ projections.
 
 from __future__ import annotations
 
+import cmath
 import math
 import numbers
 import operator
+import sys
 from enum import Enum
 from types import MappingProxyType
 
-from .blades import Signature, grade, sign_table, canonical_sign
+from .blades import Signature, grade, sign_table
 
 
 class AlgebraError(Exception):
@@ -52,6 +54,12 @@ def _check_coeff(c: complex, field: Field) -> complex:
     if field is Field.REAL and c.imag != 0.0:
         raise FieldMismatch(f"imaginary coefficient {c!r} in a real multivector")
     return c
+
+
+def _require_finite(data: dict) -> None:
+    """Refuse an arithmetic result that overflowed a double."""
+    if not all(map(cmath.isfinite, data.values())):
+        raise ValueError("arithmetic result overflows a double")
 
 
 class Multivector:
@@ -158,6 +166,7 @@ class Multivector:
                 data.pop(m, None)
             else:
                 data[m] = s
+        _require_finite(data)
         return Multivector._raw(self.sig, self.field, data)
 
     def __add__(self, other) -> "Multivector":
@@ -174,8 +183,9 @@ class Multivector:
         c = _check_coeff(value, self.field)
         if c == 0:
             return Multivector.zero(self.sig, self.field)
-        return Multivector._raw(self.sig, self.field,
-                                {m: v * c for m, v in self._terms.items()})
+        data = {m: v * c for m, v in self._terms.items()}
+        _require_finite(data)
+        return Multivector._raw(self.sig, self.field, data)
 
     def __mul__(self, other):
         if isinstance(other, Multivector):
@@ -191,30 +201,22 @@ class Multivector:
 
     def geometric_product(self, other: "Multivector") -> "Multivector":
         self._like(other)
-        sig = self.sig
-        table = sign_table(sig)
+        h, low, high = sign_table(self.sig)
+        lo = (1 << h) - 1
+        rhs = [(b, b & lo, b >> h, cb) for b, cb in other._terms.items()]
         out: dict[int, complex] = {}
-        if table is not None:
-            n = sig.n
-            for a, ca in self._terms.items():
-                row = a << n
-                for b, cb in other._terms.items():
-                    m = a ^ b
-                    c = out.get(m, 0j) + table[row | b] * ca * cb
-                    if c == 0:
-                        out.pop(m, None)
-                    else:
-                        out[m] = c
-        else:
-            for a, ca in self._terms.items():
-                for b, cb in other._terms.items():
-                    s, m = canonical_sign(a, b, sig)
-                    c = out.get(m, 0j) + s * ca * cb
-                    if c == 0:
-                        out.pop(m, None)
-                    else:
-                        out[m] = c
-        return Multivector._raw(sig, self.field, out)
+        for a, ca in self._terms.items():
+            ah = a >> h
+            row_lo, row_hi = low[ah.bit_count() & 1][a & lo], high[ah]
+            for b, bl, bh, cb in rhs:
+                m = a ^ b
+                c = out.get(m, 0j) + row_lo[bl] * row_hi[bh] * ca * cb
+                if c == 0:
+                    out.pop(m, None)
+                else:
+                    out[m] = c
+        _require_finite(out)
+        return Multivector._raw(self.sig, self.field, out)
 
     def commutator(self, other: "Multivector") -> "Multivector":
         """[U, V] = UV - VU."""
@@ -294,7 +296,10 @@ class Multivector:
         sum stops once the latest term's inf-norm drops below
         ``eps * (1 + inf-norm of the partial sum)``, and the result is
         squared once per halving.  Raises ConvergenceFailure if the series
-        uses up ``max_terms`` terms first.
+        uses up ``max_terms`` terms first, or if the argument needs 52 or
+        more halvings: each squaring doubles the relative error, so after k
+        halvings it is about 2**k machine epsilons, and once
+        ``2**k * sys.float_info.epsilon >= 1`` no digit of the result is left.
         """
         if not (eps > 0.0):
             raise ValueError("eps must be positive")
@@ -305,6 +310,11 @@ class Multivector:
         while u.inf_norm() > 1.0:
             u = u.scale(0.5)
             halvings += 1
+        if 2.0 ** halvings * sys.float_info.epsilon >= 1.0:
+            raise ConvergenceFailure(
+                f"exp argument needs {halvings} halvings, which leave no "
+                f"correct digit (argument inf-norm {self.inf_norm()!r})"
+            )
         acc = Multivector.scalar(self.sig, 1.0, self.field)
         term = acc
         converged = False

@@ -21,7 +21,7 @@ from functools import lru_cache
 from typing import Callable, Iterator, Optional
 
 from .blades import Signature, grade, canonical_sign
-from .multivector import Field, Multivector
+from .multivector import Field, FieldMismatch, Multivector
 from .qtype import (
     CoeffClass,
     OpKind,
@@ -175,13 +175,15 @@ def _draw_plan(sig: Signature, pattern: SubspacePattern,
 def _sample(sig: Signature, plan: tuple[tuple[int, bool, bool], ...],
             rng: SplitMix64, field: Field,
             lo: int = -3, hi: int = 3) -> Multivector:
+    # no validating constructor: the plan's masks are valid and distinct,
+    # and every kept draw is a nonzero integer
     terms = {}
     for mask, draw_re, draw_im in plan:
         re = rng.next_int(lo, hi) if draw_re else 0
         im = rng.next_int(lo, hi) if draw_im else 0
         if re or im:
             terms[mask] = complex(re, im)
-    return Multivector(sig, field, terms)
+    return Multivector._raw(sig, field, terms)
 
 
 def sample_pattern_mv(sig: Signature, pattern: SubspacePattern, rng: SplitMix64,
@@ -190,8 +192,11 @@ def sample_pattern_mv(sig: Signature, pattern: SubspacePattern, rng: SplitMix64,
 
     Blades are visited in ascending mask order; for each allowed part the
     next integer is drawn (real part first), so the element is a pure
-    function of the generator state.
+    function of the generator state.  Raises FieldMismatch when the field is
+    real and the pattern grants an imaginary part.
     """
+    if field is Field.REAL and any(c & CoeffClass.IMAGINARY for c in pattern.classes):
+        raise FieldMismatch(f"pattern {pattern} has imaginary parts in a real field")
     return _sample(sig, _draw_plan(sig, pattern), rng, field, lo, hi)
 
 

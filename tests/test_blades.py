@@ -18,7 +18,6 @@ from quatype.blades import (
     mask_from_indices,
     metric_sign,
     reorder_sign,
-    sign_table,
 )
 
 
@@ -61,10 +60,11 @@ def test_oracle_agrees_exhaustively_small_n():
 
 
 @settings(max_examples=200)
-@given(st.integers(0, (1 << 9) - 1), st.integers(0, (1 << 9) - 1),
-       st.integers(0, 9))
-def test_oracle_agrees_n9(a, b, p):
-    sig = Signature(p, 9 - p)
+@given(st.integers(0, (1 << 12) - 1), st.integers(0, (1 << 12) - 1),
+       st.integers(0, 12), st.integers(7, 12))
+def test_oracle_agrees_n9(a, b, p, n):
+    sig = Signature(p % (n + 1), n - p % (n + 1))
+    a, b = a % sig.blade_count, b % sig.blade_count
     assert canonical_sign(a, b, sig) == oracle_sign(a, b, sig)
 
 
@@ -133,19 +133,12 @@ def test_product_is_associative_sampled(a, b, c):
 
 
 def test_sign_table_matches_direct_computation():
-    sig = Signature(2, 1)
-    table = sign_table(sig)
-    n = sig.n
-    assert table is not None
-    assert len(table) == 1 << (2 * n)
-    for a in sig.blades():
-        for b in sig.blades():
-            s, _ = canonical_sign(a, b, sig)
-            assert table[(a << n) | b] == s
-
-
-def test_sign_table_absent_for_large_n():
-    assert sign_table(Signature(5, 4)) is None
+    for n in range(1, 8):
+        for sig in all_signatures(n):
+            for a in sig.blades():
+                for b in sig.blades():
+                    assert canonical_sign(a, b, sig) == \
+                        (reorder_sign(a, b) * metric_sign(a, b, sig), a ^ b)
 
 
 def test_metric_sign_counts_negative_contractions():

@@ -293,6 +293,24 @@ def test_eval_exp_nonconvergence_exit_code(capsys, monkeypatch):
     assert "settle" in err
 
 
+def test_eval_overflowing_product_exit_code(capsys):
+    big = "1" + "0" * 190 + "e1"
+    code, out, err = run_cli(capsys, "eval", "--p", "2", "--q", "0",
+                             "--op", "gp", "--lhs", big, "--rhs", big)
+    assert code == 2
+    assert out == ""
+    assert "overflows" in err
+    assert "Traceback" not in err
+
+
+def test_eval_exp_refuses_lost_precision(capsys):
+    code, out, err = run_cli(capsys, "eval", "--p", "2", "--q", "0",
+                             "--op", "exp", "--lhs", "1" + "0" * 20 + "e12")
+    assert code == 3
+    assert out == ""
+    assert "halvings" in err
+
+
 # ----------------------------------------------------------------------
 # top-level usage
 

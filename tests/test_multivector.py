@@ -22,6 +22,7 @@ from quatype.multivector import (
     RankOutOfRange,
     SignatureMismatch,
 )
+from test_blades import oracle_sign
 
 S22 = Signature(2, 2)
 
@@ -79,6 +80,19 @@ def test_nonfinite_coefficients_rejected():
         Multivector(S22, Field.COMPLEX, {0: float("inf") * 1j})
     with pytest.raises(ValueError):  # no double holds it
         Multivector(S22, Field.COMPLEX, {0: 10 ** 400})
+
+
+def test_overflowing_results_rejected():
+    sig = Signature(2, 0)
+    big = Multivector.basis_blade(sig, 0b01, 1e190)
+    with pytest.raises(ValueError):
+        big.geometric_product(big)
+    u = Multivector.basis_blade(sig, 0b01, 1e308)
+    v = Multivector.basis_blade(sig, 0b10, 1)
+    with pytest.raises(ValueError):  # 1e308 e12 - (-1e308 e12)
+        u.commutator(v)
+    with pytest.raises(ValueError):
+        u.scale(10)
 
 
 def test_invalid_blade_mask_rejected():
@@ -141,6 +155,31 @@ def test_quaternion_relations_in_cl02():
     assert k * j == -i
     assert k * i == j
     assert i * k == -j
+
+
+def oracle_product(u: Multivector, v: Multivector) -> Multivector:
+    terms = []
+    for a, ca in u.terms.items():
+        for b, cb in v.terms.items():
+            s, m = oracle_sign(a, b, u.sig)
+            terms.append((m, s * ca * cb))
+    return Multivector(u.sig, u.field, terms)
+
+
+@pytest.mark.parametrize("n", [9, 10, 11, 12])
+def test_products_match_sign_oracle_at_large_n(n):
+    # p below, at and above the split point h of the sign table, and both ends
+    h = (n + 1) // 2
+    rng = random.Random(n)
+    for p in (0, h - 1, h, h + 1, n):
+        sig = Signature(p, n - p)
+        u, v = (Multivector(sig, Field.COMPLEX, {
+            rng.randrange(1 << n): complex(rng.randint(-3, 3), rng.randint(-3, 3))
+            for _ in range(12)}) for _ in range(2))
+        uv, vu = oracle_product(u, v), oracle_product(v, u)
+        assert u.geometric_product(v) == uv
+        assert u.commutator(v) == uv - vu
+        assert u.anticommutator(v) == uv + vu
 
 
 def test_product_identity_splits_into_both_brackets():
@@ -361,6 +400,14 @@ def test_exp_convergence_failure():
         u.exp(eps=1e-14, max_terms=2)
 
 
+def test_exp_refuses_argument_beyond_double_precision():
+    sig = Signature(2, 0)
+    for coeff in (10 ** 17, 10 ** 21):
+        u = Multivector.basis_blade(sig, 0b11, coeff, Field.REAL)
+        with pytest.raises(ConvergenceFailure):
+            u.exp()
+
+
 def test_exp_parameter_validation():
     u = Multivector.scalar(S22, 0.5)
     with pytest.raises(ValueError):
@@ -405,3 +452,35 @@ def test_commutator_antisymmetric(t1, t2):
     v = Multivector(S22, Field.COMPLEX, t2)
     assert u.commutator(v) == -v.commutator(u)
     assert u.anticommutator(v) == v.anticommutator(u)
+
+
+_double = st.floats(-1e308, 1e308)
+
+
+@st.composite
+def wide_mv_terms(draw):
+    masks = draw(st.lists(st.integers(0, 15), max_size=4))
+    return {m: complex(draw(_double), draw(_double)) for m in masks}
+
+
+_ARITHMETIC = {
+    "gp": lambda u, v, x: u.geometric_product(v),
+    "comm": lambda u, v, x: u.commutator(v),
+    "anticomm": lambda u, v, x: u.anticommutator(v),
+    "add": lambda u, v, x: u + v,
+    "sub": lambda u, v, x: u - v,
+    "scale": lambda u, v, x: u.scale(x),
+}
+
+
+@settings(max_examples=200)
+@given(wide_mv_terms(), wide_mv_terms(), st.sampled_from(sorted(_ARITHMETIC)),
+       _double)
+def test_arithmetic_results_finite_or_refused(t1, t2, op, x):
+    u = Multivector(S22, Field.COMPLEX, t1)
+    v = Multivector(S22, Field.COMPLEX, t2)
+    try:
+        result = _ARITHMETIC[op](u, v, x)
+    except ValueError:
+        return
+    assert all(cmath.isfinite(c) for c in result.terms.values())

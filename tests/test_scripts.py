@@ -1,0 +1,27 @@
+"""Smoke tests for the scripts in scripts/: each runs as its own process."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def run_script(name: str, *args: str) -> subprocess.CompletedProcess:
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    return subprocess.run([sys.executable, str(ROOT / "scripts" / name), *args],
+                          capture_output=True, text=True, env=env, timeout=300)
+
+
+def test_full_report_small_sweep():
+    r = run_script("full_report.py", "--max-n", "2", "--samples", "5")
+    assert r.returncode == 0, r.stderr
+    assert "total: 300 pass, 0 fail, 0 skipped" in r.stdout.splitlines()
+
+
+def test_table_audit_summary():
+    r = run_script("table_audit.py")
+    assert r.returncode == 0, r.stderr
+    assert r.stdout.splitlines()[-1] == \
+        "20 mismatching cell(s) across 3 table(s)"

@@ -11,7 +11,7 @@ import pytest
 from quatype import verify
 
 from quatype.blades import Signature
-from quatype.multivector import Field, Multivector
+from quatype.multivector import Field, FieldMismatch, Multivector
 from quatype.qtype import OpKind, QType, SubspacePattern, main_compose
 from quatype.verify import (
     CheckConfig,
@@ -88,6 +88,12 @@ def test_sample_pattern_respects_pattern():
     for _ in range(20):
         u = sample_pattern_mv(S22, p, g, Field.COMPLEX)
         assert p.matches(u, 0.0)
+
+
+def test_sample_pattern_rejects_imaginary_parts_in_real_field():
+    p = SubspacePattern.from_parts(real="02", imag="1")
+    with pytest.raises(FieldMismatch):
+        sample_pattern_mv(S22, p, SplitMix64(3), Field.REAL)
 
 
 # ----------------------------------------------------------------------
