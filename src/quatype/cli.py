@@ -14,18 +14,17 @@ import sys
 
 from .blades import Signature, grade
 from .exprio import (
-    ExprSyntaxError,
     format_expression,
     mv_from_document,
     mv_to_document,
     parse_expression,
 )
-from .multivector import ConvergenceFailure, Field, Multivector
+from .multivector import AlgebraError, ConvergenceFailure, Field, Multivector
 from .qtype import OpKind, TYPE_ORDER, detect_qtype, emit_table, pattern_of
-from .verify import SUITE_NAMES, CheckConfig, CheckStatus, run_suite
+from .verify import SUITE_NAMES, CheckConfig, CheckStatus, _apply, run_suite
 
-_OP_BY_FLAG = {
-    "product": OpKind.GEOMETRIC,
+_BINARY_OPS = {
+    "gp": OpKind.GEOMETRIC,
     "comm": OpKind.COMMUTATOR,
     "anticomm": OpKind.ANTICOMMUTATOR,
 }
@@ -37,13 +36,14 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact Clifford algebra arithmetic with a mod-4 grading layer.",
     )
     sub = ap.add_subparsers(dest="command", required=True)
+    signature = argparse.ArgumentParser(add_help=False)
+    signature.add_argument("--p", type=int, default=2, help="generators squaring to +1")
+    signature.add_argument("--q", type=int, default=2, help="generators squaring to -1")
 
     v = sub.add_parser(
-        "verify", help="run verification suites",
+        "verify", help="run verification suites", parents=[signature],
         formatter_class=argparse.ArgumentDefaultsHelpFormatter,
     )
-    v.add_argument("--p", type=int, default=2, help="generators squaring to +1")
-    v.add_argument("--q", type=int, default=2, help="generators squaring to -1")
     v.add_argument("--suite", default="all", choices=SUITE_NAMES,
                    help="which checks to run: a group or a single check")
     v.add_argument("--samples", type=int, default=200, help="random sample budget")
@@ -56,17 +56,15 @@ def build_parser() -> argparse.ArgumentParser:
         "table", help="print a 15 x 15 type composition table",
         formatter_class=argparse.ArgumentDefaultsHelpFormatter,
     )
-    t.add_argument("--op", required=True, choices=["product", "comm", "anticomm"],
+    t.add_argument("--op", required=True, choices=[op.value for op in OpKind],
                    help="operation the table composes under")
     t.add_argument("--format", default="markdown",
                    choices=["markdown", "csv", "json"], help="output format")
 
     ty = sub.add_parser(
-        "type", help="classify a multivector",
+        "type", help="classify a multivector", parents=[signature],
         formatter_class=argparse.ArgumentDefaultsHelpFormatter,
     )
-    ty.add_argument("--p", type=int, default=2, help="generators squaring to +1")
-    ty.add_argument("--q", type=int, default=2, help="generators squaring to -1")
     src = ty.add_mutually_exclusive_group(required=True)
     src.add_argument("--expr", help="multivector expression, e.g. '1 + 2e12'")
     src.add_argument("--input", help="path to a multivector document (JSON)")
@@ -74,15 +72,13 @@ def build_parser() -> argparse.ArgumentParser:
                     help="detection tolerance (relative)")
 
     ev = sub.add_parser(
-        "eval", help="evaluate an operation on expressions",
+        "eval", help="evaluate an operation on expressions", parents=[signature],
         formatter_class=argparse.ArgumentDefaultsHelpFormatter,
     )
-    ev.add_argument("--p", type=int, default=2, help="generators squaring to +1")
-    ev.add_argument("--q", type=int, default=2, help="generators squaring to -1")
     ev.add_argument("--lhs", required=True, help="left operand expression")
     ev.add_argument("--rhs", default=None, help="right operand (binary ops only)")
     ev.add_argument("--op", required=True,
-                    choices=["gp", "comm", "anticomm", "conj", "exp"],
+                    choices=[*_BINARY_OPS, "conj", "exp"],
                     help="gp/comm/anticomm are binary, conj/exp unary")
     return ap
 
@@ -133,7 +129,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_table(args: argparse.Namespace) -> int:
-    table = emit_table(_OP_BY_FLAG[args.op])
+    table = emit_table(OpKind(args.op))
     order = [str(t) for t in TYPE_ORDER]
     cells = [[str(c) for c in row] for row in table]
     if args.format == "json":
@@ -154,7 +150,10 @@ def cmd_table(args: argparse.Namespace) -> int:
 def _load_operand(args: argparse.Namespace, sig: Signature) -> Multivector:
     if args.input is not None:
         with open(args.input, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
+            try:
+                doc = json.load(fh)
+            except RecursionError:
+                raise ValueError("document nested too deeply") from None
         return mv_from_document(doc, sig)
     return parse_expression(args.expr, sig)
 
@@ -178,7 +177,7 @@ def cmd_type(args: argparse.Namespace) -> int:
 
 def cmd_eval(args: argparse.Namespace) -> int:
     sig = Signature(args.p, args.q)
-    unary = args.op in ("conj", "exp")
+    unary = args.op not in _BINARY_OPS
     if unary and args.rhs is not None:
         return _fail_usage(f"--op {args.op} is unary; drop --rhs")
     if not unary and args.rhs is None:
@@ -191,12 +190,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
         if lhs.field is not rhs.field:  # promote the real side
             lhs = Multivector(sig, Field.COMPLEX, dict(lhs.terms))
             rhs = Multivector(sig, Field.COMPLEX, dict(rhs.terms))
-        if args.op == "gp":
-            result = lhs.geometric_product(rhs)
-        elif args.op == "comm":
-            result = lhs.commutator(rhs)
-        else:
-            result = lhs.anticommutator(rhs)
+        result = _apply(_BINARY_OPS[args.op], lhs, rhs)
     print(format_expression(result))
     print(json.dumps(mv_to_document(result)))
     return 0
@@ -219,10 +213,7 @@ def main(argv=None) -> int:
     except ConvergenceFailure as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except ExprSyntaxError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (ValueError, TypeError, OSError, json.JSONDecodeError) as exc:
+    except (AlgebraError, ValueError, TypeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -56,6 +56,14 @@ def _check_coeff(c: complex, field: Field) -> complex:
     return c
 
 
+def _check_tol(tol: float) -> float:
+    """Refuse a tolerance under which a ``<= tol`` test passes vacuously
+    (inf) or never (nan, negative)."""
+    if not (math.isfinite(tol) and tol >= 0):
+        raise ValueError("tolerance must be finite and nonnegative")
+    return tol
+
+
 def _require_finite(data: dict) -> None:
     """Refuse an arithmetic result that overflowed a double."""
     if not all(map(cmath.isfinite, data.values())):
@@ -82,6 +90,7 @@ class Multivector:
                 data.pop(mask, None)
             else:
                 data[mask] = c
+        _require_finite(data)  # each coefficient is finite, but a sum may not be
         object.__setattr__(self, "sig", sig)
         object.__setattr__(self, "field", field)
         object.__setattr__(self, "_terms", data)
@@ -282,9 +291,7 @@ class Multivector:
         return max(abs(c.imag) for c in self._terms.values())
 
     def is_zero(self, tol: float = 0.0) -> bool:
-        if tol < 0:
-            raise ValueError("tolerance must be nonnegative")
-        return self.inf_norm() <= tol
+        return self.inf_norm() <= _check_tol(tol)
 
     # ------------------------------------------------------------------
     # exponential

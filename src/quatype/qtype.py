@@ -14,12 +14,11 @@ imaginary odd part is closed under the commutator".
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from enum import Enum, IntFlag
 
 from .blades import grade
-from .multivector import Multivector
+from .multivector import Multivector, _check_tol
 
 
 class OpKind(Enum):
@@ -116,15 +115,10 @@ FULL_TYPE = QType(0b1111)
 
 # Fixed presentation order: the four main types, then pairs, triples, and the
 # full type, each group in ascending digit order.
-TYPE_ORDER: tuple[QType, ...] = tuple(
-    QType.of(*members)
-    for members in (
-        (0,), (1,), (2,), (3,),
-        (0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3),
-        (0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3),
-        (0, 1, 2, 3),
-    )
-)
+TYPE_ORDER: tuple[QType, ...] = tuple(sorted(
+    (QType(mask) for mask in range(1, 16)),
+    key=lambda t: (len(t.members), t.members),
+))
 
 
 def main_compose(op: OpKind, a: int, b: int) -> int:
@@ -207,7 +201,7 @@ class SubspacePattern:
         projection; a class without an imaginary bit bounds the imaginary
         parts.  COMPLEX constrains nothing, ZERO constrains both.
         """
-        return self.leakage(mv) <= tol
+        return self.leakage(mv) <= _check_tol(tol)
 
     def leakage(self, mv: Multivector) -> float:
         """Largest forbidden-part magnitude (0.0 when mv matches exactly)."""
@@ -270,9 +264,7 @@ def _type_profile(mv: Multivector) -> tuple[list[float], list[float], list[float
 
 def _threshold(mag: list[float], tol: float) -> float:
     """tol * (1 + inf_norm(mv)); a NaN or infinite tol is refused."""
-    if not (math.isfinite(tol) and tol >= 0):
-        raise ValueError("tolerance must be finite and nonnegative")
-    return tol * (1.0 + max(mag))
+    return _check_tol(tol) * (1.0 + max(mag))
 
 
 def detect_qtype(mv: Multivector, tol: float = 1e-12) -> QType:

@@ -15,13 +15,13 @@ float tolerance, unless the caller widens ``cfg.tol``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from enum import Enum
 from functools import lru_cache
 from typing import Callable, Iterator, Optional
 
 from .blades import Signature, grade, canonical_sign
-from .multivector import Field, FieldMismatch, Multivector
+from .multivector import Field, FieldMismatch, Multivector, _check_tol
 from .qtype import (
     CoeffClass,
     OpKind,
@@ -121,13 +121,7 @@ class Counterexample:
     magnitude: float
 
     def to_dict(self) -> dict:
-        return {
-            "lhs": self.lhs,
-            "rhs": self.rhs,
-            "operation": self.operation,
-            "component": self.component,
-            "magnitude": self.magnitude,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -139,15 +133,7 @@ class CheckReport:
     notes: str = ""
 
     def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "status": self.status.value,
-            "cases_run": self.cases_run,
-            "counterexample": (
-                None if self.counterexample is None else self.counterexample.to_dict()
-            ),
-            "notes": self.notes,
-        }
+        return {**asdict(self), "status": self.status.value}
 
 
 class UnknownCheck(Exception):
@@ -276,12 +262,12 @@ def _unitary_defect(u: Multivector) -> float:
 
 def is_pseudo_unitary(u: Multivector, tol: float = 1e-12) -> bool:
     """Whether conj(U) * U is the identity within ``tol`` (inf-norm)."""
-    return _unitary_defect(u) <= tol
+    return _unitary_defect(u) <= _check_tol(tol)
 
 
 def is_in_wc(u: Multivector, tol: float = 1e-12) -> bool:
     """Lie algebra membership: conj(u) = -u within ``tol`` (inf-norm)."""
-    return _wc_defect(u) <= tol
+    return _wc_defect(u) <= _check_tol(tol)
 
 
 # Equivalent description of the same Lie algebra: imaginary coefficients on
@@ -516,24 +502,15 @@ ANTICOMM_CLOSED_COMPLEX = (
 def closure_catalog() -> list[tuple[OpKind, Field, SubspacePattern]]:
     """Every closed subspace claim, in a fixed order."""
     entries: list[tuple[OpKind, Field, SubspacePattern]] = []
-    for digits in PRODUCT_CLOSED_REAL:
-        entries.append((OpKind.GEOMETRIC, Field.REAL,
-                        SubspacePattern.from_parts(real=digits)))
-    for re, im in PRODUCT_CLOSED_COMPLEX:
-        entries.append((OpKind.GEOMETRIC, Field.COMPLEX,
-                        SubspacePattern.from_parts(real=re, imag=im)))
-    for digits in COMM_CLOSED_REAL:
-        entries.append((OpKind.COMMUTATOR, Field.REAL,
-                        SubspacePattern.from_parts(real=digits)))
-    for re, im in COMM_CLOSED_COMPLEX:
-        entries.append((OpKind.COMMUTATOR, Field.COMPLEX,
-                        SubspacePattern.from_parts(real=re, imag=im)))
-    for digits in ANTICOMM_CLOSED_REAL:
-        entries.append((OpKind.ANTICOMMUTATOR, Field.REAL,
-                        SubspacePattern.from_parts(real=digits)))
-    for re, im in ANTICOMM_CLOSED_COMPLEX:
-        entries.append((OpKind.ANTICOMMUTATOR, Field.COMPLEX,
-                        SubspacePattern.from_parts(real=re, imag=im)))
+    for op, real, complex_ in (
+        (OpKind.GEOMETRIC, PRODUCT_CLOSED_REAL, PRODUCT_CLOSED_COMPLEX),
+        (OpKind.COMMUTATOR, COMM_CLOSED_REAL, COMM_CLOSED_COMPLEX),
+        (OpKind.ANTICOMMUTATOR, ANTICOMM_CLOSED_REAL, ANTICOMM_CLOSED_COMPLEX),
+    ):
+        entries += [(op, Field.REAL, SubspacePattern.from_parts(real=re))
+                    for re in real]
+        entries += [(op, Field.COMPLEX, SubspacePattern.from_parts(re, im))
+                    for re, im in complex_]
     return entries
 
 
@@ -770,11 +747,7 @@ _GROUPS: dict[str, tuple[str, ...]] = {
     "axioms": ("axioms:anticomm", "axioms:comm"),
     "tables": ("tables:product", "tables:comm", "tables:anticomm"),
     "theorems": ("closures", "theorem5", "theorem6", "theorem7", "wc"),
-    "all": (
-        "axioms:anticomm", "axioms:comm", "grades",
-        "tables:product", "tables:comm", "tables:anticomm",
-        "closures", "theorem5", "theorem6", "theorem7", "wc", "rank",
-    ),
+    "all": tuple(_LEAVES),
 }
 
 SUITE_NAMES = tuple(_GROUPS) + tuple(_LEAVES)

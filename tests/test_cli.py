@@ -8,15 +8,24 @@ asserted on return values, not on a subprocess.
 import json
 
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from quatype.cli import main
 from quatype.multivector import ConvergenceFailure, Multivector
+from quatype.verify import SUITE_NAMES
 
 
 def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+# a real-field document with an imaginary part: FieldMismatch, exit 2
+_FIELD_MISMATCH_DOC = json.dumps(
+    {"p": 2, "q": 2, "field": "R",
+     "terms": [{"blade": [1], "re": 1, "im": 2}]})
 
 
 # ----------------------------------------------------------------------
@@ -212,6 +221,15 @@ def test_type_input_errors(capsys, tmp_path):
          "terms": [{"blade": [1], "re": 1.0, "im": 0.0}]}))
     assert run_cli(capsys, "type", "--p", "2", "--q", "2",
                    "--input", str(wrong_sig))[0] == 2
+    wrong_field = tmp_path / "field.json"
+    wrong_field.write_text(_FIELD_MISMATCH_DOC)
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100_000)
+    for path, message in ((wrong_field, "real multivector"), (deep, "too deeply")):
+        code, out, err = run_cli(capsys, "type", "--input", str(path))
+        assert (code, out) == (2, "")
+        assert message in err
+        assert "Traceback" not in err
     # --expr and --input are mutually exclusive
     assert run_cli(capsys, "type", "--expr", "1",
                    "--input", str(missing))[0] == 2
@@ -320,3 +338,89 @@ def test_no_command(capsys):
 
 def test_unknown_command(capsys):
     assert run_cli(capsys, "frobnicate")[0] == 2
+
+
+# ----------------------------------------------------------------------
+# exit-code contract over drawn argv and documents
+
+_PQ = st.integers(-1, 4).map(str) | st.just("x")
+_TOL = st.sampled_from(["0", "1e-12", "0.5", "-1", "nan", "inf", "abc"])
+_EXPR = st.sampled_from([
+    "0", "1", "e1", "1 + 2e12", "e1 + 2e12", "(0+1i)e1", "3e{1,3}",
+    "0.5e12 - e1", "e21", "e5", "", "1" + "0" * 20 + "e12",
+]) | st.text(alphabet="0123456789.+-ie{},() ", max_size=16)
+_JUNK = st.sampled_from([None, True, "2", -1, 13, 10 ** 400, [], {}])
+
+
+@st.composite
+def _near(draw, valid):
+    """A dict from ``valid`` with at most one key dropped or junked."""
+    doc = draw(valid)
+    for key in draw(st.lists(st.sampled_from(sorted(doc)), max_size=1)):
+        if draw(st.booleans()):
+            del doc[key]
+        else:
+            doc[key] = draw(_JUNK)
+    return doc
+
+
+_TERM = _near(st.fixed_dictionaries({
+    "blade": st.lists(st.integers(1, 4), max_size=2, unique=True).map(sorted),
+    "re": st.integers(-3, 3) | st.floats(),
+    "im": st.integers(-3, 3) | st.floats(),
+}))
+_DOC = _near(st.fixed_dictionaries({
+    "p": st.just(2), "q": st.just(2), "field": st.sampled_from(["R", "C"]),
+    "terms": st.lists(_TERM, max_size=3),
+})).map(json.dumps) | st.sampled_from(["", "{", "[]", "null"])
+
+
+def _opt(flag, values):
+    return st.one_of(st.just([]), values.map(lambda v: [flag, v]))
+
+
+def _concat(*parts):
+    return st.tuples(*parts).map(lambda ps: [a for p in ps for a in p])
+
+
+_TABLE = _concat(st.just(["table"]),
+                 _opt("--op", st.sampled_from(["product", "comm", "anticomm", "gp"])),
+                 _opt("--format", st.sampled_from(["markdown", "csv", "json", "xml"])))
+_TYPE = _concat(st.just(["type"]), _opt("--p", _PQ), _opt("--q", _PQ),
+                _opt("--tol", _TOL), _EXPR.map(lambda e: ["--expr", e]))
+_EVAL = _concat(st.just(["eval"]), _opt("--p", _PQ), _opt("--q", _PQ),
+                st.sampled_from(["gp", "comm", "anticomm", "conj", "exp",
+                                 "product"]).map(lambda op: ["--op", op]),
+                _EXPR.map(lambda e: ["--lhs", e]), _opt("--rhs", _EXPR))
+_VERIFY_FORMAT = _opt("--format", st.sampled_from(["text", "json"]))
+# verify runs only at n <= 2 or as the rank suite, which skips at n >= 4
+_VERIFY_SMALL = st.sampled_from(["00", "10", "01", "20", "11", "02"]).flatmap(
+    lambda pq: _concat(
+        st.just(["verify", "--p", pq[0], "--q", pq[1]]),
+        _opt("--suite", st.sampled_from(SUITE_NAMES + ("bogus",))),
+        st.sampled_from(["-1", "0", "1", "3"]).map(lambda n: ["--samples", n]),
+        _opt("--seed", st.integers(-2, 2 ** 70).map(str)),
+        _opt("--tol", _TOL), _VERIFY_FORMAT))
+_VERIFY_RANK = _concat(st.just(["verify", "--suite", "rank", "--samples", "2"]),
+                       _opt("--p", _PQ | st.sampled_from(["9", "12"])),
+                       _opt("--q", _PQ), _VERIFY_FORMAT)
+_ARGV = st.one_of(
+    st.tuples(_TABLE | _TYPE | _EVAL | _VERIFY_SMALL | _VERIFY_RANK, st.none()),
+    st.tuples(_concat(st.just(["type"]), _opt("--tol", _TOL), st.just(["--input"])),
+              _DOC),
+)
+
+
+@settings(max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@example(case=(["type", "--p", "2", "--q", "2", "--input"], _FIELD_MISMATCH_DOC))
+@given(case=_ARGV)
+def test_cli_exit_code_contract(case, tmp_path):
+    """Any argv, and any document behind --input, exits 0, 1, 2 or 3; an
+    exception escaping main would be a traceback."""
+    argv, document = case
+    if document is not None:
+        path = tmp_path / "doc.json"
+        path.write_text(document)
+        argv = argv + [str(path)]
+    assert main(argv) in (0, 1, 2, 3)

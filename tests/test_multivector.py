@@ -80,6 +80,8 @@ def test_nonfinite_coefficients_rejected():
         Multivector(S22, Field.COMPLEX, {0: float("inf") * 1j})
     with pytest.raises(ValueError):  # no double holds it
         Multivector(S22, Field.COMPLEX, {0: 10 ** 400})
+    with pytest.raises(ValueError):  # each term is finite, their sum is not
+        Multivector(Signature(2, 0), Field.REAL, [(1, 1e308), (1, 1e308)])
 
 
 def test_overflowing_results_rejected():
@@ -342,8 +344,9 @@ def test_is_zero_tolerance():
     u = Multivector.basis_blade(S22, 0b1, 1e-15)
     assert u.is_zero(1e-12)
     assert not u.is_zero()
-    with pytest.raises(ValueError):
-        u.is_zero(-1e-3)
+    for tol in (-1e-3, float("nan"), float("inf")):
+        with pytest.raises(ValueError):
+            u.is_zero(tol)
 
 
 # ----------------------------------------------------------------------

@@ -247,6 +247,9 @@ def test_pattern_matches_and_leakage():
     off_axis = Multivector(S22, Field.COMPLEX, {0: 1j})
     assert not p.matches(off_axis, 0.0)
     assert p.leakage(off_axis) == 1.0
+    for tol in (float("nan"), float("inf")):  # inf would admit anything
+        with pytest.raises(ValueError):
+            p.matches(bad, tol)
 
 
 def test_pattern_contains_and_join():

@@ -229,6 +229,9 @@ def test_is_pseudo_unitary_examples():
     rot = Multivector(sig, Field.REAL,
                       {0: math.cos(0.7), 0b11: math.sin(0.7)})
     assert is_pseudo_unitary(rot, 1e-15)
+    for tol in (float("nan"), float("inf")):
+        with pytest.raises(ValueError):
+            is_pseudo_unitary(e.scale(2), tol)
 
 
 def test_is_in_wc_examples():
@@ -236,6 +239,9 @@ def test_is_in_wc_examples():
     assert is_in_wc(Multivector.basis_blade(S22, 0b11, 1), 0.0)
     assert not is_in_wc(Multivector.basis_blade(S22, 0b1, 1), 1e-9)
     assert WC_PATTERN.matches(Multivector.scalar(S22, 1j), 0.0)
+    for tol in (float("nan"), float("inf")):
+        with pytest.raises(ValueError):
+            is_in_wc(Multivector.basis_blade(S22, 0b1, 1), tol)
 
 
 # ----------------------------------------------------------------------
