@@ -1,8 +1,7 @@
 """Sweep the verification suite over a range of signatures.
 
 Runs every check at each signature with p+q <= --max-n and prints one row
-per signature.  Useful for spotting where exhaustive mode hands over to
-sampling (n = 7) and for timing the exact kernel as n grows.
+per signature.  Useful for timing the exact kernel as n grows.
 
     python3 scripts/full_report.py --max-n 6 --samples 100
 """
@@ -12,7 +11,7 @@ import sys
 import time
 
 from quatype.blades import Signature
-from quatype.verify import CheckConfig, CheckStatus, run_suite
+from quatype.verify import SUITE_NAMES, CheckConfig, CheckStatus, run_suite
 
 
 def main(argv=None) -> int:
@@ -22,31 +21,37 @@ def main(argv=None) -> int:
     ap.add_argument("--samples", type=int, default=100)
     ap.add_argument("--seed", type=int, default=0)
     ap.add_argument("--tol", type=float, default=1e-12)
-    ap.add_argument("--suite", default="all")
+    ap.add_argument("--suite", default="all", choices=SUITE_NAMES)
     args = ap.parse_args(argv)
+    try:
+        configs = [CheckConfig(sig=Signature(p, n - p), seed=args.seed,
+                               samples=args.samples, tol=args.tol)
+                   for n in range(args.min_n, args.max_n + 1) for p in range(n + 1)]
+        if not configs:  # an empty sweep would pass vacuously
+            raise ValueError(f"no signature with {args.min_n} <= p+q <= {args.max_n}")
+    except (TypeError, ValueError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
     print(f"{'signature':<10} {'pass':>5} {'fail':>5} {'skip':>5} {'cases':>9} "
           f"{'time':>8}")
     grand = {status: 0 for status in CheckStatus}
     failures = []
-    for n in range(args.min_n, args.max_n + 1):
-        for p in range(n + 1):
-            sig = Signature(p, n - p)
-            cfg = CheckConfig(sig=sig, seed=args.seed, samples=args.samples,
-                              tol=args.tol)
-            t0 = time.monotonic()
-            reports = run_suite([args.suite], cfg)
-            dt = time.monotonic() - t0
-            counts = {status: 0 for status in CheckStatus}
-            for r in reports:
-                counts[r.status] += 1
-                grand[r.status] += 1
-                if r.status is CheckStatus.FAIL:
-                    failures.append((sig, r))
-            cases = sum(r.cases_run for r in reports)
-            print(f"{str(sig):<10} {counts[CheckStatus.PASS]:>5} "
-                  f"{counts[CheckStatus.FAIL]:>5} "
-                  f"{counts[CheckStatus.SKIPPED]:>5} {cases:>9} {dt:>7.2f}s")
+    for cfg in configs:
+        sig = cfg.sig
+        t0 = time.monotonic()
+        reports = run_suite([args.suite], cfg)
+        dt = time.monotonic() - t0
+        counts = {status: 0 for status in CheckStatus}
+        for r in reports:
+            counts[r.status] += 1
+            grand[r.status] += 1
+            if r.status is CheckStatus.FAIL:
+                failures.append((sig, r))
+        cases = sum(r.cases_run for r in reports)
+        print(f"{str(sig):<10} {counts[CheckStatus.PASS]:>5} "
+              f"{counts[CheckStatus.FAIL]:>5} "
+              f"{counts[CheckStatus.SKIPPED]:>5} {cases:>9} {dt:>7.2f}s")
 
     print(f"\ntotal: {grand[CheckStatus.PASS]} pass, {grand[CheckStatus.FAIL]} "
           f"fail, {grand[CheckStatus.SKIPPED]} skipped")

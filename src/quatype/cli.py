@@ -7,9 +7,12 @@ failure, 2 usage or parse error, 3 exponential non-convergence.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
+import io
 import json
 import math
+import os
 import sys
 
 from .blades import Signature, grade
@@ -196,7 +199,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
     return 0
 
 
-def main(argv=None) -> int:
+def _run(argv) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
@@ -216,6 +219,22 @@ def main(argv=None) -> int:
     except (AlgebraError, ValueError, TypeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+
+
+def main(argv=None) -> int:
+    # Stdout is written once the command is done, so a reader that closes
+    # the pipe early cannot change the exit code.
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = _run(argv)
+    try:
+        # print, not sys.stdout.write: with no stdout at all it does nothing
+        print(out.getvalue(), end="", flush=True)
+    except BrokenPipeError:
+        # Nobody is reading: say nothing, and point stdout at devnull so the
+        # flush at interpreter exit does not fail on the same data.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    return code
 
 
 if __name__ == "__main__":

@@ -10,6 +10,10 @@ Sampling draws integer coefficients in [-3, 3] per allowed blade (ascending
 blade masks, real part before imaginary part), which keeps every algebraic
 check exact: closure and axiom checks compare against zero, not against a
 float tolerance, unless the caller widens ``cfg.tol``.
+
+The axioms, grade ladders and type tables sample nothing by default: they
+are real-bilinear claims, so the census of basis-blade pairs (``_census``)
+decides them exactly at every signature.
 """
 
 from __future__ import annotations
@@ -18,9 +22,9 @@ import math
 from dataclasses import asdict, dataclass
 from enum import Enum
 from functools import lru_cache
-from typing import Callable, Iterator, Optional
+from typing import Callable, Optional
 
-from .blades import Signature, grade, canonical_sign
+from .blades import Signature, grade, sign_table
 from .multivector import Field, FieldMismatch, Multivector, _check_tol
 from .qtype import (
     CoeffClass,
@@ -90,7 +94,9 @@ class CheckConfig:
     seed: int = 0
     samples: int = 200
     tol: float = 1e-12
-    strategy: Optional[Strategy] = None  # None: exhaustive up to n=6, else random
+    # EXHAUSTIVE: axioms, grade ladders and tables read the blade-pair
+    # census, which is exact at every n; RANDOM samples them instead.
+    strategy: Strategy = Strategy.EXHAUSTIVE
     exp_eps: float = 1e-14
     exp_max_terms: int = 200
 
@@ -106,10 +112,9 @@ class CheckConfig:
             raise ValueError("exp_eps must be finite and positive")
         if self.exp_max_terms < 1:
             raise ValueError("exp_max_terms must be at least 1")
+        if not isinstance(self.strategy, Strategy):
+            raise TypeError("strategy must be a Strategy")
         object.__setattr__(self, "seed", int(self.seed) & _MASK64)
-        if self.strategy is None:
-            auto = Strategy.EXHAUSTIVE if self.sig.n <= 6 else Strategy.RANDOM
-            object.__setattr__(self, "strategy", auto)
 
 
 @dataclass(frozen=True)
@@ -217,20 +222,47 @@ def _blade(sig: Signature, mask: int) -> Multivector:
     return Multivector.basis_blade(sig, mask, 1, Field.REAL)
 
 
-def _blade_pairs(sig: Signature) -> Iterator[tuple[int, int, int, int, int]]:
-    """Every ordered pair of basis blades as (a, b, a ^ b, s_ab, s_ba), where
-    ab = s_ab (a ^ b) and ba = s_ba (a ^ b).  Both signs come from the sign
-    kernel, so the checks built on this pass test the kernel itself."""
-    for a in sig.blades():
-        for b in sig.blades():
-            s_ab, m = canonical_sign(a, b, sig)
-            s_ba, _ = canonical_sign(b, a, sig)
-            yield a, b, m, s_ab, s_ba
+def _half_cells(ab, ba) -> dict:
+    """(|x|, |y|, |x & y|, ab[x][y] * ba[y][x]) -> its first (x, y), x-major,
+    over every pair of half-blades of two square sign tables."""
+    cells = {}
+    for x in range(len(ab)):
+        for y in range(len(ab)):
+            key = (grade(x), grade(y), grade(x & y), ab[x][y] * ba[y][x])
+            cells.setdefault(key, (x, y))
+    return cells
 
 
-def _bracket_coeff(op: OpKind, s_ab: int, s_ba: int) -> int:
-    """Coefficient of a ^ b in the bracket of blades a and b."""
-    return s_ab - s_ba if op is OpKind.COMMUTATOR else s_ab + s_ba
+@lru_cache(maxsize=None)
+def _census(sig: Signature) -> tuple[tuple[int, int, int, int, int, int], ...]:
+    """One row (a, b, |a|, |b|, |a ^ b|, s_ab * s_ba) per cell that the
+    ordered basis-blade pairs reach (ab = s_ab (a ^ b), ba = s_ba (a ^ b)),
+    with the cell's first pair (a, b) in a-major order; rows come in that
+    order.  The signs are the kernel's, s_ab = low[|aH| & 1][aL][bL] *
+    high[aH][bH], so the checks built on the rows test the kernel itself.
+    Each half is tallied once, the low half per parity pair (|aH|, |bH|)
+    mod 2, and the halves are joined by that parity; a joined cell's first
+    pair is the least pair of the halves' first pairs."""
+    h, low, high = sign_table(sig)
+    lows = {(pa, pb): _half_cells(low[pa], low[pb])
+            for pa in (0, 1) for pb in (0, 1)}
+    first = {}
+    for (kH, lH, jH, sH), (aH, bH) in _half_cells(high, high).items():
+        for (kL, lL, jL, sL), (aL, bL) in lows[kH & 1, lH & 1].items():
+            k, l = kL + kH, lL + lH
+            cell = (k, l, k + l - 2 * (jL + jH), sL * sH)
+            pair = (aH << h | aL, bH << h | bL)
+            if cell not in first or pair < first[cell]:
+                first[cell] = pair
+    return tuple(sorted(pair + cell for cell, pair in first.items()))
+
+
+def _coefficient(op: OpKind, s: int) -> int:
+    """|coefficient| of a ^ b in op(a, b) for basis blades with s_ab s_ba = s:
+    ab = s_ab (a ^ b) and ba = s s_ab (a ^ b)."""
+    if op is OpKind.GEOMETRIC:
+        return 1
+    return 1 - s if op is OpKind.COMMUTATOR else 1 + s
 
 
 def _fail(name: str, cases: int, operation: str, lhs: Multivector,
@@ -246,6 +278,13 @@ def _fail(name: str, cases: int, operation: str, lhs: Multivector,
         ),
         notes,
     )
+
+
+def _pair_fail(name: str, sig: Signature, a: int, b: int, op: OpKind,
+               component: str, coeff: int) -> CheckReport:
+    """FAIL on the blade pair (a, b), counted at its a-major position."""
+    return _fail(name, (a << sig.n) + b + 1, op.value, _blade(sig, a),
+                 _blade(sig, b), component, float(coeff))
 
 
 # ----------------------------------------------------------------------
@@ -287,31 +326,28 @@ def check_quaternion_axioms(
     """Main-type composition: op(U, V) lands in the single type given by
     ``rule`` for every pair of main types.
 
-    Exhaustive mode iterates every pair of basis blades, which settles the
-    claim for whole type subspaces because both operations are bilinear.
-    ``rule`` exists so the test suite can corrupt the table and watch the
-    check fail.
+    Exhaustive mode reads every cell of the blade-pair census, which
+    settles the claim for whole type subspaces because both operations are
+    bilinear.  ``rule`` exists so the test suite can corrupt the table and
+    watch the check fail.
     """
     if op is OpKind.GEOMETRIC:
         raise ValueError("axioms cover the commutator and anticommutator")
     name = f"axioms:{op.value}"
     sig = cfg.sig
-    cases = 0
     if cfg.strategy is Strategy.EXHAUSTIVE:
-        for a, b, m, s_ab, s_ba in _blade_pairs(sig):
-            coeff = _bracket_coeff(op, s_ab, s_ba)
-            cases += 1
-            if coeff == 0:
-                continue
-            target = rule(op, grade(a) & 3, grade(b) & 3)
-            if grade(m) & 3 != target:
-                return _fail(name, cases, op.value, _blade(sig, a), _blade(sig, b),
-                             f"type {grade(m) & 3} (expected {target})",
-                             float(abs(coeff)))
+        for a, b, k, l, g, s in _census(sig):
+            coeff = _coefficient(op, s)
+            target = rule(op, k & 3, l & 3)
+            if coeff and g & 3 != target:
+                return _pair_fail(name, sig, a, b, op,
+                                  f"type {g & 3} (expected {target})", coeff)
+        cases = sig.blade_count ** 2
         notes = ("all basis-blade pairs checked exactly; bilinearity extends "
                  "the result to the full type subspaces")
     else:
         rng = SplitMix64(derive_subseed(cfg.seed, name))
+        cases = 0
         per_pair = max(1, cfg.samples // 16)
         for t1 in range(4):
             for t2 in range(4):
@@ -346,25 +382,23 @@ _BRACKETS = (OpKind.COMMUTATOR, OpKind.ANTICOMMUTATOR)
 def check_grade_pattern(cfg: CheckConfig) -> CheckReport:
     """Rank-level refinement: op on ranks (k, l) only reaches grades in one
     residue class mod 4 (k-l or k-l+2, depending on the operation and on the
-    parities of the ordered ranks)."""
+    parities of the ordered ranks).  Exhaustive mode reads every cell of the
+    blade-pair census."""
     name = "grades"
     sig = cfg.sig
-    cases = 0
     if cfg.strategy is Strategy.EXHAUSTIVE:
-        for a, b, m, s_ab, s_ba in _blade_pairs(sig):
-            cases += 1
+        for a, b, k, l, g, s in _census(sig):
             for op in _BRACKETS:
-                coeff = _bracket_coeff(op, s_ab, s_ba)
-                if coeff == 0:
-                    continue
-                want = _grade_residue(op, grade(a), grade(b))
-                if grade(m) & 3 != want:
-                    return _fail(name, cases, op.value, _blade(sig, a), _blade(sig, b),
-                                 f"grade {grade(m)} (want residue {want})",
-                                 float(abs(coeff)))
+                coeff = _coefficient(op, s)
+                want = _grade_residue(op, k, l)
+                if coeff and g & 3 != want:
+                    return _pair_fail(name, sig, a, b, op,
+                                      f"grade {g} (want residue {want})", coeff)
+        cases = sig.blade_count ** 2
         notes = "all basis-blade pairs, both operations, exact"
     else:
         rng = SplitMix64(derive_subseed(cfg.seed, name))
+        cases = 0
         n = sig.n
         per_pair = max(1, cfg.samples // ((n + 1) * (n + 1)))
         for k in range(n + 1):
@@ -388,59 +422,63 @@ def check_grade_pattern(cfg: CheckConfig) -> CheckReport:
 
 
 def check_type_table(op: OpKind, cfg: CheckConfig) -> CheckReport:
-    """Soundness of the full 15 x 15 composition table: results of ``op`` on
-    sampled elements of each type pair stay inside the table cell.  Tightness
-    (how much of each cell the samples actually reach) is only reported."""
+    """Soundness of the full 15 x 15 composition table: ``op`` on elements of
+    each type pair stays inside the table cell.  Tightness (how much of each
+    cell is reached) is only reported, as cell coverage.
+
+    Exhaustive mode reads the blade-pair census.  By bilinearity a composite
+    cell reaches exactly the union of what its main-type cells reach, so
+    soundness and coverage are both exact.  Random mode samples every cell."""
     name = f"tables:{op.value}"
     sig = cfg.sig
-    cases = 0
+    cells = [[qtype_compose(op, t1, t2) for t2 in TYPE_ORDER] for t1 in TYPE_ORDER]
     reached = [[0] * len(TYPE_ORDER) for _ in TYPE_ORDER]
-    rng = SplitMix64(derive_subseed(cfg.seed, name))
-    per_cell = max(8, cfg.samples // 25)
 
-    if cfg.strategy is Strategy.EXHAUSTIVE and op is not OpKind.GEOMETRIC:
-        # Blade pairs settle the sixteen main-type cells exactly; the main
-        # types come first in TYPE_ORDER, so type k sits at index k.
-        for a, b, m, s_ab, s_ba in _blade_pairs(sig):
-            coeff = _bracket_coeff(op, s_ab, s_ba)
-            cases += 1
-            if coeff == 0:
+    if cfg.strategy is Strategy.EXHAUSTIVE:
+        # Indices of the types that hold main type k; k itself comes first.
+        holding = [[i for i, t in enumerate(TYPE_ORDER) if k in t] for k in range(4)]
+        for a, b, k, l, g, s in _census(sig):
+            coeff = _coefficient(op, s)
+            if not coeff:
                 continue
-            i, j = grade(a) & 3, grade(b) & 3
-            cell = qtype_compose(op, TYPE_ORDER[i], TYPE_ORDER[j])
-            got = QType.of(grade(m) & 3)
-            if not got <= cell:
-                return _fail(name, cases, op.value, _blade(sig, a), _blade(sig, b),
-                             f"type {got} outside cell {cell}", float(abs(coeff)))
-            reached[i][j] |= got.mask
+            got = QType.of(g & 3)
+            for i in holding[k & 3]:
+                for j in holding[l & 3]:
+                    if not got <= cells[i][j]:
+                        return _pair_fail(name, sig, a, b, op,
+                                          f"type {got} outside cell {cells[i][j]}",
+                                          coeff)
+                    reached[i][j] |= got.mask
+        cases = sig.blade_count ** 2
+        evidence = "soundness and coverage exact from all basis-blade pairs"
+    else:
+        rng = SplitMix64(derive_subseed(cfg.seed, name))
+        per_cell = max(8, cfg.samples // 25)
+        cases = 0
+        for i, t1 in enumerate(TYPE_ORDER):
+            for j, t2 in enumerate(TYPE_ORDER):
+                for _ in range(per_cell):
+                    u = sample_type_mv(sig, t1, rng)
+                    v = sample_type_mv(sig, t2, rng)
+                    w = _apply(op, u, v)
+                    got = detect_qtype(w, 0.0)
+                    cases += 1
+                    if not got <= cells[i][j]:
+                        bad = next(k for k in got if k not in cells[i][j])
+                        return _fail(name, cases, op.value, u, v,
+                                     f"type {got} outside cell {cells[i][j]}",
+                                     w.qtype_project(bad).inf_norm())
+                    reached[i][j] |= got.mask
+        evidence = f"soundness exact on every cell, {per_cell} sample pairs each"
 
-    for i, t1 in enumerate(TYPE_ORDER):
-        for j, t2 in enumerate(TYPE_ORDER):
-            cell = qtype_compose(op, t1, t2)
-            for _ in range(per_cell):
-                u = sample_type_mv(sig, t1, rng)
-                v = sample_type_mv(sig, t2, rng)
-                w = _apply(op, u, v)
-                got = detect_qtype(w, 0.0)
-                cases += 1
-                if not got <= cell:
-                    bad = next(k for k in got if k not in cell)
-                    return _fail(name, cases, op.value, u, v,
-                                 f"type {got} outside cell {cell}",
-                                 w.qtype_project(bad).inf_norm())
-                reached[i][j] |= got.mask
-
-    possible = 0
-    hit = 0
-    for i in range(len(TYPE_ORDER)):
-        for j in range(len(TYPE_ORDER)):
-            cell = qtype_compose(op, TYPE_ORDER[i], TYPE_ORDER[j])
-            possible += len(cell.members)
-            hit += len(QType(reached[i][j] & cell.mask).members)
+    possible = sum(len(cell.members) for row in cells for cell in row)
+    hit = sum(len(QType(r & cell.mask).members)
+              for row, cell_row in zip(reached, cells)
+              for r, cell in zip(row, cell_row))
     coverage = 100.0 * hit / possible if possible else 100.0
-    notes = (f"soundness exact on every cell, {per_cell} sample pairs each; "
-             f"cell coverage {coverage:.1f}% (reported, not asserted)")
-    return CheckReport(name, CheckStatus.PASS, cases, None, notes)
+    return CheckReport(name, CheckStatus.PASS, cases, None,
+                       f"{evidence}; cell coverage {coverage:.1f}% "
+                       "(reported, not asserted)")
 
 
 def check_pattern_closure(
@@ -616,11 +654,12 @@ def _theorem7_row(cfg: CheckConfig, lie: SubspacePattern,
     rng = SplitMix64(derive_subseed(cfg.seed, name))
     for i in range(1, cfg.samples + 1):
         u = sample_pattern_mv(cfg.sig, lie, rng, Field.COMPLEX)
-        nrm = u.inf_norm()
-        if nrm > 1.0:
-            u = u.scale(1.0 / nrm)
-        while u.inf_norm() > 1.0:  # float-rounding guard
-            u = u.scale(0.9999999999999999)
+        # The l1 norm is submultiplicative (every blade product has
+        # coefficient +-1), so at l1 <= 1 the series cannot build large
+        # terms that cancel; the inf-norm bounds nothing of the kind.
+        l1 = sum(abs(c.real) + abs(c.imag) for c in u.terms.values())
+        if l1 > 1.0:
+            u = u.scale(1.0 / l1)
         anti = _wc_defect(u)
         if anti > cfg.tol:
             return _fail(name, i, "conj", u, None, "conj(u) + u", anti)
@@ -639,7 +678,8 @@ def _theorem7_row(cfg: CheckConfig, lie: SubspacePattern,
 
 def check_theorem7(cfg: CheckConfig) -> list[CheckReport]:
     """Exponentials of each Lie subalgebra: pseudo-unitary to 1e-9 and inside
-    the row's ambient pattern to 1e-9, for samples with inf-norm at most 1.
+    the row's ambient pattern to 1e-9, for samples with l1 norm (the sum of
+    |re| + |im| over terms) at most 1.
 
     Only the exponential image is probed; this does not decide whether the
     exponential map covers the corresponding group component.

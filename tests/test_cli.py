@@ -1,11 +1,15 @@
 """CLI behavior: exit codes, output formats, determinism.
 
-Everything runs in-process through main(argv), so the exit-code contract
-(0 pass, 1 verification failure, 2 usage/parse, 3 non-convergence) is
-asserted on return values, not on a subprocess.
+Everything but the closed-stdout tests runs in-process through main(argv), so
+the exit-code contract (0 pass, 1 verification failure, 2 usage/parse,
+3 non-convergence) is asserted on return values, not on a subprocess.
 """
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings
@@ -338,6 +342,38 @@ def test_no_command(capsys):
 
 def test_unknown_command(capsys):
     assert run_cli(capsys, "frobnicate")[0] == 2
+
+
+_CHILD_ENV = dict(os.environ,
+                  PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--p", "2", "--q", "2", "--suite", "axioms"],
+    ["table", "--op", "comm", "--format", "csv"],
+])
+def test_closed_stdout_keeps_exit_code(argv):
+    # The read end is closed before the child starts, so its first write to
+    # stdout (or the flush at interpreter exit) meets a broken pipe.
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        r = subprocess.run([sys.executable, "-m", "quatype", *argv],
+                           stdout=write_end, stderr=subprocess.PIPE, text=True,
+                           env=_CHILD_ENV, timeout=120)
+    finally:
+        os.close(write_end)
+    assert r.returncode == 0, r.stderr
+    for text in ("Broken pipe", "Exception ignored", "Traceback"):
+        assert text not in r.stderr
+
+
+def test_missing_stdout_is_not_an_error():
+    # With file descriptor 1 closed at startup, sys.stdout is None.
+    r = subprocess.run(["sh", "-c", 'exec "$0" -m quatype table --op comm >&-',
+                        sys.executable], stderr=subprocess.PIPE, text=True,
+                       env=_CHILD_ENV, timeout=120)
+    assert (r.returncode, r.stderr) == (0, "")
 
 
 # ----------------------------------------------------------------------

@@ -20,6 +20,22 @@ def test_full_report_small_sweep():
     assert "total: 300 pass, 0 fail, 0 skipped" in r.stdout.splitlines()
 
 
+def test_full_report_rejects_bad_suite_and_config():
+    r = run_script("full_report.py", "--suite", "bogus")
+    assert r.returncode == 2
+    assert r.stdout == ""
+    assert "invalid choice: 'bogus'" in r.stderr
+    assert "Traceback" not in r.stderr
+    r = run_script("full_report.py", "--samples", "0")
+    assert r.returncode == 2
+    assert r.stdout == ""
+    assert r.stderr.splitlines() == ["error: samples must be at least 1"]
+    r = run_script("full_report.py", "--min-n", "5", "--max-n", "3")
+    assert r.returncode == 2
+    assert r.stdout == ""
+    assert r.stderr.splitlines() == ["error: no signature with 5 <= p+q <= 3"]
+
+
 def test_table_audit_summary():
     r = run_script("table_audit.py")
     assert r.returncode == 0, r.stderr

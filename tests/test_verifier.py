@@ -6,11 +6,13 @@ implementation.  Negative controls check that the harness fails when it
 should: a corrupted composition rule and two subspaces that are not closed.
 """
 
+import re
+
 import pytest
 
 from quatype import verify
 
-from quatype.blades import Signature
+from quatype.blades import Signature, canonical_sign, grade, sign_table
 from quatype.multivector import Field, FieldMismatch, Multivector
 from quatype.qtype import OpKind, QType, SubspacePattern, main_compose
 from quatype.verify import (
@@ -100,10 +102,13 @@ def test_sample_pattern_rejects_imaginary_parts_in_real_field():
 # config plumbing
 
 def test_config_auto_strategy():
-    assert CheckConfig(sig=Signature(3, 3)).strategy is Strategy.EXHAUSTIVE
-    assert CheckConfig(sig=Signature(4, 3)).strategy is Strategy.RANDOM
-    explicit = CheckConfig(sig=Signature(2, 2), strategy=Strategy.RANDOM)
+    for sig in (Signature(1, 0), Signature(3, 3), Signature(4, 3), Signature(6, 6)):
+        assert CheckConfig(sig=sig).strategy is Strategy.EXHAUSTIVE
+    explicit = CheckConfig(sig=Signature(4, 3), strategy=Strategy.RANDOM)
     assert explicit.strategy is Strategy.RANDOM
+    for bad in (None, "random"):
+        with pytest.raises(TypeError):
+            CheckConfig(sig=S22, strategy=bad)
 
 
 def test_config_validation():
@@ -199,6 +204,13 @@ def test_theorem6_and_7_pass():
         assert report.status is CheckStatus.PASS, report.name
 
 
+def test_theorem7_passes_at_n8():
+    # Samples scaled to l1 <= 1 keep the series free of large cancelling
+    # terms; scaled to inf-norm <= 1 they missed the 1e-9 bound here.
+    reports = check_theorem7(cfg_for(Signature(4, 4), samples=3))
+    assert [r.status for r in reports] == [CheckStatus.PASS] * 4
+
+
 def test_theorem7_exp_respects_config_budget():
     cfg = cfg_for(S22, samples=5, exp_max_terms=1)
     from quatype.multivector import ConvergenceFailure
@@ -215,6 +227,81 @@ def test_rank_coincidence_small_and_skip():
                         (4, CheckStatus.SKIPPED)):
         report = check_rank_coincidence(cfg_for(Signature(n, 0), samples=20))
         assert report.status is expected
+
+
+# ----------------------------------------------------------------------
+# the blade-pair census behind the exhaustive checks
+
+def _brute_census(sig):
+    """The census by definition: every ordered pair, signs from
+    canonical_sign, first pair per cell in a-major order."""
+    first = {}
+    for a in sig.blades():
+        for b in sig.blades():
+            s_ab, m = canonical_sign(a, b, sig)
+            s_ba, _ = canonical_sign(b, a, sig)
+            first.setdefault((grade(a), grade(b), grade(m), s_ab * s_ba), (a, b))
+    return tuple(sorted(pair + cell for cell, pair in first.items()))
+
+
+def test_census_matches_brute_force_pass():
+    for n in range(1, 8):
+        for p in range(n + 1):
+            sig = Signature(p, n - p)
+            assert verify._census(sig) == _brute_census(sig), sig
+
+
+def test_census_cells_match_closed_form():
+    # Blades of grades k and l sharing j generators multiply to grade
+    # k + l - 2j, and ba = (-1)^(kl - j) ab whatever the metric.
+    for n in range(1, 13):
+        closed = {(k, l, k + l - 2 * j, (-1) ** (k * l - j))
+                  for k in range(n + 1) for l in range(n + 1)
+                  for j in range(max(0, k + l - n), min(k, l) + 1)}
+        for p in range(n + 1):
+            rows = verify._census(Signature(p, n - p))
+            assert {row[2:] for row in rows} == closed, (p, n - p)
+            assert len(rows) == len(closed)
+    assert len(closed) == 455
+
+
+@pytest.mark.parametrize("half", ["low0", "high"])
+def test_census_sees_one_flipped_kernel_sign(monkeypatch, half):
+    sig = Signature(4, 4)
+    h, (low0, low1), high = sign_table(sig)
+    low0, high = [row[:] for row in low0], [row[:] for row in high]
+    flipped = low0 if half == "low0" else high
+    flipped[1][2] = -flipped[1][2]
+    monkeypatch.setattr(verify, "sign_table", lambda s: (h, (low0, low1), high))
+    verify._census.cache_clear()
+    try:
+        report = check_quaternion_axioms(OpKind.COMMUTATOR, cfg_for(sig))
+    finally:
+        verify._census.cache_clear()
+    assert report.status is CheckStatus.FAIL
+
+
+def _coverage(report):
+    return float(re.search(r"cell coverage ([\d.]+)%", report.notes).group(1))
+
+
+def test_random_table_coverage_bounded_by_census():
+    for sig in (S22, Signature(4, 0)):
+        for op, want in ((OpKind.GEOMETRIC, 97.5), (OpKind.COMMUTATOR, 87.1),
+                         (OpKind.ANTICOMMUTATOR, 100.0)):
+            exact = check_type_table(op, cfg_for(sig))
+            sampled = check_type_table(op, cfg_for(sig, strategy=Strategy.RANDOM))
+            assert sampled.status is exact.status is CheckStatus.PASS
+            assert _coverage(sampled) <= _coverage(exact) == want
+
+
+def test_census_checks_exact_at_n12():
+    for sig in (Signature(12, 0), Signature(6, 6), Signature(0, 12)):
+        reports = run_suite(["axioms", "grades", "tables"], CheckConfig(sig=sig))
+        assert len(reports) == 6
+        for report in reports:
+            assert report.status is CheckStatus.PASS, report.name
+            assert report.cases_run == 4 ** 12
 
 
 # ----------------------------------------------------------------------
@@ -407,9 +494,16 @@ def test_type_table_exhaustive_fail_report(monkeypatch):
         "e1", "e2", "comm", "type 2 outside cell ", 2.0))
 
 
-def test_type_table_sampled_fail_report(monkeypatch):
+def test_type_table_exhaustive_product_fail_report(monkeypatch):
     _drop_type_2(monkeypatch)
     report = check_type_table(OpKind.GEOMETRIC, cfg_for(S21))
+    assert report.to_dict() == _failed("tables:product", 4, (
+        "1", "e12", "product", "type 2 outside cell 0", 1.0))
+
+
+def test_type_table_sampled_fail_report(monkeypatch):
+    _drop_type_2(monkeypatch)
+    report = check_type_table(OpKind.GEOMETRIC, cfg_for(S21, strategy=Strategy.RANDOM))
     assert report.to_dict() == _failed("tables:product", 17, (
         "2", "(0-2i)e12 + (2+1i)e13 - e23", "product", "type 2 outside cell 0", 6.0))
 
@@ -488,10 +582,11 @@ def test_theorem7_fail_reports(monkeypatch):
     reports = check_theorem7(cfg_for(S21, samples=5))
     assert [r.to_dict() for r in reports] == [
         _failed("theorem7:02->02", 1, (
-            "-1 + 0.6666666666666666e12 - 0.3333333333333333e13", None, "conj",
-            "conj(u) + u", 2.0)),
+            "-0.5 + 0.3333333333333333e12 - 0.16666666666666666e13", None, "conj",
+            "conj(u) + u", 1.0)),
         _failed("theorem7:2->0", 1, (
-            "-e12 + e13 + e23", None, "exp", "outside pattern 0", 1.1752011936438016)),
+            "-0.3333333333333333e12 + 0.3333333333333333e13 + 0.3333333333333333e23",
+            None, "exp", "outside pattern 0", 0.33954055725615)),
     ]
 
 
@@ -502,8 +597,8 @@ def test_theorem7_defect_fail_report(monkeypatch):
     reports = check_theorem7(cfg_for(S21, samples=5, tol=10.0))
     assert [r.to_dict() for r in reports] == [
         _failed("theorem7:02->02", 1, (
-            "-1 + 0.6666666666666666e12 - 0.3333333333333333e13", None, "exp",
-            "conj(U) U - 1", 0.8646647167633873)),
+            "-0.5 + 0.3333333333333333e12 - 0.16666666666666666e13", None, "exp",
+            "conj(U) U - 1", 0.6321205588285577)),
     ]
 
 
