@@ -9,11 +9,15 @@ counterexample can be replayed by any implementation of the same generator
 Sampling draws integer coefficients in [-3, 3] per allowed blade (ascending
 blade masks, real part before imaginary part), which keeps every algebraic
 check exact: closure and axiom checks compare against zero, not against a
-float tolerance, unless the caller widens ``cfg.tol``.
+float tolerance, unless the caller widens ``cfg.tol``.  ``_sample`` refuses
+bounds under which a bracket of two samples could sum to 2^53 or more, past
+which doubles no longer hold every integer.
 
-The axioms, grade ladders and type tables sample nothing by default: they
-are real-bilinear claims, so the census of basis-blade pairs (``_census``)
-decides them exactly at every signature.
+The axioms, grade ladders, type tables, subspace closures and theorems 5
+and 6 sample nothing by default: they are real-bilinear claims, so the
+census of basis-blade pairs (``_census``) decides them exactly at every
+signature.  Theorem 7 adds an exact half read from the census to its
+sampled exponentials.  ``Strategy.RANDOM`` samples all of them instead.
 """
 
 from __future__ import annotations
@@ -94,8 +98,9 @@ class CheckConfig:
     seed: int = 0
     samples: int = 200
     tol: float = 1e-12
-    # EXHAUSTIVE: axioms, grade ladders and tables read the blade-pair
-    # census, which is exact at every n; RANDOM samples them instead.
+    # EXHAUSTIVE: axioms, grade ladders, tables, closures and theorems 5-7
+    # read the blade-pair census, which is exact at every n; RANDOM samples
+    # them instead.
     strategy: Strategy = Strategy.EXHAUSTIVE
     exp_eps: float = 1e-14
     exp_max_terms: int = 200
@@ -166,6 +171,13 @@ def _draw_plan(sig: Signature, pattern: SubspacePattern,
 def _sample(sig: Signature, plan: tuple[tuple[int, bool, bool], ...],
             rng: SplitMix64, field: Field,
             lo: int = -3, hi: int = 3) -> Multivector:
+    # A bracket of two samples sums up to 2^n terms per blade, each at most
+    # 4 m^2 (two products of two parts each); integers stay exact in a double
+    # only below 2^53.
+    if lo > hi:
+        raise ValueError(f"empty draw range [{lo}, {hi}]")
+    if 4 * max(abs(lo), abs(hi)) ** 2 * 2 ** sig.n >= 2 ** 53:
+        raise ValueError(f"draws in [{lo}, {hi}] at n = {sig.n} could sum past 2^53")
     # no validating constructor: the plan's masks are valid and distinct,
     # and every kept draw is a nonzero integer
     terms = {}
@@ -184,11 +196,16 @@ def sample_pattern_mv(sig: Signature, pattern: SubspacePattern, rng: SplitMix64,
     Blades are visited in ascending mask order; for each allowed part the
     next integer is drawn (real part first), so the element is a pure
     function of the generator state.  Raises FieldMismatch when the field is
-    real and the pattern grants an imaginary part.
+    real and the pattern grants an imaginary part, and ValueError when a
+    bracket of two draws could leave the exact integers (see ``_sample``).
     """
+    _check_field(pattern, field)
+    return _sample(sig, _draw_plan(sig, pattern), rng, field, lo, hi)
+
+
+def _check_field(pattern: SubspacePattern, field: Field) -> None:
     if field is Field.REAL and any(c & CoeffClass.IMAGINARY for c in pattern.classes):
         raise FieldMismatch(f"pattern {pattern} has imaginary parts in a real field")
-    return _sample(sig, _draw_plan(sig, pattern), rng, field, lo, hi)
 
 
 def _field_pattern(qt: QType, field: Field) -> SubspacePattern:
@@ -285,6 +302,72 @@ def _pair_fail(name: str, sig: Signature, a: int, b: int, op: OpKind,
     """FAIL on the blade pair (a, b), counted at its a-major position."""
     return _fail(name, (a << sig.n) + b + 1, op.value, _blade(sig, a),
                  _blade(sig, b), component, float(coeff))
+
+
+# Real basis units of a coefficient: index 0 is 1 (CoeffClass bit 0), index 1
+# is i (bit 1).  The product of units u and v is real when u == v.
+_UNITS = (1, 1j)
+
+
+def _real_basis(sig: Signature, pattern: SubspacePattern) -> list[tuple[int, complex]]:
+    """(mask, unit) of every real basis element unit * blade of the
+    pattern's subspace, in ascending mask order, 1 before i."""
+    return [(mask, unit) for mask, re, im in _draw_plan(sig, pattern)
+            for unit, granted in zip(_UNITS, (re, im)) if granted]
+
+
+def _census_leak(sig: Signature, op: OpKind, p1: SubspacePattern,
+                 p2: SubspacePattern, target: SubspacePattern
+                 ) -> Optional[tuple[int, complex, int, complex, int]]:
+    """First real basis pair (unit_a * a, unit_b * b) of P1 x P2, ordered by
+    (a, unit_a, b, unit_b), whose ``op`` leaves ``target``, as (a, unit_a,
+    b, unit_b, |coefficient|); None when op(P1, P2) lies in ``target``.
+
+    Exact: op is real-bilinear, so the basis pairs decide the claim, and a
+    pair's verdict depends only on its census cell (types of a, b and a ^ b,
+    and s_ab * s_ba), so each cell's first pair is its earliest leak."""
+    classes1, classes2, allowed = ([int(c) for c in p.classes] for p in (p1, p2, target))
+    best = None
+    for a, b, k, l, g, s in _census(sig):
+        if best is not None and a > best[0]:
+            break  # rows come in a-major order
+        coeff = _coefficient(op, s)
+        c1, c2, t = classes1[k & 3], classes2[l & 3], allowed[g & 3]
+        if not (coeff and c1 and c2):
+            continue
+        for i in (0, 1):
+            for j in (0, 1):
+                if c1 >> i & 1 and c2 >> j & 1 and not t >> (i ^ j) & 1:
+                    if best is None or (a, i, b, j) < best[:4]:
+                        best = (a, i, b, j, coeff)
+    if best is None:
+        return None
+    a, i, b, j, coeff = best
+    return a, _UNITS[i], b, _UNITS[j], coeff
+
+
+def _leak_fail(name: str, cases: int, sig: Signature, op: OpKind,
+               p1: SubspacePattern, p2: SubspacePattern, leak: tuple,
+               component: str, notes: str = "",
+               field: Field = Field.COMPLEX) -> CheckReport:
+    """FAIL on a ``_census_leak`` result, counted after ``cases`` earlier
+    cases at the pair's position among the real basis pairs of P1 x P2."""
+    a, unit_a, b, unit_b, coeff = leak
+    basis1, basis2 = _real_basis(sig, p1), _real_basis(sig, p2)
+    position = basis1.index((a, unit_a)) * len(basis2) + basis2.index((b, unit_b)) + 1
+    return _fail(name, cases + position, op.value,
+                 Multivector.basis_blade(sig, a, unit_a, field),
+                 Multivector.basis_blade(sig, b, unit_b, field),
+                 component, float(coeff), notes)
+
+
+def _pair_count(sig: Signature, p1: SubspacePattern, p2: SubspacePattern) -> int:
+    """Ordered real basis pairs of P1 x P2, as a census pass decides them:
+    the product of the subspaces' real dimensions, each the sum over grades
+    of C(n, g) times the parts the class of type g mod 4 grants."""
+    d1, d2 = (sum(math.comb(sig.n, g) * bin(p[g & 3]).count("1")
+                  for g in range(sig.n + 1)) for p in (p1, p2))
+    return d1 * d2
 
 
 # ----------------------------------------------------------------------
@@ -489,19 +572,37 @@ def check_pattern_closure(
     name: Optional[str] = None,
 ) -> CheckReport:
     """One subspace closure claim, checked abstractly (pattern composition)
-    and concretely (integer samples, exact leakage).  Callable with any
-    pattern, so deliberately non-closed subspaces serve as negative
-    controls.
+    and concretely.  Callable with any pattern, so deliberately non-closed
+    subspaces serve as negative controls.
 
-    When the abstract composition already leaks, the samples only look for
-    a concrete witness (at least 16 pairs), and the report counts the
-    abstract case plus the witness if one turned up."""
+    Exhaustive mode reads the blade-pair census: every real basis pair
+    (unit * blade, unit 1 or i as the pattern grants) is decided exactly,
+    and the report counts the abstract case plus those pairs, or plus the
+    failing pair's position.  Random mode draws integer sample pairs; when
+    the abstract composition already leaks, they only look for a concrete
+    witness (at least 16 pairs), and the report counts the abstract case
+    plus the witness if one turned up.  Either way an abstract leak without
+    a concrete witness FAILs with one case."""
     label = name or f"closure:{op.value}:{field.value}:{pattern}"
-    rng = SplitMix64(derive_subseed(cfg.seed, label))
     composed = pattern_compose(op, pattern, pattern)
     contained = pattern.contains(composed)
     notes = "" if contained else (
         f"abstract composition leaks: {pattern} composes to {composed}")
+    if cfg.strategy is Strategy.EXHAUSTIVE:
+        _check_field(pattern, field)
+        leak = _census_leak(cfg.sig, op, pattern, pattern, pattern)
+        if leak:
+            return _leak_fail(label, 1, cfg.sig, op, pattern, pattern, leak,
+                              f"outside pattern {pattern}", notes, field)
+        if not contained:
+            return CheckReport(label, CheckStatus.FAIL, 1, None, notes)
+        pairs = _pair_count(cfg.sig, pattern, pattern)
+        return CheckReport(
+            label, CheckStatus.PASS, 1 + pairs, None,
+            f"abstract composition contained; census decides all {pairs} "
+            "real basis pairs",
+        )
+    rng = SplitMix64(derive_subseed(cfg.seed, label))
     pairs = cfg.samples if contained else max(cfg.samples, 16)
     for i in range(1, pairs + 1):
         u = sample_pattern_mv(cfg.sig, pattern, rng, field)
@@ -555,7 +656,8 @@ def closure_catalog() -> list[tuple[OpKind, Field, SubspacePattern]]:
 def check_subalgebra_theorems(cfg: CheckConfig) -> list[CheckReport]:
     """Closure of every cataloged subspace: the real even-type algebra under
     the product, the commutator-closed and anticommutator-closed families
-    over both coefficient fields."""
+    over both coefficient fields.  The catalog is every pattern that
+    ``is_closed`` accepts except the empty one and the whole algebra."""
     return [
         check_pattern_closure(op, pattern, cfg, field=field)
         for op, field, pattern in closure_catalog()
@@ -583,9 +685,12 @@ WC_RELATIONS = (
 
 def check_theorem5(cfg: CheckConfig) -> CheckReport:
     """Commutator relations among the four constituents of the Lie algebra
-    (imaginary types 0 and 1, real types 2 and 3)."""
+    (imaginary types 0 and 1, real types 2 and 3), each checked abstractly
+    and then on every real basis pair through the census (exhaustive mode)
+    or on integer sample pairs (random mode)."""
     name = "theorem5"
     rng = SplitMix64(derive_subseed(cfg.seed, name))
+    census = cfg.strategy is Strategy.EXHAUSTIVE
     cases = 0
     for p1, p2, target in WC_RELATIONS:
         composed = pattern_compose(OpKind.COMMUTATOR, p1, p2)
@@ -595,6 +700,13 @@ def check_theorem5(cfg: CheckConfig) -> CheckReport:
                 name, CheckStatus.FAIL, cases, None,
                 f"abstract relation [{p1}, {p2}] leaks outside {target}",
             )
+        if census:
+            leak = _census_leak(cfg.sig, OpKind.COMMUTATOR, p1, p2, target)
+            if leak:
+                return _leak_fail(name, cases, cfg.sig, OpKind.COMMUTATOR, p1, p2,
+                                  leak, f"[{p1}, {p2}] outside {target}")
+            cases += _pair_count(cfg.sig, p1, p2)
+            continue
         for _ in range(cfg.samples):
             u = sample_pattern_mv(cfg.sig, p1, rng, Field.COMPLEX)
             v = sample_pattern_mv(cfg.sig, p2, rng, Field.COMPLEX)
@@ -603,10 +715,10 @@ def check_theorem5(cfg: CheckConfig) -> CheckReport:
             if leak > cfg.tol:
                 return _fail(name, cases, "comm", u, v,
                              f"[{p1}, {p2}] outside {target}", leak)
-    return CheckReport(
-        name, CheckStatus.PASS, cases, None,
-        f"10 relations, abstract plus {cfg.samples} integer sample pairs each",
-    )
+    evidence = ("every real basis pair through the census" if census
+                else f"{cfg.samples} integer sample pairs each")
+    return CheckReport(name, CheckStatus.PASS, cases, None,
+                       f"10 relations, abstract plus {evidence}")
 
 
 # Commutator-closed subspaces of the Lie algebra, with the ambient pattern
@@ -623,11 +735,50 @@ LIE_SUBALGEBRA_ROWS = (
 )
 
 
+def _unit_blades(sig: Signature, pattern: SubspacePattern) -> list[Multivector]:
+    """unit * blade for each (type, unit) the pattern grants at this n, on
+    the type's first blade (mask 2^t - 1)."""
+    return [Multivector.basis_blade(sig, (1 << t) - 1, unit)
+            for t in range(min(4, sig.n + 1))
+            for unit, bit in zip(_UNITS, (CoeffClass.REAL, CoeffClass.IMAGINARY))
+            if pattern[t] & bit]
+
+
+def _theorem6_census(cfg: CheckConfig, name: str, lie: SubspacePattern) -> CheckReport:
+    """Membership from the lattice (lie inside WC_PATTERN) and from
+    conjugating one unit * blade per (type, unit) the pattern grants
+    (conjugation is real-linear and signs each blade by its type); closure
+    from the census."""
+    sig = cfg.sig
+    inside = WC_PATTERN.contains(lie)
+    notes = "" if inside else (
+        f"abstract membership fails: {lie} is not inside {WC_PATTERN}")
+    probes = _unit_blades(sig, lie)
+    for i, u in enumerate(probes, 2):
+        anti = _wc_defect(u)
+        if anti > cfg.tol:
+            return _fail(name, i, "conj", u, None, "conj(u) + u", anti, notes)
+    if not inside:
+        return CheckReport(name, CheckStatus.FAIL, 1, None, notes)
+    leak = _census_leak(sig, OpKind.COMMUTATOR, lie, lie, lie)
+    if leak:
+        return _leak_fail(name, 1, sig, OpKind.COMMUTATOR, lie, lie, leak,
+                          f"outside pattern {lie}")
+    pairs = _pair_count(sig, lie, lie)
+    return CheckReport(
+        name, CheckStatus.PASS, 1 + pairs, None,
+        f"closure exact on all {pairs} real basis pairs; membership exact on "
+        f"{len(probes)} unit blade(s)",
+    )
+
+
 def _theorem6_row(cfg: CheckConfig, lie: SubspacePattern) -> CheckReport:
     name = f"theorem6:{lie}"
     if not is_closed(OpKind.COMMUTATOR, lie):
         return CheckReport(name, CheckStatus.FAIL, 1, None,
                            "abstract commutator closure fails")
+    if cfg.strategy is Strategy.EXHAUSTIVE:
+        return _theorem6_census(cfg, name, lie)
     rng = SplitMix64(derive_subseed(cfg.seed, name))
     for i in range(2, cfg.samples + 2):
         u = sample_pattern_mv(cfg.sig, lie, rng, Field.COMPLEX)
@@ -643,16 +794,57 @@ def _theorem6_row(cfg: CheckConfig, lie: SubspacePattern) -> CheckReport:
 
 
 def check_theorem6(cfg: CheckConfig) -> list[CheckReport]:
-    """The four Lie subalgebras: commutator-closed and pointwise inside the
-    Lie algebra (conj(u) = -u exactly on integer samples)."""
+    """The four Lie subalgebras: commutator-closed and inside the Lie
+    algebra (conj(u) = -u).  Exhaustive mode decides closure on every real
+    basis pair through the census and membership on unit blades; random
+    mode checks both exactly on integer samples."""
     return [_theorem6_row(cfg, lie) for lie, _ in LIE_SUBALGEBRA_ROWS]
+
+
+def _theorem7_exact(cfg: CheckConfig, name: str, lie: SubspacePattern,
+                    ambient: SubspacePattern) -> CheckReport:
+    """Exact half of a theorem 7 row; a PASS counts the cases it decided.
+
+    Every partial sum of the series exp(u) stays in the ambient when the
+    ambient holds 1, is product-closed and contains the Lie pattern.  And
+    conj(exp u) = exp(-u), the inverse of exp u, when u lies in wC and
+    conjugation reverses products: conj(ab) = conj(b) conj(a), which on
+    blades reads s_ab s_ba = r(|a|) r(|b|) r(|a ^ b|) with r(g) the sign
+    conjugation gives a grade-g blade."""
+    for holds, why in (
+        (ambient.contains(lie), f"{lie} is not inside {ambient}"),
+        (ambient[0] & CoeffClass.REAL, f"{ambient} holds no real scalar"),
+        (WC_PATTERN.contains(lie), f"{lie} is not inside {WC_PATTERN}"),
+    ):
+        if not holds:
+            return CheckReport(name, CheckStatus.FAIL, 1, None, f"exact half: {why}")
+    closure = check_pattern_closure(OpKind.GEOMETRIC, ambient, cfg, name=name)
+    if closure.status is CheckStatus.FAIL:
+        return closure
+    sig = cfg.sig
+    r = [_blade(sig, (1 << g) - 1).conjugate().coefficient((1 << g) - 1).real
+         for g in range(sig.n + 1)]
+    rows = _census(sig)
+    for i, (a, b, k, l, g, s) in enumerate(rows, 1):
+        if s != r[k] * r[l] * r[g]:
+            return _fail(name, closure.cases_run + i, "product", _blade(sig, a),
+                         _blade(sig, b), "conj(ab) - conj(b) conj(a)", 2.0)
+    return CheckReport(name, CheckStatus.PASS, closure.cases_run + len(rows))
 
 
 def _theorem7_row(cfg: CheckConfig, lie: SubspacePattern,
                   ambient: SubspacePattern, group_tol: float) -> CheckReport:
     name = f"theorem7:{lie}->{ambient}"
+    cases, exact = 0, ""
+    if cfg.strategy is Strategy.EXHAUSTIVE:
+        report = _theorem7_exact(cfg, name, lie, ambient)
+        if report.status is CheckStatus.FAIL:
+            return report
+        cases = report.cases_run
+        exact = (f"exact: {lie} inside {ambient} and wC, {ambient} holds 1 and "
+                 "is product-closed, conj reverses every census cell; ")
     rng = SplitMix64(derive_subseed(cfg.seed, name))
-    for i in range(1, cfg.samples + 1):
+    for i in range(cases + 1, cases + cfg.samples + 1):
         u = sample_pattern_mv(cfg.sig, lie, rng, Field.COMPLEX)
         # The l1 norm is submultiplicative (every blade product has
         # coefficient +-1), so at l1 <= 1 the series cannot build large
@@ -671,15 +863,17 @@ def _theorem7_row(cfg: CheckConfig, lie: SubspacePattern,
         if leak > group_tol:
             return _fail(name, i, "exp", u, None, f"outside pattern {ambient}", leak)
     return CheckReport(
-        name, CheckStatus.PASS, cfg.samples, None,
-        f"exp image pseudo-unitary and inside {ambient} to {group_tol:g}",
+        name, CheckStatus.PASS, cases + cfg.samples, None,
+        f"{exact}exp image pseudo-unitary and inside {ambient} to {group_tol:g}",
     )
 
 
 def check_theorem7(cfg: CheckConfig) -> list[CheckReport]:
     """Exponentials of each Lie subalgebra: pseudo-unitary to 1e-9 and inside
     the row's ambient pattern to 1e-9, for samples with l1 norm (the sum of
-    |re| + |im| over terms) at most 1.
+    |re| + |im| over terms) at most 1.  Exhaustive mode first proves both
+    claims exactly (``_theorem7_exact``); the samples stay as a numeric
+    witness.
 
     Only the exponential image is probed; this does not decide whether the
     exponential map covers the corresponding group component.

@@ -101,7 +101,7 @@ def test_criterion_03_table_reproduction():
 def test_criterion_04_closure_with_negative_controls():
     bad = []
     for sig in (Signature(4, 0), S22, Signature(1, 3)):
-        cfg = CheckConfig(sig=sig, samples=1000, tol=0.0)
+        cfg = CheckConfig(sig=sig, tol=0.0)
         for op, field, pattern in closure_catalog():
             r = check_pattern_closure(op, pattern, cfg, field)
             if r.status is not CheckStatus.PASS:
@@ -116,22 +116,24 @@ def test_criterion_04_closure_with_negative_controls():
             if r.status is not CheckStatus.FAIL:
                 bad.append((str(sig), r.name, "control did not fail"))
     ok = not bad
-    _line(4, ok, "43 closed subspaces x {(4,0),(2,2),(1,3)}, 1000 integer "
-                 "samples each, zero leakage; 2 negative controls fail")
+    _line(4, ok, "43 closed subspaces x {(4,0),(2,2),(1,3)}, every real "
+                 "basis pair through the blade-pair census, zero leakage; "
+                 "2 negative controls fail")
     assert not bad, bad
 
 
 def test_criterion_05_star_relations_and_lie_subalgebras():
     bad = []
     for sig in (S22, Signature(4, 1)):
-        cfg = CheckConfig(sig=sig, samples=200, tol=0.0)
+        cfg = CheckConfig(sig=sig, tol=0.0)
         reports = [check_theorem5(cfg)] + check_theorem6(cfg)
         for r in reports:
             if r.status is not CheckStatus.PASS:
                 bad.append((str(sig), r.name, r.to_dict()))
     ok = not bad
     _line(5, ok, "conjugation bracket relations and the four Lie "
-                 "subalgebras at (2,2) and (4,1), exact integer samples")
+                 "subalgebras at (2,2) and (4,1), exact on every real basis "
+                 "pair")
     assert not bad, bad
 
 

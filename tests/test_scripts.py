@@ -20,6 +20,14 @@ def test_full_report_small_sweep():
     assert "total: 300 pass, 0 fail, 0 skipped" in r.stdout.splitlines()
 
 
+def test_full_report_closures_at_every_signature_to_n12():
+    # 43 cataloged closures at each of the 90 signatures with p+q <= 12,
+    # every real basis pair decided through the census
+    r = run_script("full_report.py", "--max-n", "12", "--suite", "closures")
+    assert r.returncode == 0, r.stderr
+    assert "total: 3870 pass, 0 fail, 0 skipped" in r.stdout.splitlines()
+
+
 def test_full_report_rejects_bad_suite_and_config():
     r = run_script("full_report.py", "--suite", "bogus")
     assert r.returncode == 2

@@ -6,6 +6,8 @@ implementation.  Negative controls check that the harness fails when it
 should: a corrupted composition rule and two subspaces that are not closed.
 """
 
+import itertools
+import math
 import re
 
 import pytest
@@ -14,7 +16,8 @@ from quatype import verify
 
 from quatype.blades import Signature, canonical_sign, grade, sign_table
 from quatype.multivector import Field, FieldMismatch, Multivector
-from quatype.qtype import OpKind, QType, SubspacePattern, main_compose
+from quatype.qtype import (CoeffClass, OpKind, QType, SubspacePattern, is_closed,
+                           main_compose)
 from quatype.verify import (
     CheckConfig,
     CheckStatus,
@@ -90,6 +93,20 @@ def test_sample_pattern_respects_pattern():
     for _ in range(20):
         u = sample_pattern_mv(S22, p, g, Field.COMPLEX)
         assert p.matches(u, 0.0)
+
+
+def test_sample_bounds_keep_bracket_sums_below_2_53():
+    # A bracket of two samples sums 2^n terms of at most 4 m^2 each.
+    sig = Signature(6, 6)
+    full = SubspacePattern.from_parts("0123", "0123")
+    widest = math.isqrt(2 ** 39 - 1)  # 4 m^2 2^12 < 2^53 exactly when m^2 < 2^39
+    sample_pattern_mv(sig, full, SplitMix64(1), Field.COMPLEX, -widest, widest)
+    for lo, hi in ((-widest - 1, 3), (0, widest + 1), (-2 ** 20, 2 ** 20)):
+        with pytest.raises(ValueError, match="2\\^53"):
+            sample_pattern_mv(sig, full, SplitMix64(1), Field.COMPLEX, lo, hi)
+    assert 4 * 3 ** 2 * 2 ** 12 == 147_456  # today's [-3, 3] draws at n = 12
+    with pytest.raises(ValueError, match="empty draw range"):
+        sample_pattern_mv(S22, full, SplitMix64(1), Field.COMPLEX, 3, -3)
 
 
 def test_sample_pattern_rejects_imaginary_parts_in_real_field():
@@ -190,11 +207,33 @@ def test_all_closures_pass_at_several_signatures():
             assert report.status is CheckStatus.PASS, report.name
 
 
+def _real_dim(sig, pattern):
+    """Real dimension of a pattern's subspace: blades of each type times the
+    parts (real, imaginary) its class grants."""
+    per_type = [sum(math.comb(sig.n, g) for g in range(t, sig.n + 1, 4))
+                for t in range(4)]
+    return sum(per_type[t] * bin(pattern[t]).count("1") for t in range(4))
+
+
 def test_theorem5_passes():
     for sig in (S22, Signature(4, 1)):
         report = check_theorem5(cfg_for(sig, samples=30))
         assert report.status is CheckStatus.PASS
-        assert report.cases_run == 10 * (30 + 1)
+        # each relation: the abstract case plus every real basis pair
+        assert report.cases_run == sum(1 + _real_dim(sig, p1) * _real_dim(sig, p2)
+                                       for p1, p2, _ in verify.WC_RELATIONS)
+        sampled = check_theorem5(cfg_for(sig, samples=30, strategy=Strategy.RANDOM))
+        assert sampled.status is CheckStatus.PASS
+        assert sampled.cases_run == 10 * (30 + 1)
+    assert check_theorem5(cfg_for(S22)).cases_run == 174
+
+
+def test_census_closures_report_real_basis_pairs():
+    for op, field, pattern in closure_catalog():
+        report = check_pattern_closure(op, pattern, cfg_for(S22), field)
+        assert report.cases_run == 1 + _real_dim(S22, pattern) ** 2, report.name
+    for (lie, _), report in zip(verify.LIE_SUBALGEBRA_ROWS, check_theorem6(cfg_for(S22))):
+        assert report.cases_run == 1 + _real_dim(S22, lie) ** 2, report.name
 
 
 def test_theorem6_and_7_pass():
@@ -276,9 +315,78 @@ def test_census_sees_one_flipped_kernel_sign(monkeypatch, half):
     verify._census.cache_clear()
     try:
         report = check_quaternion_axioms(OpKind.COMMUTATOR, cfg_for(sig))
+        theorem7 = check_theorem7(cfg_for(sig, samples=1))
     finally:
         verify._census.cache_clear()
     assert report.status is CheckStatus.FAIL
+    # theorem7's exact half: conjugation no longer reverses every product
+    for row in theorem7:
+        assert row.status is CheckStatus.FAIL, row.name
+        assert row.counterexample.component == "conj(ab) - conj(b) conj(a)"
+
+
+# Every pattern: one coefficient class per main type.
+ALL_PATTERNS = [SubspacePattern(tuple(map(CoeffClass, classes)))
+                for classes in itertools.product(range(4), repeat=4)]
+REAL_PATTERNS = [p for p in ALL_PATTERNS
+                 if not any(c & CoeffClass.IMAGINARY for c in p.classes)]
+
+
+def test_closure_catalog_is_every_closed_pattern():
+    assert (len(ALL_PATTERNS), len(REAL_PATTERNS)) == (256, 16)
+    empty = SubspacePattern.from_parts()
+    whole = {Field.COMPLEX: SubspacePattern.from_parts("0123", "0123"),
+             Field.REAL: SubspacePattern.from_parts("0123")}
+    for op in OpKind:
+        for field, patterns in ((Field.COMPLEX, ALL_PATTERNS),
+                                (Field.REAL, REAL_PATTERNS)):
+            cataloged = [p for o, f, p in closure_catalog() if (o, f) == (op, field)]
+            closed = {p for p in patterns if is_closed(op, p)}
+            assert len(set(cataloged)) == len(cataloged)
+            assert set(cataloged) == closed - {empty, whole[field]}, (op, field)
+
+
+def test_census_closure_agrees_with_is_closed():
+    # From n = 5 every (type, type, type) cell the rules allow occurs, so the
+    # kernel's signs and the rule lattice must accept the same patterns;
+    # below that the census accepts more, as some cells never occur.
+    for op in OpKind:
+        abstract = {p for p in ALL_PATTERNS if is_closed(op, p)}
+        for n in range(1, 13):
+            sig = Signature(n // 2, n - n // 2)
+            census = {p for p in ALL_PATTERNS
+                      if verify._census_leak(sig, op, p, p, p) is None}
+            if n >= 5:
+                assert census == abstract, (op, sig)
+            else:
+                assert census >= abstract, (op, sig)
+                assert op is OpKind.ANTICOMMUTATOR or census > abstract, (op, sig)
+
+
+def test_census_and_samples_agree_on_catalog_and_controls():
+    controls = [(OpKind.COMMUTATOR, Field.COMPLEX, R1),
+                (OpKind.ANTICOMMUTATOR, Field.COMPLEX,
+                 SubspacePattern.from_parts(real="12"))]
+    statuses = []
+    for op, field, pattern in closure_catalog() + controls:
+        exact = check_pattern_closure(op, pattern, cfg_for(S22), field)
+        sampled = check_pattern_closure(op, pattern,
+                                        cfg_for(S22, strategy=Strategy.RANDOM), field)
+        assert exact.status is sampled.status, exact.name
+        statuses.append(exact.status)
+    assert statuses == [CheckStatus.PASS] * 43 + [CheckStatus.FAIL] * 2
+
+
+def test_theorem7_lie_row_outside_wc_fails_both_halves(monkeypatch):
+    lie = SubspacePattern.from_parts(real="2", imag="2")
+    ambient = SubspacePattern.from_parts(real="02", imag="02")
+    monkeypatch.setattr(verify, "LIE_SUBALGEBRA_ROWS", ((lie, ambient),))
+    exact, = check_theorem7(cfg_for(S22))
+    assert exact.to_dict() == _failed("theorem7:2+i2->02+i02", 1, None,
+                                      "exact half: 2+i2 is not inside 23+i01")
+    sampled, = check_theorem7(cfg_for(S22, strategy=Strategy.RANDOM))
+    assert sampled.status is CheckStatus.FAIL
+    assert sampled.counterexample.component == "conj(u) + u"
 
 
 def _coverage(report):
@@ -509,25 +617,49 @@ def test_type_table_sampled_fail_report(monkeypatch):
 
 
 def test_closure_abstract_fail_report_with_witness():
-    report = check_pattern_closure(OpKind.COMMUTATOR, R1, cfg_for(S21, samples=5))
+    report = check_pattern_closure(OpKind.COMMUTATOR, R1, cfg_for(
+        S21, samples=5, strategy=Strategy.RANDOM))
     assert report.to_dict() == _failed("closure:comm:C:1", 2, (
         "-3e1 + e2 - 2e3", "3e1", "comm", "outside pattern 1", 12.0),
         "abstract composition leaks: 1 composes to 2")
 
 
+def test_closure_census_fail_report_with_witness():
+    report = check_pattern_closure(OpKind.COMMUTATOR, R1, cfg_for(S21))
+    assert report.to_dict() == _failed("closure:comm:C:1", 3, (
+        "e1", "e2", "comm", "outside pattern 1", 2.0),
+        "abstract composition leaks: 1 composes to 2")
+
+
 def test_closure_abstract_fail_report_without_witness():
     # [e1, e1] = 0: nothing concrete leaks in Cl(1,0).
-    report = check_pattern_closure(OpKind.COMMUTATOR, R1,
-                                   cfg_for(Signature(1, 0), samples=5))
-    assert report.to_dict() == _failed("closure:comm:C:1", 1, None,
-        "abstract composition leaks: 1 composes to 2")
+    for strategy in Strategy:
+        report = check_pattern_closure(OpKind.COMMUTATOR, R1, cfg_for(
+            Signature(1, 0), samples=5, strategy=strategy))
+        assert report.to_dict() == _failed("closure:comm:C:1", 1, None,
+            "abstract composition leaks: 1 composes to 2")
 
 
 def test_closure_sampled_fail_report(monkeypatch):
     monkeypatch.setattr(verify, "pattern_compose", lambda op, p1, p2: p1)
-    report = check_pattern_closure(OpKind.COMMUTATOR, R1, cfg_for(S21, samples=5))
+    report = check_pattern_closure(OpKind.COMMUTATOR, R1, cfg_for(
+        S21, samples=5, strategy=Strategy.RANDOM))
     assert report.to_dict() == _failed("closure:comm:C:1", 2, (
         "-3e1 + e2 - 2e3", "3e1", "comm", "outside pattern 1", 12.0))
+
+
+def test_closure_census_fail_report(monkeypatch):
+    # The abstract rule is fooled; the kernel's signs are not.  [e1, e2] is
+    # the second real basis pair of real type 1 at Cl(2,1).
+    monkeypatch.setattr(verify, "pattern_compose", lambda op, p1, p2: p1)
+    report = check_pattern_closure(OpKind.COMMUTATOR, R1, cfg_for(S21))
+    assert report.to_dict() == _failed("closure:comm:C:1", 3, (
+        "e1", "e2", "comm", "outside pattern 1", 2.0))
+
+
+def test_closure_census_refuses_imaginary_pattern_in_real_field():
+    with pytest.raises(FieldMismatch):
+        check_pattern_closure(OpKind.COMMUTATOR, I1, cfg_for(S21), field=Field.REAL)
 
 
 def _wrong_second_relation(monkeypatch):
@@ -539,8 +671,16 @@ def _wrong_second_relation(monkeypatch):
 
 def test_theorem5_abstract_fail_report(monkeypatch):
     _wrong_second_relation(monkeypatch)
-    report = check_theorem5(cfg_for(S21, samples=5))
+    report = check_theorem5(cfg_for(S21, samples=5, strategy=Strategy.RANDOM))
     assert report.to_dict() == _failed("theorem5", 7, None,
+        "abstract relation [i1, i1] leaks outside 3")
+
+
+def test_theorem5_census_abstract_fail_report(monkeypatch):
+    # The first relation [i0, i0] has one real basis pair at Cl(2,1).
+    _wrong_second_relation(monkeypatch)
+    report = check_theorem5(cfg_for(S21))
+    assert report.to_dict() == _failed("theorem5", 3, None,
         "abstract relation [i1, i1] leaks outside 3")
 
 
@@ -548,17 +688,26 @@ def test_theorem5_sampled_fail_report(monkeypatch):
     _wrong_second_relation(monkeypatch)
     monkeypatch.setattr(verify, "pattern_compose",
                         lambda op, p1, p2: SubspacePattern.from_parts())
-    report = check_theorem5(cfg_for(S21, samples=5))
+    report = check_theorem5(cfg_for(S21, samples=5, strategy=Strategy.RANDOM))
     assert report.to_dict() == _failed("theorem5", 8, (
         "(0-3i)e1 + (0-3i)e2 + (0-2i)e3", "(0+3i)e2 + (0-3i)e3", "comm",
         "[i1, i1] outside 3", 30.0))
+
+
+def test_theorem5_census_fail_report(monkeypatch):
+    _wrong_second_relation(monkeypatch)
+    monkeypatch.setattr(verify, "pattern_compose",
+                        lambda op, p1, p2: SubspacePattern.from_parts())
+    report = check_theorem5(cfg_for(S21))
+    assert report.to_dict() == _failed("theorem5", 5, (
+        "(0+1i)e1", "(0+1i)e2", "comm", "[i1, i1] outside 3", 2.0))
 
 
 def test_theorem6_fail_reports(monkeypatch):
     # Real type 0 is not commutator-closed on its own; with type 2 it is,
     # but conj(u) = u on real scalars breaks the membership.
     monkeypatch.setattr(verify, "LIE_SUBALGEBRA_ROWS", ((R0, R0), (R02, R02)))
-    reports = check_theorem6(cfg_for(S21, samples=5))
+    reports = check_theorem6(cfg_for(S21, samples=5, strategy=Strategy.RANDOM))
     assert [r.to_dict() for r in reports] == [
         _failed("theorem6:0", 1, None,
             "abstract commutator closure fails"),
@@ -566,10 +715,21 @@ def test_theorem6_fail_reports(monkeypatch):
     ]
 
 
+def test_theorem6_census_fail_reports(monkeypatch):
+    monkeypatch.setattr(verify, "LIE_SUBALGEBRA_ROWS", ((R0, R0), (R02, R02)))
+    reports = check_theorem6(cfg_for(S21))
+    assert [r.to_dict() for r in reports] == [
+        _failed("theorem6:0", 1, None,
+            "abstract commutator closure fails"),
+        _failed("theorem6:02", 2, ("1", None, "conj", "conj(u) + u", 2.0),
+            "abstract membership fails: 02 is not inside 23+i01"),
+    ]
+
+
 def test_theorem6_commutator_fail_report(monkeypatch):
     monkeypatch.setattr(verify, "LIE_SUBALGEBRA_ROWS", ((I1, I1),))
     monkeypatch.setattr(verify, "is_closed", lambda op, pattern: True)
-    reports = check_theorem6(cfg_for(S21, samples=5))
+    reports = check_theorem6(cfg_for(S21, samples=5, strategy=Strategy.RANDOM))
     assert [r.to_dict() for r in reports] == [
         _failed("theorem6:i1", 2, (
             "(0+1i)e1 + (0-1i)e2 + (0-2i)e3", "(0-1i)e1 + (0+2i)e2 + (0-1i)e3", "comm",
@@ -577,9 +737,19 @@ def test_theorem6_commutator_fail_report(monkeypatch):
     ]
 
 
+def test_theorem6_census_commutator_fail_report(monkeypatch):
+    monkeypatch.setattr(verify, "LIE_SUBALGEBRA_ROWS", ((I1, I1),))
+    monkeypatch.setattr(verify, "is_closed", lambda op, pattern: True)
+    reports = check_theorem6(cfg_for(S21))
+    assert [r.to_dict() for r in reports] == [
+        _failed("theorem6:i1", 3, (
+            "(0+1i)e1", "(0+1i)e2", "comm", "outside pattern i1", 2.0)),
+    ]
+
+
 def test_theorem7_fail_reports(monkeypatch):
     monkeypatch.setattr(verify, "LIE_SUBALGEBRA_ROWS", ((R02, R02), (R2, R0)))
-    reports = check_theorem7(cfg_for(S21, samples=5))
+    reports = check_theorem7(cfg_for(S21, samples=5, strategy=Strategy.RANDOM))
     assert [r.to_dict() for r in reports] == [
         _failed("theorem7:02->02", 1, (
             "-0.5 + 0.3333333333333333e12 - 0.16666666666666666e13", None, "conj",
@@ -594,11 +764,28 @@ def test_theorem7_defect_fail_report(monkeypatch):
     # A tolerance of 10 lets real scalars through the membership test, so
     # the group test is the first to see them.
     monkeypatch.setattr(verify, "LIE_SUBALGEBRA_ROWS", ((R02, R02),))
-    reports = check_theorem7(cfg_for(S21, samples=5, tol=10.0))
+    reports = check_theorem7(cfg_for(S21, samples=5, tol=10.0,
+                                     strategy=Strategy.RANDOM))
     assert [r.to_dict() for r in reports] == [
         _failed("theorem7:02->02", 1, (
             "-0.5 + 0.3333333333333333e12 - 0.16666666666666666e13", None, "exp",
             "conj(U) U - 1", 0.6321205588285577)),
+    ]
+
+
+def test_theorem7_exact_half_fail_reports(monkeypatch):
+    R012 = SubspacePattern.from_parts(real="012")
+    monkeypatch.setattr(verify, "LIE_SUBALGEBRA_ROWS",
+                        ((R02, R02), (R2, R0), (R2, R2), (R2, R012)))
+    reports = check_theorem7(cfg_for(S21, samples=5))
+    assert [r.to_dict() for r in reports] == [
+        _failed("theorem7:02->02", 1, None, "exact half: 02 is not inside 23+i01"),
+        _failed("theorem7:2->0", 1, None, "exact half: 2 is not inside 0"),
+        _failed("theorem7:2->2", 1, None, "exact half: 2 holds no real scalar"),
+        # e1 e23 = e123: the 2nd and 7th of the 7 real basis elements of 012
+        _failed("theorem7:2->012", 1 + 1 * 7 + 7, (
+            "e1", "e23", "product", "outside pattern 012", 1.0),
+            "abstract composition leaks: 012 composes to 0123"),
     ]
 
 
