@@ -4,6 +4,13 @@ Values are immutable; every operation returns a new multivector.  Coefficients
 are stored as complex doubles even in real mode (the imaginary part is pinned
 to zero there), so integer-valued inputs stay exact through products, sums and
 projections.
+
+A product accumulates into a list of 2**n slots, one per blade mask (a fixed
+O(2**n) cost per call, whatever the operand sizes), and reads its left
+operand in ascending mask order, so every slot sums in the same order however
+the operands list their terms: elements that are ``==`` have ``==`` products,
+brackets and exponentials.  Products, sums and ``exp`` list their result
+terms in ascending mask order.
 """
 
 from __future__ import annotations
@@ -14,9 +21,14 @@ import numbers
 import operator
 import sys
 from enum import Enum
+from itertools import compress
 from types import MappingProxyType
 
-from .blades import Signature, grade, sign_table
+from .blades import MAX_GENERATORS, Signature, grade, sign_table
+
+# Every blade mask as one shared int object, so that picking the nonzero
+# slots of a product allocates no int.
+_MASKS = tuple(range(1 << MAX_GENERATORS))
 
 
 class AlgebraError(Exception):
@@ -68,6 +80,16 @@ def _require_finite(data: dict) -> None:
     """Refuse an arithmetic result that overflowed a double."""
     if not all(map(cmath.isfinite, data.values())):
         raise ValueError("arithmetic result overflows a double")
+
+
+def _ascending(data: dict) -> dict:
+    """``data`` with its keys in ascending order."""
+    return {m: data[m] for m in sorted(data)}
+
+
+def _inf_norm(values) -> float:
+    """max of |re| + |im| over complex ``values`` (0.0 when there are none)."""
+    return max((abs(c.real) + abs(c.imag) for c in values), default=0.0)
 
 
 class Multivector:
@@ -166,7 +188,8 @@ class Multivector:
 
     def _combine(self, other, op) -> "Multivector":
         # op is operator.add or operator.sub; scaling c by a -1 sign would
-        # not give -c exactly when a part of c is a signed zero
+        # not give -c exactly when a part of c is a signed zero.  The result
+        # lists its terms in ascending mask order, like a product's.
         self._like(other)
         data = dict(self._terms)
         for m, c in other._terms.items():
@@ -176,7 +199,7 @@ class Multivector:
             else:
                 data[m] = s
         _require_finite(data)
-        return Multivector._raw(self.sig, self.field, data)
+        return Multivector._raw(self.sig, self.field, _ascending(data))
 
     def __add__(self, other) -> "Multivector":
         return self._combine(other, operator.add)
@@ -213,17 +236,15 @@ class Multivector:
         h, low, high = sign_table(self.sig)
         lo = (1 << h) - 1
         rhs = [(b, b & lo, b >> h, cb) for b, cb in other._terms.items()]
-        out: dict[int, complex] = {}
-        for a, ca in self._terms.items():
+        acc = [0j] * self.sig.blade_count
+        for a, ca in sorted(self._terms.items()):
             ah = a >> h
             row_lo, row_hi = low[ah.bit_count() & 1][a & lo], high[ah]
             for b, bl, bh, cb in rhs:
-                m = a ^ b
-                c = out.get(m, 0j) + row_lo[bl] * row_hi[bh] * ca * cb
-                if c == 0:
-                    out.pop(m, None)
-                else:
-                    out[m] = c
+                acc[a ^ b] += row_lo[bl] * row_hi[bh] * ca * cb
+        # a complex is true when nonzero: the masks of the nonzero slots,
+        # zipped with their values
+        out = dict(zip(compress(_MASKS, acc), filter(None, acc)))
         _require_finite(out)
         return Multivector._raw(self.sig, self.field, out)
 
@@ -276,9 +297,7 @@ class Multivector:
 
     def inf_norm(self) -> float:
         """max over stored terms of |re| + |im| (0.0 for the zero element)."""
-        if not self._terms:
-            return 0.0
-        return max(abs(c.real) + abs(c.imag) for c in self._terms.values())
+        return _inf_norm(self._terms.values())
 
     def real_inf_norm(self) -> float:
         if not self._terms:
@@ -302,14 +321,16 @@ class Multivector:
         The argument is halved until its inf-norm is at most 1, the series
         sum stops once the latest term's inf-norm drops below
         ``eps * (1 + inf-norm of the partial sum)``, and the result is
-        squared once per halving.  Raises ConvergenceFailure if the series
-        uses up ``max_terms`` terms first, or if the argument needs 52 or
-        more halvings: each squaring doubles the relative error, so after k
-        halvings it is about 2**k machine epsilons, and once
-        ``2**k * sys.float_info.epsilon >= 1`` no digit of the result is left.
+        squared once per halving.  ``eps`` must be positive and finite (an
+        infinite one would stop after the first term).  Raises
+        ConvergenceFailure if the series uses up ``max_terms`` terms first,
+        or if the argument needs 52 or more halvings: each squaring doubles
+        the relative error, so after k halvings it is about 2**k machine
+        epsilons, and once ``2**k * sys.float_info.epsilon >= 1`` no digit
+        of the result is left.
         """
-        if not (eps > 0.0):
-            raise ValueError("eps must be positive")
+        if not (math.isfinite(eps) and eps > 0.0):
+            raise ValueError("eps must be finite and positive")
         if max_terms < 1:
             raise ValueError("max_terms must be at least 1")
         u = self
@@ -322,20 +343,35 @@ class Multivector:
                 f"exp argument needs {halvings} halvings, which leave no "
                 f"correct digit (argument inf-norm {self.inf_norm()!r})"
             )
-        acc = Multivector.scalar(self.sig, 1.0, self.field)
-        term = acc
-        converged = False
+        acc = {0: 1 + 0j}
+        term = Multivector._raw(self.sig, self.field, dict(acc))
         for m in range(1, max_terms + 1):
-            term = term.geometric_product(u).scale(1.0 / m)
-            acc = acc + term
-            if term.inf_norm() < eps * (1.0 + acc.inf_norm()):
-                converged = True
+            # one public product per term; its 1/m scaling and the running
+            # sum share one pass.  The term stays finite (the product refuses
+            # overflow and 1/m <= 1), so only the sum needs a check.
+            r = 1.0 / m
+            data = {}
+            for k, c in term.geometric_product(u)._terms.items():
+                c *= r
+                if c:
+                    data[k] = c
+                    s = acc.get(k, 0j) + c
+                    if s:
+                        acc[k] = s
+                    else:
+                        del acc[k]
+            term = Multivector._raw(self.sig, self.field, data)
+            acc_norm = _inf_norm(acc.values())
+            if math.isinf(acc_norm):  # |re| + |im| can overflow on finite parts
+                _require_finite(acc)
+            if _inf_norm(data.values()) < eps * (1.0 + acc_norm):
                 break
-        if not converged:
+        else:
             raise ConvergenceFailure(
                 f"exp series not converged after {max_terms} terms "
                 f"(argument inf-norm {self.inf_norm()!r})"
             )
+        result = Multivector._raw(self.sig, self.field, _ascending(acc))
         for _ in range(halvings):
-            acc = acc.geometric_product(acc)
-        return acc
+            result = result.geometric_product(result)
+        return result

@@ -40,21 +40,28 @@ class CoeffClass(IntFlag):
     COMPLEX = 3
 
 
-def coeff_mul(a: CoeffClass, b: CoeffClass) -> CoeffClass:
-    """Class of a product of coefficients drawn from classes a and b."""
+# The lattice arithmetic below runs on plain ints: each operator on a
+# CoeffClass member goes through the enum machinery, about ten times slower.
+
+def _mul(a: int, b: int) -> int:
     ar, ai = a & 1, (a >> 1) & 1
     br, bi = b & 1, (b >> 1) & 1
     re = (ar & br) | (ai & bi)
     im = (ar & bi) | (ai & br)
-    return CoeffClass(re | (im << 1))
+    return re | (im << 1)
+
+
+def coeff_mul(a: CoeffClass, b: CoeffClass) -> CoeffClass:
+    """Class of a product of coefficients drawn from classes a and b."""
+    return CoeffClass(_mul(int(a), int(b)))
 
 
 def coeff_join(a: CoeffClass, b: CoeffClass) -> CoeffClass:
-    return CoeffClass(a | b)
+    return CoeffClass(int(a) | int(b))
 
 
 def coeff_le(a: CoeffClass, b: CoeffClass) -> bool:
-    return (a & ~b) == 0
+    return (int(a) & ~int(b)) == 0
 
 
 @dataclass(frozen=True)
@@ -187,11 +194,11 @@ class SubspacePattern:
         return QType.of(*(k for k in range(4) if self.classes[k] != CoeffClass.ZERO))
 
     def contains(self, other: "SubspacePattern") -> bool:
-        return all(coeff_le(other.classes[k], self.classes[k]) for k in range(4))
+        return all(map(coeff_le, other.classes, self.classes))
 
     def join(self, other: "SubspacePattern") -> "SubspacePattern":
         return SubspacePattern(
-            tuple(coeff_join(self.classes[k], other.classes[k]) for k in range(4))
+            tuple(int(a) | int(b) for a, b in zip(self.classes, other.classes))
         )
 
     def matches(self, mv: Multivector, tol: float = 0.0) -> bool:
@@ -207,10 +214,10 @@ class SubspacePattern:
         """Largest forbidden-part magnitude (0.0 when mv matches exactly)."""
         re, im, _ = _type_profile(mv)
         worst = 0.0
-        for k, cls in enumerate(self.classes):
-            if not cls & CoeffClass.REAL:
+        for k, cls in enumerate(map(int, self.classes)):
+            if not cls & CoeffClass.REAL.value:
                 worst = max(worst, re[k])
-            if not cls & CoeffClass.IMAGINARY:
+            if not cls & CoeffClass.IMAGINARY.value:
                 worst = max(worst, im[k])
         return worst
 
@@ -232,13 +239,10 @@ def pattern_compose(op: OpKind, p1: SubspacePattern, p2: SubspacePattern) -> Sub
         return pattern_compose(OpKind.COMMUTATOR, p1, p2).join(
             pattern_compose(OpKind.ANTICOMMUTATOR, p1, p2)
         )
-    classes = [CoeffClass.ZERO] * 4  # a ZERO class contributes ZERO below
-    for a in range(4):
-        for b in range(4):
-            target = main_compose(op, a, b)
-            classes[target] = coeff_join(
-                classes[target], coeff_mul(p1.classes[a], p2.classes[b])
-            )
+    classes = [0] * 4  # a ZERO class contributes ZERO below
+    for a, ca in enumerate(map(int, p1.classes)):
+        for b, cb in enumerate(map(int, p2.classes)):
+            classes[main_compose(op, a, b)] |= _mul(ca, cb)
     return SubspacePattern(tuple(classes))
 
 

@@ -159,12 +159,15 @@ def _draw_plan(sig: Signature, pattern: SubspacePattern,
     """(mask, draw real, draw imaginary) for every blade the pattern allows,
     in ascending mask order; only blades of grade ``rank`` when given.  The
     cache stays small: a signature has 256 patterns and n + 1 ranks."""
+    # per main type, on plain ints (CoeffClass operators are slow)
+    draws = [(bool(c & CoeffClass.REAL.value), bool(c & CoeffClass.IMAGINARY.value))
+             for c in map(int, pattern.classes)]
     plan = []
     for mask in sig.blades():
-        cls = pattern[grade(mask) & 3]
-        if cls and (rank is None or grade(mask) == rank):
-            plan.append((mask, bool(cls & CoeffClass.REAL),
-                         bool(cls & CoeffClass.IMAGINARY)))
+        g = grade(mask)
+        draw_re, draw_im = draws[g & 3]
+        if (draw_re or draw_im) and (rank is None or g == rank):
+            plan.append((mask, draw_re, draw_im))
     return tuple(plan)
 
 

@@ -419,6 +419,42 @@ def test_exp_parameter_validation():
         u.exp(max_terms=0)
 
 
+def test_exp_refuses_non_finite_eps():
+    # an infinite eps used to stop the series after one term: exp(e12) came
+    # back as 1 + e12 in Cl(2,0)
+    u = Multivector.basis_blade(Signature(2, 0), 0b11, 1, Field.REAL)
+    for eps in (math.inf, math.nan):
+        with pytest.raises(ValueError):
+            u.exp(eps=eps)
+
+
+def test_exp_makes_one_product_per_series_term_and_halving(monkeypatch):
+    calls = []
+    product = Multivector.geometric_product
+
+    def counted(a, b):
+        calls.append(a is b)
+        return product(a, b)
+
+    monkeypatch.setattr(Multivector, "geometric_product", counted)
+    sig = Signature(1, 1)
+    u = Multivector(sig, Field.REAL, {0b01: 1, 0b10: 1})  # u*u = 0
+    # series 1 + u, then the zero term u*u/2 stops it: two products
+    assert u.exp() == Multivector(sig, Field.REAL, {0: 1, 0b01: 1, 0b10: 1})
+    assert calls == [False, False]
+    calls.clear()
+    # inf-norm 4: two halvings, the same two series terms, two squarings
+    assert u.scale(4).exp() == Multivector(sig, Field.REAL, {0: 1, 0b01: 4, 0b10: 4})
+    assert calls == [False, False, True, True]
+    calls.clear()
+    # inf-norm 2.5: two halvings, and the series runs to many terms
+    w = Multivector(S22, Field.COMPLEX, {0b11: 0.7, 0b1100: 0.4j, 0b0110: -2.5})
+    w.exp()
+    series, squarings = calls[:-2], calls[-2:]
+    assert squarings == [True, True]
+    assert len(series) >= 10 and not any(series)
+
+
 # ----------------------------------------------------------------------
 # hypothesis properties
 
@@ -455,6 +491,45 @@ def test_commutator_antisymmetric(t1, t2):
     v = Multivector(S22, Field.COMPLEX, t2)
     assert u.commutator(v) == -v.commutator(u)
     assert u.anticommutator(v) == v.anticommutator(u)
+
+
+@st.composite
+def float_operands(draw):
+    """Signature at n = 3..6 and two lists of float terms on distinct
+    blades."""
+    n = draw(st.integers(3, 6))
+    p = draw(st.integers(0, n))
+    sig = Signature(p, n - p)
+    part = st.floats(-2, 2, allow_nan=False, allow_infinity=False)
+
+    def terms():
+        masks = draw(st.lists(st.integers(0, (1 << n) - 1), min_size=1,
+                              max_size=8, unique=True))
+        return [(m, complex(draw(part), draw(part))) for m in masks]
+
+    return sig, terms(), terms()
+
+
+_RESULTS = {
+    "gp": lambda u, v: u.geometric_product(v),
+    "comm": lambda u, v: u.commutator(v),
+    "anticomm": lambda u, v: u.anticommutator(v),
+    "exp": lambda u, v: u.exp(),
+}
+
+
+@settings(max_examples=60, deadline=None)
+@given(float_operands())
+def test_results_do_not_depend_on_term_order(operands):
+    sig, t1, t2 = operands
+    u, v = (Multivector(sig, Field.COMPLEX, t) for t in (t1, t2))
+    u_rev, v_rev = (Multivector(sig, Field.COMPLEX, t[::-1]) for t in (t1, t2))
+    assert u == u_rev and v == v_rev
+    for name, fn in _RESULTS.items():
+        result = fn(u, v)
+        assert result == fn(u_rev, v_rev), name
+        assert list(result.terms) == sorted(result.terms), name
+        assert all(result.terms.values()), name
 
 
 _double = st.floats(-1e308, 1e308)
