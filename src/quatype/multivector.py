@@ -215,7 +215,8 @@ class Multivector:
         c = _check_coeff(value, self.field)
         if c == 0:
             return Multivector.zero(self.sig, self.field)
-        data = {m: v * c for m, v in self._terms.items()}
+        # a product of nonzero doubles can underflow to zero
+        data = {m: p for m, v in self._terms.items() if (p := v * c)}
         _require_finite(data)
         return Multivector._raw(self.sig, self.field, data)
 

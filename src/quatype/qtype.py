@@ -170,6 +170,11 @@ class SubspacePattern:
     def __post_init__(self) -> None:
         if len(self.classes) != 4:
             raise ValueError("a pattern needs exactly four classes")
+        # CoeffClass(c) would keep an unknown int on the flag (4 prints as
+        # empty, -1 as COMPLEX) and take 3.0 or True as an int
+        if not all(isinstance(c, int) and not isinstance(c, bool) and 0 <= c <= 3
+                   for c in self.classes):
+            raise ValueError(f"coefficient classes must be ints 0..3, got {self.classes}")
         object.__setattr__(
             self, "classes", tuple(CoeffClass(c) for c in self.classes)
         )

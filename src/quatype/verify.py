@@ -16,8 +16,10 @@ which doubles no longer hold every integer.
 The axioms, grade ladders, type tables, subspace closures and theorems 5
 and 6 sample nothing by default: they are real-bilinear claims, so the
 census of basis-blade pairs (``_census``) decides them exactly at every
-signature.  Theorem 7 adds an exact half read from the census to its
-sampled exponentials.  ``Strategy.RANDOM`` samples all of them instead.
+signature; Lie-algebra membership, a real-linear claim, is decided on the
+real basis elements unit * blade (unit 1 or i).  Theorem 7 adds an exact
+half read from the census to its sampled exponentials.  ``Strategy.RANDOM``
+samples the census checks instead; ``wc`` never samples.
 """
 
 from __future__ import annotations
@@ -738,26 +740,18 @@ LIE_SUBALGEBRA_ROWS = (
 )
 
 
-def _unit_blades(sig: Signature, pattern: SubspacePattern) -> list[Multivector]:
-    """unit * blade for each (type, unit) the pattern grants at this n, on
-    the type's first blade (mask 2^t - 1)."""
-    return [Multivector.basis_blade(sig, (1 << t) - 1, unit)
-            for t in range(min(4, sig.n + 1))
-            for unit, bit in zip(_UNITS, (CoeffClass.REAL, CoeffClass.IMAGINARY))
-            if pattern[t] & bit]
-
-
 def _theorem6_census(cfg: CheckConfig, name: str, lie: SubspacePattern) -> CheckReport:
     """Membership from the lattice (lie inside WC_PATTERN) and from
-    conjugating one unit * blade per (type, unit) the pattern grants
-    (conjugation is real-linear and signs each blade by its type); closure
-    from the census."""
+    conjugating every real basis element unit * blade the pattern grants
+    (conjugation is real-linear, so conj(u) = -u on a basis holds on its
+    span); closure from the census."""
     sig = cfg.sig
     inside = WC_PATTERN.contains(lie)
     notes = "" if inside else (
         f"abstract membership fails: {lie} is not inside {WC_PATTERN}")
-    probes = _unit_blades(sig, lie)
-    for i, u in enumerate(probes, 2):
+    basis = _real_basis(sig, lie)
+    for i, (mask, unit) in enumerate(basis, 2):
+        u = Multivector.basis_blade(sig, mask, unit)
         anti = _wc_defect(u)
         if anti > cfg.tol:
             return _fail(name, i, "conj", u, None, "conj(u) + u", anti, notes)
@@ -771,7 +765,7 @@ def _theorem6_census(cfg: CheckConfig, name: str, lie: SubspacePattern) -> Check
     return CheckReport(
         name, CheckStatus.PASS, 1 + pairs, None,
         f"closure exact on all {pairs} real basis pairs; membership exact on "
-        f"{len(probes)} unit blade(s)",
+        f"{len(basis)} real basis elements",
     )
 
 
@@ -799,8 +793,9 @@ def _theorem6_row(cfg: CheckConfig, lie: SubspacePattern) -> CheckReport:
 def check_theorem6(cfg: CheckConfig) -> list[CheckReport]:
     """The four Lie subalgebras: commutator-closed and inside the Lie
     algebra (conj(u) = -u).  Exhaustive mode decides closure on every real
-    basis pair through the census and membership on unit blades; random
-    mode checks both exactly on integer samples."""
+    basis pair through the census and membership on every real basis
+    element of the subalgebra; random mode checks both exactly on integer
+    samples."""
     return [_theorem6_row(cfg, lie) for lie, _ in LIE_SUBALGEBRA_ROWS]
 
 
@@ -890,29 +885,29 @@ def check_theorem6_7(cfg: CheckConfig) -> list[CheckReport]:
 
 
 def check_wc_membership(cfg: CheckConfig) -> CheckReport:
-    """The two Lie algebra membership criteria (conj(u) = -u, and the
-    imaginary-0,1 / real-2,3 pattern) agree on every sample."""
-    name = "wc"
-    rng = SplitMix64(derive_subseed(cfg.seed, name))
-    cases = 0
-    for positive in (True, False):
-        source = WC_PATTERN if positive else _EVERYTHING
-        for _ in range(cfg.samples):
-            u = sample_pattern_mv(cfg.sig, source, rng, Field.COMPLEX)
-            cases += 1
-            by_conj = is_in_wc(u, cfg.tol)
-            by_pattern = WC_PATTERN.matches(u, cfg.tol)
-            if by_conj != by_pattern:
-                component = f"conjugation says {by_conj}, pattern says {by_pattern}"
-            elif positive and not by_conj:
-                component = "pattern sample rejected"
-            else:
-                continue
-            return _fail(name, cases, "conj", u, None, component, _wc_defect(u))
-    return CheckReport(
-        name, CheckStatus.PASS, cases, None,
-        "conjugation and pattern criteria agree on members and on generic elements",
-    )
+    """The two Lie algebra criteria, conj(u) = -u and ``WC_PATTERN``, hold
+    on the same subspace.  Each of the 2^(n+1) real basis elements e =
+    unit * blade must conjugate to +e or -e, get one verdict from both
+    criteria, and be accepted when the pattern grants it; conjugation is
+    real-linear, so that decides the equality exactly.  Samples nothing."""
+    name, sig = "wc", cfg.sig
+    granted = set(_real_basis(sig, WC_PATTERN))
+    basis = _real_basis(sig, _EVERYTHING)
+    for case, (mask, unit) in enumerate(basis, 1):
+        e = Multivector.basis_blade(sig, mask, unit)
+        conj = e.conjugate()
+        by_conj, by_pattern = is_in_wc(e, cfg.tol), WC_PATTERN.matches(e, cfg.tol)
+        if conj != e and conj != -e:
+            component = "conj(u) is neither u nor -u"
+        elif by_conj != by_pattern:
+            component = f"conjugation says {by_conj}, pattern says {by_pattern}"
+        elif (mask, unit) in granted and not by_conj:
+            component = "pattern element rejected"
+        else:
+            continue
+        return _fail(name, case, "conj", e, None, component, _wc_defect(e))
+    return CheckReport(name, CheckStatus.PASS, len(basis), None,
+                       "conjugation and pattern agree on every real basis element")
 
 
 def _projection_mismatch(u: Multivector) -> Optional[tuple[int, float]]:

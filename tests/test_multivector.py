@@ -14,6 +14,7 @@ from hypothesis import given, settings
 import hypothesis.strategies as st
 
 from quatype.blades import Signature, blade_indices
+from quatype.exprio import format_expression, parse_expression
 from quatype.multivector import (
     ConvergenceFailure,
     Field,
@@ -95,6 +96,17 @@ def test_overflowing_results_rejected():
         u.commutator(v)
     with pytest.raises(ValueError):
         u.scale(10)
+
+
+def test_scale_drops_underflowing_coefficients():
+    sig = Signature(2, 0)
+    zero = Multivector.zero(sig)
+    u = Multivector.scalar(sig, 1e-200).scale(1e-200)
+    assert u == zero and not u
+    assert Multivector.basis_blade(sig, 0b11, 1e-200j).scale(1e-200j) == zero
+    mixed = Multivector(sig, Field.COMPLEX, {0: 1e-200, 0b01: 1.0}).scale(1e-200)
+    assert mixed == Multivector.basis_blade(sig, 0b01, 1e-200)
+    assert parse_expression(format_expression(u), sig, u.field) == u
 
 
 def test_invalid_blade_mask_rejected():

@@ -233,6 +233,16 @@ def test_pattern_from_parts_and_str():
     assert p[1] is CoeffClass.IMAGINARY
     crossed = SubspacePattern.from_parts(real="02", imag="02")
     assert crossed[0] is CoeffClass.COMPLEX
+    assert SubspacePattern((0, 3, CoeffClass.REAL, 2)) == \
+        SubspacePattern.from_parts(real="12", imag="13")
+
+
+@pytest.mark.parametrize("bad", [4, -1, 3.0, True, "1", None])
+def test_pattern_refuses_classes_outside_0_to_3(bad):
+    # CoeffClass(4) is a pseudo-member that prints as empty, -1 became
+    # COMPLEX, and 3.0 and True were taken as ints
+    with pytest.raises(ValueError):
+        SubspacePattern((bad, 0, 0, 0))
 
 
 def test_pattern_matches_and_leakage():

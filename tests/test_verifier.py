@@ -257,8 +257,50 @@ def test_theorem7_exp_respects_config_budget():
         check_theorem7(cfg)
 
 
-def test_wc_membership_check_passes():
-    assert check_wc_membership(cfg_for(S22, samples=50)).status is CheckStatus.PASS
+def test_wc_membership_check_passes(monkeypatch):
+    def no_draws(self):
+        raise AssertionError("wc drew a sample")
+
+    monkeypatch.setattr(SplitMix64, "next_u64", no_draws)
+    for sig in (Signature(1, 0), S22, Signature(3, 2)):
+        report = check_wc_membership(cfg_for(sig, samples=50))
+        assert report.status is CheckStatus.PASS
+        assert report.cases_run == 2 ** (sig.n + 1)
+
+
+def test_grade4_sign_error_fails_theorem6_and_wc(monkeypatch):
+    # One probe per main type cannot see this: types 0..3 first occur at
+    # grades 0..3.
+    original = Multivector.conjugate
+
+    def conjugate(self):
+        return original(self) - 2 * original(self).grade_project(4)
+
+    monkeypatch.setattr(Multivector, "conjugate", conjugate)
+    sig = Signature(4, 0)
+    reports = {r.name: r for r in check_theorem6(cfg_for(sig))}
+    # i e1234 is the last of the 8 real basis elements of 2+i0 (i, six
+    # bivectors, i e1234), counted after the abstract case
+    assert reports["theorem6:2+i0"].to_dict() == _failed("theorem6:2+i0", 9, (
+        "(0+1i)e1234", None, "conj", "conj(u) + u", 2.0))
+    # e1234 is the 31st of the 32 real basis elements of the whole algebra
+    assert check_wc_membership(cfg_for(sig)).to_dict() == _failed("wc", 31, (
+        "e1234", None, "conj", "conjugation says True, pattern says False", 0.0))
+
+
+def test_wc_non_diagonal_conjugation_fails(monkeypatch):
+    swap = {0b001: 0b010, 0b010: 0b001}  # e1 <-> e2, everything else fixed
+    original = Multivector.conjugate
+
+    def conjugate(self):
+        image = original(self)
+        return Multivector(self.sig, self.field,
+                           {swap.get(m, m): c for m, c in image.terms.items()})
+
+    monkeypatch.setattr(Multivector, "conjugate", conjugate)
+    # 1 and i pass; e1 is the 3rd real basis element
+    assert check_wc_membership(cfg_for(Signature(2, 1))).to_dict() == _failed(
+        "wc", 3, ("e1", None, "conj", "conj(u) is neither u nor -u", 1.0))
 
 
 def test_rank_coincidence_small_and_skip():
@@ -501,9 +543,10 @@ def test_run_suite_deterministic():
 
 def test_reports_independent_of_suite_composition():
     cfg = cfg_for(S22, seed=7, samples=10)
-    alone = run_suite(["wc"], cfg)[0]
-    with_others = [r for r in run_suite(["theorems"], cfg) if r.name == "wc"][0]
-    assert alone.to_dict() == with_others.to_dict()
+    alone = run_suite(["theorem7"], cfg)
+    with_others = [r for r in run_suite(["theorems"], cfg)
+                   if r.name.startswith("theorem7:")]
+    assert [r.to_dict() for r in alone] == [r.to_dict() for r in with_others]
 
 
 def test_report_serialization_shape():
@@ -794,17 +837,16 @@ def test_wc_membership_disagreement_fail_report(monkeypatch):
                         SubspacePattern.from_parts(real="01", imag="23"))
     report = check_wc_membership(cfg_for(S21, samples=5))
     assert report.to_dict() == _failed("wc", 1, (
-        "3 + 3e1 + 2e2 + (0+3i)e12 + (0+3i)e13 + (0+3i)e23 + (0+3i)e123", None, "conj",
-        "conjugation says False, pattern says True", 6.0))
+        "1", None, "conj", "conjugation says False, pattern says True", 2.0))
 
 
 def test_wc_membership_rejected_sample_fail_report(monkeypatch):
     monkeypatch.setattr(verify, "is_in_wc", lambda u, tol=1e-12: False)
     monkeypatch.setattr(SubspacePattern, "matches", lambda self, mv, tol=0.0: False)
     report = check_wc_membership(cfg_for(S21, samples=5))
-    assert report.to_dict() == _failed("wc", 1, (
-        "(0+3i) + (0+3i)e1 + (0+2i)e2 + 3e12 + 3e13 + 3e23 + 3e123", None, "conj",
-        "pattern sample rejected", 0.0))
+    # i, the 2nd real basis element, is the first that the pattern grants
+    assert report.to_dict() == _failed("wc", 2, (
+        "(0+1i)", None, "conj", "pattern element rejected", 0.0))
 
 
 def test_rank_detect_fail_report(monkeypatch):
