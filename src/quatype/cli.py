@@ -24,12 +24,12 @@ from .exprio import (
 )
 from .multivector import AlgebraError, ConvergenceFailure, Field, Multivector
 from .qtype import OpKind, TYPE_ORDER, detect_qtype, emit_table, pattern_of
-from .verify import SUITE_NAMES, CheckConfig, CheckStatus, _apply, run_suite
+from .verify import SUITE_NAMES, CheckConfig, CheckStatus, run_suite
 
 _BINARY_OPS = {
-    "gp": OpKind.GEOMETRIC,
-    "comm": OpKind.COMMUTATOR,
-    "anticomm": OpKind.ANTICOMMUTATOR,
+    "gp": "geometric_product",
+    "comm": "commutator",
+    "anticomm": "anticommutator",
 }
 
 
@@ -49,7 +49,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     v.add_argument("--suite", default="all", choices=SUITE_NAMES,
                    help="which checks to run: a group or a single check")
-    v.add_argument("--samples", type=int, default=200, help="random sample budget")
+    v.add_argument("--samples", type=int, default=200,
+                   help="exp witness samples per theorem7 row")
     v.add_argument("--seed", type=int, default=0, help="base seed for sampling")
     v.add_argument("--tol", type=float, default=1e-12, help="leakage tolerance")
     v.add_argument("--format", default="text", choices=["text", "json"],
@@ -193,7 +194,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
         if lhs.field is not rhs.field:  # promote the real side
             lhs = Multivector(sig, Field.COMPLEX, dict(lhs.terms))
             rhs = Multivector(sig, Field.COMPLEX, dict(rhs.terms))
-        result = _apply(_BINARY_OPS[args.op], lhs, rhs)
+        result = getattr(lhs, _BINARY_OPS[args.op])(rhs)
     print(format_expression(result))
     print(json.dumps(mv_to_document(result)))
     return 0

@@ -185,10 +185,11 @@ class SubspacePattern:
         types granted an imaginary part ("02", "13", ...); a digit in both
         gets a full complex coefficient."""
         classes = [CoeffClass.ZERO] * 4
-        for ch in real:
-            classes[int(ch)] |= CoeffClass.REAL
-        for ch in imag:
-            classes[int(ch)] |= CoeffClass.IMAGINARY
+        for part, digits in ((CoeffClass.REAL, real), (CoeffClass.IMAGINARY, imag)):
+            for ch in digits:
+                if ch not in "0123":
+                    raise ValueError(f"type digit {ch!r} must be 0..3")
+                classes[int(ch)] |= part
         return cls(tuple(classes))
 
     def __getitem__(self, kbar: int) -> CoeffClass:

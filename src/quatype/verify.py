@@ -1,25 +1,23 @@
 """Verification harness for the mod-4 grading layer.
 
-Every check is deterministic: random sampling runs on a splitmix64 generator
-whose stream is seeded by hashing ``(cfg.seed, check name)`` with FNV-1a, so
-two runs with the same config produce byte-identical reports, and a reported
+Each claim has one exact decision procedure.  The axioms, grade ladders,
+type tables, subspace closures and theorems 5 and 6 are real-bilinear
+claims, so the census of basis-blade pairs (``_census``) decides them at
+every signature.  Lie-algebra membership is real-linear and is decided on
+the real basis elements unit * blade (unit 1 or i); rank coincidence
+compares two linear projections on every basis blade.  Theorem 7 proves
+both of its claims from the census and then exponentiates sampled elements
+as a numeric witness; nothing else samples.
+
+The witness is deterministic: it runs on a splitmix64 generator whose
+stream is seeded by hashing ``(cfg.seed, check name)`` with FNV-1a, so two
+runs with the same config produce byte-identical reports, and a reported
 counterexample can be replayed by any implementation of the same generator
-(the update and output constants are in ``SplitMix64``).
-
-Sampling draws integer coefficients in [-3, 3] per allowed blade (ascending
-blade masks, real part before imaginary part), which keeps every algebraic
-check exact: closure and axiom checks compare against zero, not against a
-float tolerance, unless the caller widens ``cfg.tol``.  ``_sample`` refuses
-bounds under which a bracket of two samples could sum to 2^53 or more, past
-which doubles no longer hold every integer.
-
-The axioms, grade ladders, type tables, subspace closures and theorems 5
-and 6 sample nothing by default: they are real-bilinear claims, so the
-census of basis-blade pairs (``_census``) decides them exactly at every
-signature; Lie-algebra membership, a real-linear claim, is decided on the
-real basis elements unit * blade (unit 1 or i).  Theorem 7 adds an exact
-half read from the census to its sampled exponentials.  ``Strategy.RANDOM``
-samples the census checks instead; ``wc`` never samples.
+(the update and output constants are in ``SplitMix64``).  Sampling draws
+integer coefficients in [-3, 3] per allowed blade (ascending blade masks,
+real part before imaginary part); ``sample_pattern_mv`` refuses bounds
+under which a bracket of two samples could sum to 2^53 or more, past which
+doubles no longer hold every integer.
 """
 
 from __future__ import annotations
@@ -38,7 +36,6 @@ from .qtype import (
     QType,
     SubspacePattern,
     TYPE_ORDER,
-    _type_profile,
     detect_qtype,
     is_closed,
     main_compose,
@@ -85,7 +82,6 @@ def derive_subseed(seed: int, name: str) -> int:
 
 class Strategy(Enum):
     EXHAUSTIVE = "exhaustive"
-    RANDOM = "random"
 
 
 class CheckStatus(Enum):
@@ -100,9 +96,8 @@ class CheckConfig:
     seed: int = 0
     samples: int = 200
     tol: float = 1e-12
-    # EXHAUSTIVE: axioms, grade ladders, tables, closures and theorems 5-7
-    # read the blade-pair census, which is exact at every n; RANDOM samples
-    # them instead.
+    # The one strategy: every claim is decided exactly at every n, and
+    # ``samples`` sizes only theorem 7's exp witness.
     strategy: Strategy = Strategy.EXHAUSTIVE
     exp_eps: float = 1e-14
     exp_max_terms: int = 200
@@ -156,26 +151,33 @@ class UnknownCheck(Exception):
 # sampling
 
 @lru_cache(maxsize=None)
-def _draw_plan(sig: Signature, pattern: SubspacePattern,
-               rank: Optional[int] = None) -> tuple[tuple[int, bool, bool], ...]:
+def _draw_plan(sig: Signature,
+               pattern: SubspacePattern) -> tuple[tuple[int, bool, bool], ...]:
     """(mask, draw real, draw imaginary) for every blade the pattern allows,
-    in ascending mask order; only blades of grade ``rank`` when given.  The
-    cache stays small: a signature has 256 patterns and n + 1 ranks."""
+    in ascending mask order.  The cache stays small: a signature has 256
+    patterns."""
     # per main type, on plain ints (CoeffClass operators are slow)
     draws = [(bool(c & CoeffClass.REAL.value), bool(c & CoeffClass.IMAGINARY.value))
              for c in map(int, pattern.classes)]
     plan = []
     for mask in sig.blades():
-        g = grade(mask)
-        draw_re, draw_im = draws[g & 3]
-        if (draw_re or draw_im) and (rank is None or g == rank):
+        draw_re, draw_im = draws[grade(mask) & 3]
+        if draw_re or draw_im:
             plan.append((mask, draw_re, draw_im))
     return tuple(plan)
 
 
-def _sample(sig: Signature, plan: tuple[tuple[int, bool, bool], ...],
-            rng: SplitMix64, field: Field,
-            lo: int = -3, hi: int = 3) -> Multivector:
+def sample_pattern_mv(sig: Signature, pattern: SubspacePattern, rng: SplitMix64,
+                      field: Field, lo: int = -3, hi: int = 3) -> Multivector:
+    """Integer-coefficient element matching ``pattern``.
+
+    Blades are visited in ascending mask order; for each allowed part the
+    next integer is drawn (real part first), so the element is a pure
+    function of the generator state.  Raises FieldMismatch when the field is
+    real and the pattern grants an imaginary part, and ValueError when the
+    range is empty or a bracket of two draws could leave the exact integers.
+    """
+    _check_field(pattern, field)
     # A bracket of two samples sums up to 2^n terms per blade, each at most
     # 4 m^2 (two products of two parts each); integers stay exact in a double
     # only below 2^53.
@@ -186,7 +188,7 @@ def _sample(sig: Signature, plan: tuple[tuple[int, bool, bool], ...],
     # no validating constructor: the plan's masks are valid and distinct,
     # and every kept draw is a nonzero integer
     terms = {}
-    for mask, draw_re, draw_im in plan:
+    for mask, draw_re, draw_im in _draw_plan(sig, pattern):
         re = rng.next_int(lo, hi) if draw_re else 0
         im = rng.next_int(lo, hi) if draw_im else 0
         if re or im:
@@ -194,51 +196,13 @@ def _sample(sig: Signature, plan: tuple[tuple[int, bool, bool], ...],
     return Multivector._raw(sig, field, terms)
 
 
-def sample_pattern_mv(sig: Signature, pattern: SubspacePattern, rng: SplitMix64,
-                      field: Field, lo: int = -3, hi: int = 3) -> Multivector:
-    """Integer-coefficient element matching ``pattern``.
-
-    Blades are visited in ascending mask order; for each allowed part the
-    next integer is drawn (real part first), so the element is a pure
-    function of the generator state.  Raises FieldMismatch when the field is
-    real and the pattern grants an imaginary part, and ValueError when a
-    bracket of two draws could leave the exact integers (see ``_sample``).
-    """
-    _check_field(pattern, field)
-    return _sample(sig, _draw_plan(sig, pattern), rng, field, lo, hi)
-
-
 def _check_field(pattern: SubspacePattern, field: Field) -> None:
     if field is Field.REAL and any(c & CoeffClass.IMAGINARY for c in pattern.classes):
         raise FieldMismatch(f"pattern {pattern} has imaginary parts in a real field")
 
 
-def _field_pattern(qt: QType, field: Field) -> SubspacePattern:
-    cls = CoeffClass.COMPLEX if field is Field.COMPLEX else CoeffClass.REAL
-    return SubspacePattern(tuple(cls if k in qt else CoeffClass.ZERO for k in range(4)))
-
-
-def sample_type_mv(sig: Signature, qt: QType, rng: SplitMix64,
-                   field: Field = Field.COMPLEX) -> Multivector:
-    return _sample(sig, _draw_plan(sig, _field_pattern(qt, field)), rng, field)
-
-
-def sample_rank_mv(sig: Signature, k: int, rng: SplitMix64,
-                   field: Field = Field.COMPLEX) -> Multivector:
-    plan = _draw_plan(sig, _field_pattern(QType.of(k & 3), field), k)
-    return _sample(sig, plan, rng, field)
-
-
 # ----------------------------------------------------------------------
 # shared by the checks
-
-def _apply(op: OpKind, u: Multivector, v: Multivector) -> Multivector:
-    if op is OpKind.COMMUTATOR:
-        return u.commutator(v)
-    if op is OpKind.ANTICOMMUTATOR:
-        return u.anticommutator(v)
-    return u.geometric_product(v)
-
 
 def _blade(sig: Signature, mask: int) -> Multivector:
     return Multivector.basis_blade(sig, mask, 1, Field.REAL)
@@ -414,43 +378,24 @@ def check_quaternion_axioms(
     """Main-type composition: op(U, V) lands in the single type given by
     ``rule`` for every pair of main types.
 
-    Exhaustive mode reads every cell of the blade-pair census, which
-    settles the claim for whole type subspaces because both operations are
-    bilinear.  ``rule`` exists so the test suite can corrupt the table and
-    watch the check fail.
+    Every cell of the blade-pair census is read, which settles the claim
+    for whole type subspaces because both operations are bilinear.
+    ``rule`` exists so the test suite can corrupt the table and watch the
+    check fail.
     """
     if op is OpKind.GEOMETRIC:
         raise ValueError("axioms cover the commutator and anticommutator")
     name = f"axioms:{op.value}"
     sig = cfg.sig
-    if cfg.strategy is Strategy.EXHAUSTIVE:
-        for a, b, k, l, g, s in _census(sig):
-            coeff = _coefficient(op, s)
-            target = rule(op, k & 3, l & 3)
-            if coeff and g & 3 != target:
-                return _pair_fail(name, sig, a, b, op,
-                                  f"type {g & 3} (expected {target})", coeff)
-        cases = sig.blade_count ** 2
-        notes = ("all basis-blade pairs checked exactly; bilinearity extends "
-                 "the result to the full type subspaces")
-    else:
-        rng = SplitMix64(derive_subseed(cfg.seed, name))
-        cases = 0
-        per_pair = max(1, cfg.samples // 16)
-        for t1 in range(4):
-            for t2 in range(4):
-                target = rule(op, t1, t2)
-                for _ in range(per_pair):
-                    u = sample_type_mv(sig, QType.of(t1), rng)
-                    v = sample_type_mv(sig, QType.of(t2), rng)
-                    _, _, mag = _type_profile(_apply(op, u, v))
-                    cases += 1
-                    leak = max(mag[k] for k in range(4) if k != target)
-                    if leak > cfg.tol:
-                        return _fail(name, cases, op.value, u, v,
-                                     f"outside type {target}", leak)
-        notes = f"random integer samples, {per_pair} per main-type pair"
-    return CheckReport(name, CheckStatus.PASS, cases, None, notes)
+    for a, b, k, l, g, s in _census(sig):
+        coeff = _coefficient(op, s)
+        target = rule(op, k & 3, l & 3)
+        if coeff and g & 3 != target:
+            return _pair_fail(name, sig, a, b, op,
+                              f"type {g & 3} (expected {target})", coeff)
+    return CheckReport(name, CheckStatus.PASS, sig.blade_count ** 2, None,
+                       "all basis-blade pairs checked exactly; bilinearity "
+                       "extends the result to the full type subspaces")
 
 
 def _grade_residue(op: OpKind, k: int, l: int) -> int:
@@ -470,43 +415,19 @@ _BRACKETS = (OpKind.COMMUTATOR, OpKind.ANTICOMMUTATOR)
 def check_grade_pattern(cfg: CheckConfig) -> CheckReport:
     """Rank-level refinement: op on ranks (k, l) only reaches grades in one
     residue class mod 4 (k-l or k-l+2, depending on the operation and on the
-    parities of the ordered ranks).  Exhaustive mode reads every cell of the
-    blade-pair census."""
+    parities of the ordered ranks).  Reads every cell of the blade-pair
+    census."""
     name = "grades"
     sig = cfg.sig
-    if cfg.strategy is Strategy.EXHAUSTIVE:
-        for a, b, k, l, g, s in _census(sig):
-            for op in _BRACKETS:
-                coeff = _coefficient(op, s)
-                want = _grade_residue(op, k, l)
-                if coeff and g & 3 != want:
-                    return _pair_fail(name, sig, a, b, op,
-                                      f"grade {g} (want residue {want})", coeff)
-        cases = sig.blade_count ** 2
-        notes = "all basis-blade pairs, both operations, exact"
-    else:
-        rng = SplitMix64(derive_subseed(cfg.seed, name))
-        cases = 0
-        n = sig.n
-        per_pair = max(1, cfg.samples // ((n + 1) * (n + 1)))
-        for k in range(n + 1):
-            for l in range(n + 1):
-                for _ in range(per_pair):
-                    u = sample_rank_mv(sig, k, rng)
-                    v = sample_rank_mv(sig, l, rng)
-                    cases += 1
-                    for op in _BRACKETS:
-                        w = _apply(op, u, v)
-                        want = _grade_residue(op, k, l)
-                        for m in w.terms:
-                            if grade(m) & 3 != want:
-                                return _fail(
-                                    name, cases, op.value, u, v,
-                                    f"grade {grade(m)} (want residue {want})",
-                                    w.grade_project(grade(m)).inf_norm(),
-                                )
-        notes = f"random integer samples, {per_pair} per rank pair, both operations"
-    return CheckReport(name, CheckStatus.PASS, cases, None, notes)
+    for a, b, k, l, g, s in _census(sig):
+        for op in _BRACKETS:
+            coeff = _coefficient(op, s)
+            want = _grade_residue(op, k, l)
+            if coeff and g & 3 != want:
+                return _pair_fail(name, sig, a, b, op,
+                                  f"grade {g} (want residue {want})", coeff)
+    return CheckReport(name, CheckStatus.PASS, sig.blade_count ** 2, None,
+                       "all basis-blade pairs, both operations, exact")
 
 
 def check_type_table(op: OpKind, cfg: CheckConfig) -> CheckReport:
@@ -514,59 +435,35 @@ def check_type_table(op: OpKind, cfg: CheckConfig) -> CheckReport:
     each type pair stays inside the table cell.  Tightness (how much of each
     cell is reached) is only reported, as cell coverage.
 
-    Exhaustive mode reads the blade-pair census.  By bilinearity a composite
-    cell reaches exactly the union of what its main-type cells reach, so
-    soundness and coverage are both exact.  Random mode samples every cell."""
+    Reads the blade-pair census.  By bilinearity a composite cell reaches
+    exactly the union of what its main-type cells reach, so soundness and
+    coverage are both exact."""
     name = f"tables:{op.value}"
     sig = cfg.sig
     cells = [[qtype_compose(op, t1, t2) for t2 in TYPE_ORDER] for t1 in TYPE_ORDER]
     reached = [[0] * len(TYPE_ORDER) for _ in TYPE_ORDER]
-
-    if cfg.strategy is Strategy.EXHAUSTIVE:
-        # Indices of the types that hold main type k; k itself comes first.
-        holding = [[i for i, t in enumerate(TYPE_ORDER) if k in t] for k in range(4)]
-        for a, b, k, l, g, s in _census(sig):
-            coeff = _coefficient(op, s)
-            if not coeff:
-                continue
-            got = QType.of(g & 3)
-            for i in holding[k & 3]:
-                for j in holding[l & 3]:
-                    if not got <= cells[i][j]:
-                        return _pair_fail(name, sig, a, b, op,
-                                          f"type {got} outside cell {cells[i][j]}",
-                                          coeff)
-                    reached[i][j] |= got.mask
-        cases = sig.blade_count ** 2
-        evidence = "soundness and coverage exact from all basis-blade pairs"
-    else:
-        rng = SplitMix64(derive_subseed(cfg.seed, name))
-        per_cell = max(8, cfg.samples // 25)
-        cases = 0
-        for i, t1 in enumerate(TYPE_ORDER):
-            for j, t2 in enumerate(TYPE_ORDER):
-                for _ in range(per_cell):
-                    u = sample_type_mv(sig, t1, rng)
-                    v = sample_type_mv(sig, t2, rng)
-                    w = _apply(op, u, v)
-                    got = detect_qtype(w, 0.0)
-                    cases += 1
-                    if not got <= cells[i][j]:
-                        bad = next(k for k in got if k not in cells[i][j])
-                        return _fail(name, cases, op.value, u, v,
-                                     f"type {got} outside cell {cells[i][j]}",
-                                     w.qtype_project(bad).inf_norm())
-                    reached[i][j] |= got.mask
-        evidence = f"soundness exact on every cell, {per_cell} sample pairs each"
+    # Indices of the types that hold main type k; k itself comes first.
+    holding = [[i for i, t in enumerate(TYPE_ORDER) if k in t] for k in range(4)]
+    for a, b, k, l, g, s in _census(sig):
+        coeff = _coefficient(op, s)
+        if not coeff:
+            continue
+        got = QType.of(g & 3)
+        for i in holding[k & 3]:
+            for j in holding[l & 3]:
+                if not got <= cells[i][j]:
+                    return _pair_fail(name, sig, a, b, op,
+                                      f"type {got} outside cell {cells[i][j]}", coeff)
+                reached[i][j] |= got.mask
 
     possible = sum(len(cell.members) for row in cells for cell in row)
     hit = sum(len(QType(r & cell.mask).members)
               for row, cell_row in zip(reached, cells)
               for r, cell in zip(row, cell_row))
     coverage = 100.0 * hit / possible if possible else 100.0
-    return CheckReport(name, CheckStatus.PASS, cases, None,
-                       f"{evidence}; cell coverage {coverage:.1f}% "
-                       "(reported, not asserted)")
+    return CheckReport(name, CheckStatus.PASS, sig.blade_count ** 2, None,
+                       "soundness and coverage exact from all basis-blade pairs; "
+                       f"cell coverage {coverage:.1f}% (reported, not asserted)")
 
 
 def check_pattern_closure(
@@ -580,47 +477,27 @@ def check_pattern_closure(
     and concretely.  Callable with any pattern, so deliberately non-closed
     subspaces serve as negative controls.
 
-    Exhaustive mode reads the blade-pair census: every real basis pair
-    (unit * blade, unit 1 or i as the pattern grants) is decided exactly,
-    and the report counts the abstract case plus those pairs, or plus the
-    failing pair's position.  Random mode draws integer sample pairs; when
-    the abstract composition already leaks, they only look for a concrete
-    witness (at least 16 pairs), and the report counts the abstract case
-    plus the witness if one turned up.  Either way an abstract leak without
-    a concrete witness FAILs with one case."""
+    The blade-pair census decides every real basis pair (unit * blade,
+    unit 1 or i as the pattern grants) exactly, and the report counts the
+    abstract case plus those pairs, or plus the failing pair's position.
+    An abstract leak without a concrete witness FAILs with one case."""
     label = name or f"closure:{op.value}:{field.value}:{pattern}"
     composed = pattern_compose(op, pattern, pattern)
     contained = pattern.contains(composed)
     notes = "" if contained else (
         f"abstract composition leaks: {pattern} composes to {composed}")
-    if cfg.strategy is Strategy.EXHAUSTIVE:
-        _check_field(pattern, field)
-        leak = _census_leak(cfg.sig, op, pattern, pattern, pattern)
-        if leak:
-            return _leak_fail(label, 1, cfg.sig, op, pattern, pattern, leak,
-                              f"outside pattern {pattern}", notes, field)
-        if not contained:
-            return CheckReport(label, CheckStatus.FAIL, 1, None, notes)
-        pairs = _pair_count(cfg.sig, pattern, pattern)
-        return CheckReport(
-            label, CheckStatus.PASS, 1 + pairs, None,
-            f"abstract composition contained; census decides all {pairs} "
-            "real basis pairs",
-        )
-    rng = SplitMix64(derive_subseed(cfg.seed, label))
-    pairs = cfg.samples if contained else max(cfg.samples, 16)
-    for i in range(1, pairs + 1):
-        u = sample_pattern_mv(cfg.sig, pattern, rng, field)
-        v = sample_pattern_mv(cfg.sig, pattern, rng, field)
-        leak = pattern.leakage(_apply(op, u, v))
-        if leak > cfg.tol:
-            return _fail(label, 1 + (i if contained else 1), op.value, u, v,
-                         f"outside pattern {pattern}", leak, notes)
+    _check_field(pattern, field)
+    leak = _census_leak(cfg.sig, op, pattern, pattern, pattern)
+    if leak:
+        return _leak_fail(label, 1, cfg.sig, op, pattern, pattern, leak,
+                          f"outside pattern {pattern}", notes, field)
     if not contained:
         return CheckReport(label, CheckStatus.FAIL, 1, None, notes)
+    pairs = _pair_count(cfg.sig, pattern, pattern)
     return CheckReport(
         label, CheckStatus.PASS, 1 + pairs, None,
-        f"abstract composition contained; {cfg.samples} integer sample pairs",
+        f"abstract composition contained; census decides all {pairs} "
+        "real basis pairs",
     )
 
 
@@ -691,11 +568,8 @@ WC_RELATIONS = (
 def check_theorem5(cfg: CheckConfig) -> CheckReport:
     """Commutator relations among the four constituents of the Lie algebra
     (imaginary types 0 and 1, real types 2 and 3), each checked abstractly
-    and then on every real basis pair through the census (exhaustive mode)
-    or on integer sample pairs (random mode)."""
+    and then on every real basis pair through the census."""
     name = "theorem5"
-    rng = SplitMix64(derive_subseed(cfg.seed, name))
-    census = cfg.strategy is Strategy.EXHAUSTIVE
     cases = 0
     for p1, p2, target in WC_RELATIONS:
         composed = pattern_compose(OpKind.COMMUTATOR, p1, p2)
@@ -705,25 +579,14 @@ def check_theorem5(cfg: CheckConfig) -> CheckReport:
                 name, CheckStatus.FAIL, cases, None,
                 f"abstract relation [{p1}, {p2}] leaks outside {target}",
             )
-        if census:
-            leak = _census_leak(cfg.sig, OpKind.COMMUTATOR, p1, p2, target)
-            if leak:
-                return _leak_fail(name, cases, cfg.sig, OpKind.COMMUTATOR, p1, p2,
-                                  leak, f"[{p1}, {p2}] outside {target}")
-            cases += _pair_count(cfg.sig, p1, p2)
-            continue
-        for _ in range(cfg.samples):
-            u = sample_pattern_mv(cfg.sig, p1, rng, Field.COMPLEX)
-            v = sample_pattern_mv(cfg.sig, p2, rng, Field.COMPLEX)
-            cases += 1
-            leak = target.leakage(u.commutator(v))
-            if leak > cfg.tol:
-                return _fail(name, cases, "comm", u, v,
-                             f"[{p1}, {p2}] outside {target}", leak)
-    evidence = ("every real basis pair through the census" if census
-                else f"{cfg.samples} integer sample pairs each")
+        leak = _census_leak(cfg.sig, OpKind.COMMUTATOR, p1, p2, target)
+        if leak:
+            return _leak_fail(name, cases, cfg.sig, OpKind.COMMUTATOR, p1, p2,
+                              leak, f"[{p1}, {p2}] outside {target}")
+        cases += _pair_count(cfg.sig, p1, p2)
     return CheckReport(name, CheckStatus.PASS, cases, None,
-                       f"10 relations, abstract plus {evidence}")
+                       "10 relations, abstract plus every real basis pair "
+                       "through the census")
 
 
 # Commutator-closed subspaces of the Lie algebra, with the ambient pattern
@@ -740,12 +603,15 @@ LIE_SUBALGEBRA_ROWS = (
 )
 
 
-def _theorem6_census(cfg: CheckConfig, name: str, lie: SubspacePattern) -> CheckReport:
-    """Membership from the lattice (lie inside WC_PATTERN) and from
-    conjugating every real basis element unit * blade the pattern grants
-    (conjugation is real-linear, so conj(u) = -u on a basis holds on its
-    span); closure from the census."""
-    sig = cfg.sig
+def _theorem6_row(cfg: CheckConfig, lie: SubspacePattern) -> CheckReport:
+    """Closure from the lattice (``is_closed``) and from the census;
+    membership from the lattice (lie inside WC_PATTERN) and from conjugating
+    every real basis element unit * blade the pattern grants (conjugation
+    is real-linear, so conj(u) = -u on a basis holds on its span)."""
+    name, sig = f"theorem6:{lie}", cfg.sig
+    if not is_closed(OpKind.COMMUTATOR, lie):
+        return CheckReport(name, CheckStatus.FAIL, 1, None,
+                           "abstract commutator closure fails")
     inside = WC_PATTERN.contains(lie)
     notes = "" if inside else (
         f"abstract membership fails: {lie} is not inside {WC_PATTERN}")
@@ -769,33 +635,11 @@ def _theorem6_census(cfg: CheckConfig, name: str, lie: SubspacePattern) -> Check
     )
 
 
-def _theorem6_row(cfg: CheckConfig, lie: SubspacePattern) -> CheckReport:
-    name = f"theorem6:{lie}"
-    if not is_closed(OpKind.COMMUTATOR, lie):
-        return CheckReport(name, CheckStatus.FAIL, 1, None,
-                           "abstract commutator closure fails")
-    if cfg.strategy is Strategy.EXHAUSTIVE:
-        return _theorem6_census(cfg, name, lie)
-    rng = SplitMix64(derive_subseed(cfg.seed, name))
-    for i in range(2, cfg.samples + 2):
-        u = sample_pattern_mv(cfg.sig, lie, rng, Field.COMPLEX)
-        v = sample_pattern_mv(cfg.sig, lie, rng, Field.COMPLEX)
-        anti = _wc_defect(u)
-        if anti > cfg.tol:
-            return _fail(name, i, "conj", u, None, "conj(u) + u", anti)
-        leak = lie.leakage(u.commutator(v))
-        if leak > cfg.tol:
-            return _fail(name, i, "comm", u, v, f"outside pattern {lie}", leak)
-    return CheckReport(name, CheckStatus.PASS, 1 + cfg.samples, None,
-                       f"closure and membership exact on {cfg.samples} samples")
-
-
 def check_theorem6(cfg: CheckConfig) -> list[CheckReport]:
     """The four Lie subalgebras: commutator-closed and inside the Lie
-    algebra (conj(u) = -u).  Exhaustive mode decides closure on every real
-    basis pair through the census and membership on every real basis
-    element of the subalgebra; random mode checks both exactly on integer
-    samples."""
+    algebra (conj(u) = -u), decided exactly: closure on every real basis
+    pair through the census, membership on every real basis element of the
+    subalgebra."""
     return [_theorem6_row(cfg, lie) for lie, _ in LIE_SUBALGEBRA_ROWS]
 
 
@@ -833,14 +677,10 @@ def _theorem7_exact(cfg: CheckConfig, name: str, lie: SubspacePattern,
 def _theorem7_row(cfg: CheckConfig, lie: SubspacePattern,
                   ambient: SubspacePattern, group_tol: float) -> CheckReport:
     name = f"theorem7:{lie}->{ambient}"
-    cases, exact = 0, ""
-    if cfg.strategy is Strategy.EXHAUSTIVE:
-        report = _theorem7_exact(cfg, name, lie, ambient)
-        if report.status is CheckStatus.FAIL:
-            return report
-        cases = report.cases_run
-        exact = (f"exact: {lie} inside {ambient} and wC, {ambient} holds 1 and "
-                 "is product-closed, conj reverses every census cell; ")
+    report = _theorem7_exact(cfg, name, lie, ambient)
+    if report.status is CheckStatus.FAIL:
+        return report
+    cases = report.cases_run
     rng = SplitMix64(derive_subseed(cfg.seed, name))
     for i in range(cases + 1, cases + cfg.samples + 1):
         u = sample_pattern_mv(cfg.sig, lie, rng, Field.COMPLEX)
@@ -862,16 +702,18 @@ def _theorem7_row(cfg: CheckConfig, lie: SubspacePattern,
             return _fail(name, i, "exp", u, None, f"outside pattern {ambient}", leak)
     return CheckReport(
         name, CheckStatus.PASS, cases + cfg.samples, None,
-        f"{exact}exp image pseudo-unitary and inside {ambient} to {group_tol:g}",
+        f"exact: {lie} inside {ambient} and wC, {ambient} holds 1 and is "
+        "product-closed, conj reverses every census cell; exp image "
+        f"pseudo-unitary and inside {ambient} to {group_tol:g}",
     )
 
 
 def check_theorem7(cfg: CheckConfig) -> list[CheckReport]:
     """Exponentials of each Lie subalgebra: pseudo-unitary to 1e-9 and inside
     the row's ambient pattern to 1e-9, for samples with l1 norm (the sum of
-    |re| + |im| over terms) at most 1.  Exhaustive mode first proves both
-    claims exactly (``_theorem7_exact``); the samples stay as a numeric
-    witness.
+    |re| + |im| over terms) at most 1.  Each row first proves both claims
+    exactly (``_theorem7_exact``); the samples stay as a numeric witness,
+    the only sampling in the verifier.
 
     Only the exponential image is probed; this does not decide whether the
     exponential map covers the corresponding group component.
@@ -910,20 +752,11 @@ def check_wc_membership(cfg: CheckConfig) -> CheckReport:
                        "conjugation and pattern agree on every real basis element")
 
 
-def _projection_mismatch(u: Multivector) -> Optional[tuple[int, float]]:
-    """First k whose type projection differs from the grade projection, with
-    the size of the difference."""
-    for k in range(u.sig.n + 1):
-        diff = u.qtype_project(k) - u.grade_project(k)
-        if diff:
-            return k, diff.inf_norm()
-    return None
-
-
 def check_rank_coincidence(cfg: CheckConfig) -> CheckReport:
     """Below four generators every type projection equals the grade
     projection of the same index; skipped at n >= 4 where types start
-    collecting several grades."""
+    collecting several grades.  Both projections are term filters, hence
+    linear, so agreement on every basis blade decides the claim."""
     name = "rank"
     sig = cfg.sig
     if sig.n >= 4:
@@ -931,29 +764,21 @@ def check_rank_coincidence(cfg: CheckConfig) -> CheckReport:
             name, CheckStatus.SKIPPED, 0, None,
             f"types and ranks coincide only below 4 generators (n={sig.n})",
         )
-    cases = 0
-    for mask in sig.blades():
+    for case, mask in enumerate(sig.blades(), 1):
         u = Multivector.basis_blade(sig, mask, 1, Field.COMPLEX)
-        cases += 1
         got = detect_qtype(u, 0.0)
         if got != QType.of(grade(mask)):
-            return _fail(name, cases, "detect", _blade(sig, mask), None,
+            return _fail(name, case, "detect", _blade(sig, mask), None,
                          f"type {got}", 1.0)
-        mismatch = _projection_mismatch(u)
-        if mismatch:
-            return _fail(name, cases, "project", _blade(sig, mask), None,
-                         f"type vs grade projection at {mismatch[0]}", mismatch[1])
-    rng = SplitMix64(derive_subseed(cfg.seed, name))
-    for _ in range(cfg.samples):
-        u = sample_pattern_mv(sig, _EVERYTHING, rng, Field.COMPLEX)
-        cases += 1
-        mismatch = _projection_mismatch(u)
-        if mismatch:
-            return _fail(name, cases, "project", u, None,
-                         f"type vs grade projection at {mismatch[0]}", mismatch[1])
+        for k in range(sig.n + 1):
+            diff = u.qtype_project(k) - u.grade_project(k)
+            if diff:
+                return _fail(name, case, "project", _blade(sig, mask), None,
+                             f"type vs grade projection at {k}", diff.inf_norm())
     return CheckReport(
-        name, CheckStatus.PASS, cases, None,
-        "every blade and sampled element: type projections equal grade projections",
+        name, CheckStatus.PASS, sig.blade_count, None,
+        "every basis blade: type projections equal grade projections, "
+        "which are linear",
     )
 
 
@@ -1006,8 +831,9 @@ def resolve_suite(names) -> list[str]:
 def run_suite(names, cfg: CheckConfig) -> list[CheckReport]:
     """Run the named checks (leaf names or groups) and collect their reports.
 
-    Each check seeds its own splitmix64 stream from (cfg.seed, its name), so
-    the output is independent of suite composition and repeatable."""
+    theorem7 seeds each row's splitmix64 stream from (cfg.seed, the row's
+    name), so the output is independent of suite composition and
+    repeatable."""
     reports: list[CheckReport] = []
     for leaf in resolve_suite(names):
         reports.extend(_LEAVES[leaf](cfg))

@@ -243,6 +243,11 @@ def test_pattern_refuses_classes_outside_0_to_3(bad):
     # COMPLEX, and 3.0 and True were taken as ints
     with pytest.raises(ValueError):
         SubspacePattern((bad, 0, 0, 0))
+    if isinstance(bad, int) and not isinstance(bad, bool):
+        # a digit string may name main types 0..3 only
+        for part in ("real", "imag"):
+            with pytest.raises(ValueError):
+                SubspacePattern.from_parts(**{part: f"0{bad}"})
 
 
 def test_pattern_matches_and_leakage():

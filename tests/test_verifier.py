@@ -15,6 +15,7 @@ import pytest
 from quatype import verify
 
 from quatype.blades import Signature, canonical_sign, grade, sign_table
+from quatype.exprio import format_expression
 from quatype.multivector import Field, FieldMismatch, Multivector
 from quatype.qtype import (CoeffClass, OpKind, QType, SubspacePattern, is_closed,
                            main_compose)
@@ -121,8 +122,7 @@ def test_sample_pattern_rejects_imaginary_parts_in_real_field():
 def test_config_auto_strategy():
     for sig in (Signature(1, 0), Signature(3, 3), Signature(4, 3), Signature(6, 6)):
         assert CheckConfig(sig=sig).strategy is Strategy.EXHAUSTIVE
-    explicit = CheckConfig(sig=Signature(4, 3), strategy=Strategy.RANDOM)
-    assert explicit.strategy is Strategy.RANDOM
+    assert list(Strategy) == [Strategy.EXHAUSTIVE]
     for bad in (None, "random"):
         with pytest.raises(TypeError):
             CheckConfig(sig=S22, strategy=bad)
@@ -156,14 +156,6 @@ def test_axioms_exhaustive_pass_and_case_count():
     assert report.status is CheckStatus.PASS
 
 
-def test_axioms_random_mode_passes():
-    cfg = cfg_for(S22, strategy=Strategy.RANDOM, samples=64)
-    for op in (OpKind.COMMUTATOR, OpKind.ANTICOMMUTATOR):
-        report = check_quaternion_axioms(op, cfg)
-        assert report.status is CheckStatus.PASS
-        assert report.cases_run >= 64
-
-
 def test_axioms_reject_geometric_op():
     with pytest.raises(ValueError):
         check_quaternion_axioms(OpKind.GEOMETRIC, cfg_for(S22))
@@ -175,9 +167,8 @@ def test_axioms_trivial_at_n1():
 
 
 def test_grade_pattern_passes_both_modes():
-    assert check_grade_pattern(cfg_for(S22)).status is CheckStatus.PASS
-    random_cfg = cfg_for(Signature(4, 3), strategy=Strategy.RANDOM, samples=100)
-    assert check_grade_pattern(random_cfg).status is CheckStatus.PASS
+    for sig in (S22, Signature(4, 3)):
+        assert check_grade_pattern(cfg_for(sig)).status is CheckStatus.PASS
 
 
 def test_type_table_sound_all_ops():
@@ -222,9 +213,6 @@ def test_theorem5_passes():
         # each relation: the abstract case plus every real basis pair
         assert report.cases_run == sum(1 + _real_dim(sig, p1) * _real_dim(sig, p2)
                                        for p1, p2, _ in verify.WC_RELATIONS)
-        sampled = check_theorem5(cfg_for(sig, samples=30, strategy=Strategy.RANDOM))
-        assert sampled.status is CheckStatus.PASS
-        assert sampled.cases_run == 10 * (30 + 1)
     assert check_theorem5(cfg_for(S22)).cases_run == 174
 
 
@@ -308,6 +296,8 @@ def test_rank_coincidence_small_and_skip():
                         (4, CheckStatus.SKIPPED)):
         report = check_rank_coincidence(cfg_for(Signature(n, 0), samples=20))
         assert report.status is expected
+        if n < 4:
+            assert report.cases_run == 2 ** n  # every basis blade, no samples
 
 
 # ----------------------------------------------------------------------
@@ -405,18 +395,65 @@ def test_census_closure_agrees_with_is_closed():
                 assert op is OpKind.ANTICOMMUTATOR or census > abstract, (op, sig)
 
 
-def test_census_and_samples_agree_on_catalog_and_controls():
+_OPS = {OpKind.GEOMETRIC: Multivector.geometric_product,
+        OpKind.COMMUTATOR: Multivector.commutator,
+        OpKind.ANTICOMMUTATOR: Multivector.anticommutator}
+
+
+def _basis_elements(sig, pattern, field):
+    """Real basis elements unit * blade of a pattern's subspace, in
+    ascending mask order, 1 before i."""
+    return [Multivector.basis_blade(sig, mask, unit, field)
+            for mask in sig.blades()
+            for unit, part in ((1, CoeffClass.REAL), (1j, CoeffClass.IMAGINARY))
+            if pattern[grade(mask) & 3] & part]
+
+
+def _brute_first_leak(sig, op, p1, p2, target, field=Field.COMPLEX):
+    """Apply op through the kernel to every real basis pair of P1 x P2 in
+    (a, unit_a, b, unit_b) order: (position, u, v, leakage) of the first
+    result that leaves target, else (number of pairs, None, None, 0.0)."""
+    pairs = list(itertools.product(_basis_elements(sig, p1, field),
+                                   _basis_elements(sig, p2, field)))
+    for position, (u, v) in enumerate(pairs, 1):
+        leak = target.leakage(_OPS[op](u, v))
+        if leak:
+            return position, u, v, leak
+    return len(pairs), None, None, 0.0
+
+
+def test_census_matches_brute_force_kernel_on_catalog_and_controls():
     controls = [(OpKind.COMMUTATOR, Field.COMPLEX, R1),
                 (OpKind.ANTICOMMUTATOR, Field.COMPLEX,
                  SubspacePattern.from_parts(real="12"))]
-    statuses = []
-    for op, field, pattern in closure_catalog() + controls:
-        exact = check_pattern_closure(op, pattern, cfg_for(S22), field)
-        sampled = check_pattern_closure(op, pattern,
-                                        cfg_for(S22, strategy=Strategy.RANDOM), field)
-        assert exact.status is sampled.status, exact.name
-        statuses.append(exact.status)
-    assert statuses == [CheckStatus.PASS] * 43 + [CheckStatus.FAIL] * 2
+    empty = SubspacePattern.from_parts()
+    for sig in (S21, S22):
+        statuses = []
+        for op, field, pattern in closure_catalog() + controls:
+            report = check_pattern_closure(op, pattern, cfg_for(sig), field)
+            position, u, v, leak = _brute_first_leak(sig, op, pattern, pattern,
+                                                     pattern, field)
+            assert report.cases_run == 1 + position, report.name
+            if u is not None:
+                assert report.counterexample.to_dict() == {
+                    "lhs": format_expression(u), "rhs": format_expression(v),
+                    "operation": op.value, "component": f"outside pattern {pattern}",
+                    "magnitude": leak}, report.name
+            statuses.append(report.status)
+        assert statuses == [CheckStatus.PASS] * 43 + [CheckStatus.FAIL] * 2
+        # theorem5's relations, and against the empty target the first pair
+        # with a nonzero commutator
+        for p1, p2, target in verify.WC_RELATIONS:
+            for t in (target, empty):
+                census = verify._census_leak(sig, OpKind.COMMUTATOR, p1, p2, t)
+                _, u, v, leak = _brute_first_leak(sig, OpKind.COMMUTATOR, p1, p2, t)
+                if u is None:
+                    assert census is None, (p1, p2, t)
+                else:
+                    a, unit_a, b, unit_b, coeff = census
+                    assert (Multivector.basis_blade(sig, a, unit_a),
+                            Multivector.basis_blade(sig, b, unit_b), float(coeff)) \
+                        == (u, v, leak), (p1, p2, t)
 
 
 def test_theorem7_lie_row_outside_wc_fails_both_halves(monkeypatch):
@@ -426,9 +463,13 @@ def test_theorem7_lie_row_outside_wc_fails_both_halves(monkeypatch):
     exact, = check_theorem7(cfg_for(S22))
     assert exact.to_dict() == _failed("theorem7:2+i2->02+i02", 1, None,
                                       "exact half: 2+i2 is not inside 23+i01")
-    sampled, = check_theorem7(cfg_for(S22, strategy=Strategy.RANDOM))
-    assert sampled.status is CheckStatus.FAIL
-    assert sampled.counterexample.component == "conj(u) + u"
+    # with the exact half waved through, the witness sees it too
+    monkeypatch.setattr(verify, "_theorem7_exact",
+                        lambda cfg, name, lie, ambient: verify.CheckReport(
+                            name, CheckStatus.PASS, 0))
+    witness, = check_theorem7(cfg_for(S22))
+    assert witness.status is CheckStatus.FAIL
+    assert witness.counterexample.component == "conj(u) + u"
 
 
 def _coverage(report):
@@ -440,9 +481,8 @@ def test_random_table_coverage_bounded_by_census():
         for op, want in ((OpKind.GEOMETRIC, 97.5), (OpKind.COMMUTATOR, 87.1),
                          (OpKind.ANTICOMMUTATOR, 100.0)):
             exact = check_type_table(op, cfg_for(sig))
-            sampled = check_type_table(op, cfg_for(sig, strategy=Strategy.RANDOM))
-            assert sampled.status is exact.status is CheckStatus.PASS
-            assert _coverage(sampled) <= _coverage(exact) == want
+            assert exact.status is CheckStatus.PASS
+            assert _coverage(exact) == want
 
 
 def test_census_checks_exact_at_n12():
@@ -607,29 +647,12 @@ def test_axioms_exhaustive_fail_report():
         "e1", "e2", "comm", "type 2 (expected 3)", 2.0))
 
 
-def test_axioms_random_fail_report():
-    cfg = cfg_for(S21, strategy=Strategy.RANDOM, samples=16)
-    report = check_quaternion_axioms(OpKind.COMMUTATOR, cfg, rule=_flip_comm_target)
-    assert report.to_dict() == _failed("axioms:comm", 6, (
-        "-(3-2i)e1 + (2+1i)e2 + (3-1i)e3", "3e1 - (3+2i)e2 - (2+3i)e3", "comm",
-        "outside type 3", 30.0))
-
-
 def test_grade_pattern_exhaustive_fail_report(monkeypatch):
     monkeypatch.setattr(verify, "_grade_residue",
                         _comm_11_off_by_one(verify._grade_residue))
     report = check_grade_pattern(cfg_for(S21))
     assert report.to_dict() == _failed("grades", 11, (
         "e1", "e2", "comm", "grade 2 (want residue 3)", 2.0))
-
-
-def test_grade_pattern_random_fail_report(monkeypatch):
-    monkeypatch.setattr(verify, "_grade_residue",
-                        _comm_11_off_by_one(verify._grade_residue))
-    report = check_grade_pattern(cfg_for(S21, strategy=Strategy.RANDOM, samples=16))
-    assert report.to_dict() == _failed("grades", 6, (
-        "-(1-3i)e1 + (0+1i)e2", "-2e1 - (3-3i)e2 - (1-2i)e3", "comm",
-        "grade 2 (want residue 3)", 32.0))
 
 
 def _drop_type_2(monkeypatch):
@@ -652,21 +675,6 @@ def test_type_table_exhaustive_product_fail_report(monkeypatch):
         "1", "e12", "product", "type 2 outside cell 0", 1.0))
 
 
-def test_type_table_sampled_fail_report(monkeypatch):
-    _drop_type_2(monkeypatch)
-    report = check_type_table(OpKind.GEOMETRIC, cfg_for(S21, strategy=Strategy.RANDOM))
-    assert report.to_dict() == _failed("tables:product", 17, (
-        "2", "(0-2i)e12 + (2+1i)e13 - e23", "product", "type 2 outside cell 0", 6.0))
-
-
-def test_closure_abstract_fail_report_with_witness():
-    report = check_pattern_closure(OpKind.COMMUTATOR, R1, cfg_for(
-        S21, samples=5, strategy=Strategy.RANDOM))
-    assert report.to_dict() == _failed("closure:comm:C:1", 2, (
-        "-3e1 + e2 - 2e3", "3e1", "comm", "outside pattern 1", 12.0),
-        "abstract composition leaks: 1 composes to 2")
-
-
 def test_closure_census_fail_report_with_witness():
     report = check_pattern_closure(OpKind.COMMUTATOR, R1, cfg_for(S21))
     assert report.to_dict() == _failed("closure:comm:C:1", 3, (
@@ -676,19 +684,9 @@ def test_closure_census_fail_report_with_witness():
 
 def test_closure_abstract_fail_report_without_witness():
     # [e1, e1] = 0: nothing concrete leaks in Cl(1,0).
-    for strategy in Strategy:
-        report = check_pattern_closure(OpKind.COMMUTATOR, R1, cfg_for(
-            Signature(1, 0), samples=5, strategy=strategy))
-        assert report.to_dict() == _failed("closure:comm:C:1", 1, None,
-            "abstract composition leaks: 1 composes to 2")
-
-
-def test_closure_sampled_fail_report(monkeypatch):
-    monkeypatch.setattr(verify, "pattern_compose", lambda op, p1, p2: p1)
-    report = check_pattern_closure(OpKind.COMMUTATOR, R1, cfg_for(
-        S21, samples=5, strategy=Strategy.RANDOM))
-    assert report.to_dict() == _failed("closure:comm:C:1", 2, (
-        "-3e1 + e2 - 2e3", "3e1", "comm", "outside pattern 1", 12.0))
+    report = check_pattern_closure(OpKind.COMMUTATOR, R1, cfg_for(Signature(1, 0)))
+    assert report.to_dict() == _failed("closure:comm:C:1", 1, None,
+        "abstract composition leaks: 1 composes to 2")
 
 
 def test_closure_census_fail_report(monkeypatch):
@@ -712,29 +710,12 @@ def _wrong_second_relation(monkeypatch):
     monkeypatch.setattr(verify, "WC_RELATIONS", tuple(rows))
 
 
-def test_theorem5_abstract_fail_report(monkeypatch):
-    _wrong_second_relation(monkeypatch)
-    report = check_theorem5(cfg_for(S21, samples=5, strategy=Strategy.RANDOM))
-    assert report.to_dict() == _failed("theorem5", 7, None,
-        "abstract relation [i1, i1] leaks outside 3")
-
-
 def test_theorem5_census_abstract_fail_report(monkeypatch):
     # The first relation [i0, i0] has one real basis pair at Cl(2,1).
     _wrong_second_relation(monkeypatch)
     report = check_theorem5(cfg_for(S21))
     assert report.to_dict() == _failed("theorem5", 3, None,
         "abstract relation [i1, i1] leaks outside 3")
-
-
-def test_theorem5_sampled_fail_report(monkeypatch):
-    _wrong_second_relation(monkeypatch)
-    monkeypatch.setattr(verify, "pattern_compose",
-                        lambda op, p1, p2: SubspacePattern.from_parts())
-    report = check_theorem5(cfg_for(S21, samples=5, strategy=Strategy.RANDOM))
-    assert report.to_dict() == _failed("theorem5", 8, (
-        "(0-3i)e1 + (0-3i)e2 + (0-2i)e3", "(0+3i)e2 + (0-3i)e3", "comm",
-        "[i1, i1] outside 3", 30.0))
 
 
 def test_theorem5_census_fail_report(monkeypatch):
@@ -744,18 +725,6 @@ def test_theorem5_census_fail_report(monkeypatch):
     report = check_theorem5(cfg_for(S21))
     assert report.to_dict() == _failed("theorem5", 5, (
         "(0+1i)e1", "(0+1i)e2", "comm", "[i1, i1] outside 3", 2.0))
-
-
-def test_theorem6_fail_reports(monkeypatch):
-    # Real type 0 is not commutator-closed on its own; with type 2 it is,
-    # but conj(u) = u on real scalars breaks the membership.
-    monkeypatch.setattr(verify, "LIE_SUBALGEBRA_ROWS", ((R0, R0), (R02, R02)))
-    reports = check_theorem6(cfg_for(S21, samples=5, strategy=Strategy.RANDOM))
-    assert [r.to_dict() for r in reports] == [
-        _failed("theorem6:0", 1, None,
-            "abstract commutator closure fails"),
-        _failed("theorem6:02", 2, ("-2 + 3e13", None, "conj", "conj(u) + u", 4.0)),
-    ]
 
 
 def test_theorem6_census_fail_reports(monkeypatch):
@@ -769,17 +738,6 @@ def test_theorem6_census_fail_reports(monkeypatch):
     ]
 
 
-def test_theorem6_commutator_fail_report(monkeypatch):
-    monkeypatch.setattr(verify, "LIE_SUBALGEBRA_ROWS", ((I1, I1),))
-    monkeypatch.setattr(verify, "is_closed", lambda op, pattern: True)
-    reports = check_theorem6(cfg_for(S21, samples=5, strategy=Strategy.RANDOM))
-    assert [r.to_dict() for r in reports] == [
-        _failed("theorem6:i1", 2, (
-            "(0+1i)e1 + (0-1i)e2 + (0-2i)e3", "(0-1i)e1 + (0+2i)e2 + (0-1i)e3", "comm",
-            "outside pattern i1", 10.0)),
-    ]
-
-
 def test_theorem6_census_commutator_fail_report(monkeypatch):
     monkeypatch.setattr(verify, "LIE_SUBALGEBRA_ROWS", ((I1, I1),))
     monkeypatch.setattr(verify, "is_closed", lambda op, pattern: True)
@@ -790,29 +748,75 @@ def test_theorem6_census_commutator_fail_report(monkeypatch):
     ]
 
 
+# theorem7's first witness sample per row at Cl(2,1), seed 0, after the
+# exact half's 37 or 85 cases
+_W2 = "0.3333333333333333e12 + 0.3333333333333333e13 + 0.3333333333333333e23"
+_W2I0 = ("(0-0.3333333333333333i) + 0.3333333333333333e12"
+         " + 0.16666666666666666e13 + 0.16666666666666666e23")
+_W2I1 = ("(0-0.23076923076923078i)e1 + (0-0.23076923076923078i)e2"
+         " + (0+0.15384615384615385i)e3 - 0.23076923076923078e12"
+         " + 0.07692307692307693e13 - 0.07692307692307693e23")
+_W23 = ("-0.3333333333333333e12 - 0.3333333333333333e13"
+        " + 0.2222222222222222e23 - 0.1111111111111111e123")
+
+
 def test_theorem7_fail_reports(monkeypatch):
-    monkeypatch.setattr(verify, "LIE_SUBALGEBRA_ROWS", ((R02, R02), (R2, R0)))
-    reports = check_theorem7(cfg_for(S21, samples=5, strategy=Strategy.RANDOM))
-    assert [r.to_dict() for r in reports] == [
-        _failed("theorem7:02->02", 1, (
-            "-0.5 + 0.3333333333333333e12 - 0.16666666666666666e13", None, "conj",
-            "conj(u) + u", 1.0)),
-        _failed("theorem7:2->0", 1, (
-            "-0.3333333333333333e12 + 0.3333333333333333e13 + 0.3333333333333333e23",
-            None, "exp", "outside pattern 0", 0.33954055725615)),
+    # exp(u) e1 is still pseudo-unitary (conj(e1) e1 = e1^2 = 1) but odd
+    original = Multivector.exp
+    monkeypatch.setattr(Multivector, "exp", lambda self, *args: original(
+        self, *args).geometric_product(Multivector.basis_blade(self.sig, 0b1)))
+    reports = check_theorem7(cfg_for(S21))
+    assert [r.to_dict() for r in reports[:3]] == [
+        _failed("theorem7:2->02", 38, (
+            _W2, None, "exp", "outside pattern 02", 1.0560718678299397)),
+        _failed("theorem7:2+i0->02+i02", 86, (
+            _W2I0, None, "exp", "outside pattern 02+i02", 0.9188294396734082)),
+        _failed("theorem7:2+i1->02+i13", 86, (
+            _W2I1, None, "exp", "outside pattern 02+i13", 0.9385105234123996)),
     ]
+    assert reports[3].status is CheckStatus.PASS  # 0123 holds odd elements
 
 
 def test_theorem7_defect_fail_report(monkeypatch):
-    # A tolerance of 10 lets real scalars through the membership test, so
-    # the group test is the first to see them.
-    monkeypatch.setattr(verify, "LIE_SUBALGEBRA_ROWS", ((R02, R02),))
-    reports = check_theorem7(cfg_for(S21, samples=5, tol=10.0,
-                                     strategy=Strategy.RANDOM))
+    # exp with its third-order series term flipped: only the witness sees it
+    original = Multivector.exp
+
+    def exp(self, *args):
+        cube = self.geometric_product(self).geometric_product(self)
+        return original(self, *args) - cube.scale(2 / 6)
+
+    monkeypatch.setattr(Multivector, "exp", exp)
+    reports = check_theorem7(cfg_for(S21))
     assert [r.to_dict() for r in reports] == [
-        _failed("theorem7:02->02", 1, (
-            "-0.5 + 0.3333333333333333e12 - 0.16666666666666666e13", None, "exp",
-            "conj(U) U - 1", 0.6321205588285577)),
+        _failed("theorem7:2->02", 38, (
+            _W2, None, "exp", "conj(U) U - 1", 0.008231301672839697)),
+        _failed("theorem7:2+i0->02+i02", 86, (
+            _W2I0, None, "exp", "conj(U) U - 1", 0.049425569082657134)),
+        _failed("theorem7:2+i1->02+i13", 86, (
+            _W2I1, None, "exp", "conj(U) U - 1", 0.010295077827420451)),
+        _failed("theorem7:23->0123", 86, (
+            _W23, None, "exp", "conj(U) U - 1", 0.006097268262668792)),
+    ]
+
+
+def test_theorem7_witness_conj_fail_report(monkeypatch):
+    # Grade signs right, complex conjugation skipped: the exact half reads
+    # only the signs of real blades, so the witness is the first to see it.
+    original = Multivector.conjugate
+
+    def conjugate(self):
+        return Multivector(self.sig, self.field, {
+            m: c.conjugate() for m, c in original(self).terms.items()})
+
+    monkeypatch.setattr(Multivector, "conjugate", conjugate)
+    reports = check_theorem7(cfg_for(S21))
+    assert [r.status for r in reports] == [
+        CheckStatus.PASS, CheckStatus.FAIL, CheckStatus.FAIL, CheckStatus.PASS]
+    assert [r.to_dict() for r in reports[1:3]] == [
+        _failed("theorem7:2+i0->02+i02", 86, (
+            _W2I0, None, "conj", "conj(u) + u", 0.6666666666666666)),
+        _failed("theorem7:2+i1->02+i13", 86, (
+            _W2I1, None, "conj", "conj(u) + u", 0.46153846153846156)),
     ]
 
 
@@ -867,18 +871,3 @@ def test_rank_blade_projection_fail_report(monkeypatch):
         "e1", None, "project", "type vs grade projection at 1", 1.0))
 
 
-def test_rank_sampled_projection_fail_report(monkeypatch):
-    original = Multivector.qtype_project
-
-    def project(self, kbar):
-        part = original(self, kbar)
-        if len(self.terms) < 2:
-            return part
-        return part - original(Multivector.basis_blade(self.sig, 0b1), kbar)
-
-    monkeypatch.setattr(Multivector, "qtype_project", project)
-    report = check_rank_coincidence(cfg_for(S21, samples=5))
-    assert report.to_dict() == _failed("rank", 9, (
-        "(3+2i) - (1+2i)e1 - (3+2i)e2 - (2+1i)e3 - (2+2i)e12 + (2-2i)e13"
-        " + (2+2i)e23 + (3-2i)e123",
-        None, "project", "type vs grade projection at 1", 1.0))
