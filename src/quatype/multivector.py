@@ -322,8 +322,12 @@ class Multivector:
         The argument is halved until its inf-norm is at most 1, the series
         sum stops once the latest term's inf-norm drops below
         ``eps * (1 + inf-norm of the partial sum)``, and the result is
-        squared once per halving.  ``eps`` must be positive and finite (an
-        infinite one would stop after the first term).  Raises
+        squared once per halving.  The series reads u's kernel rows once and
+        reuses them for every term, summing each term into 2**n slots in
+        ``geometric_product``'s order, so its bits equal a series of public
+        products; the squarings are public products.  ``eps`` must be
+        positive and finite (an infinite one would stop after the first
+        term).  Raises
         ConvergenceFailure if the series uses up ``max_terms`` terms first,
         or if the argument needs 52 or more halvings: each squaring doubles
         the relative error, so after k halvings it is about 2**k machine
@@ -344,28 +348,47 @@ class Multivector:
                 f"exp argument needs {halvings} halvings, which leave no "
                 f"correct digit (argument inf-norm {self.inf_norm()!r})"
             )
+        # The loop nest must stay geometric_product's (left operand
+        # ascending, the same factors in the same order), so that each term
+        # has the bits of a public product.
+        h, low, high = sign_table(self.sig)
+        lo = (1 << h) - 1
+        rhs = [(b, b & lo, b >> h, cb) for b, cb in u._terms.items()]
+        size = self.sig.blade_count
         acc = {0: 1 + 0j}
-        term = Multivector._raw(self.sig, self.field, dict(acc))
+        term = dict(acc)
         for m in range(1, max_terms + 1):
-            # one public product per term; its 1/m scaling and the running
-            # sum share one pass.  The term stays finite (the product refuses
-            # overflow and 1/m <= 1), so only the sum needs a check.
+            slots = [0j] * size
+            for a, ca in term.items():  # ascending: filled from the slots
+                ah = a >> h
+                row_lo, row_hi = low[ah.bit_count() & 1][a & lo], high[ah]
+                for b, bl, bh, cb in rhs:
+                    slots[a ^ b] += row_lo[bl] * row_hi[bh] * ca * cb
+            # One pass empties the slots: 1/m scaling, running sum, the
+            # term's inf-norm and its finite check (1/m <= 1 keeps a finite
+            # slot finite, and a non-finite one gives a norm that is not
+            # below inf).
             r = 1.0 / m
-            data = {}
-            for k, c in term.geometric_product(u)._terms.items():
+            term = {}
+            term_norm = 0.0
+            for k, c in zip(compress(_MASKS, slots), filter(None, slots)):
                 c *= r
                 if c:
-                    data[k] = c
+                    term[k] = c
+                    x = abs(c.real) + abs(c.imag)
+                    if not x <= term_norm:
+                        if not x < math.inf:
+                            raise ValueError("arithmetic result overflows a double")
+                        term_norm = x
                     s = acc.get(k, 0j) + c
                     if s:
                         acc[k] = s
                     else:
                         del acc[k]
-            term = Multivector._raw(self.sig, self.field, data)
             acc_norm = _inf_norm(acc.values())
             if math.isinf(acc_norm):  # |re| + |im| can overflow on finite parts
                 _require_finite(acc)
-            if _inf_norm(data.values()) < eps * (1.0 + acc_norm):
+            if term_norm < eps * (1.0 + acc_norm):
                 break
         else:
             raise ConvergenceFailure(

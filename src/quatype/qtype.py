@@ -85,8 +85,12 @@ class QType:
 
     @classmethod
     def from_string(cls, text: str) -> "QType":
-        """Parse digit strings like "02"; the empty string is the empty type."""
-        return cls.of(*(int(ch) for ch in text))
+        """Parse digit strings like "02"; the empty string is the empty type.
+        Any character other than 0, 1, 2 and 3 raises ValueError."""
+        for ch in text:
+            if ch not in "0123":
+                raise ValueError(f"type digit {ch!r} must be 0..3")
+        return cls.of(*map(int, text))
 
     @property
     def members(self) -> tuple[int, ...]:

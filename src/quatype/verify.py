@@ -14,10 +14,15 @@ stream is seeded by hashing ``(cfg.seed, check name)`` with FNV-1a, so two
 runs with the same config produce byte-identical reports, and a reported
 counterexample can be replayed by any implementation of the same generator
 (the update and output constants are in ``SplitMix64``).  Sampling draws
-integer coefficients in [-3, 3] per allowed blade (ascending blade masks,
-real part before imaginary part); ``sample_pattern_mv`` refuses bounds
+integer coefficients in [-3, 3] per real basis element unit * blade
+(ascending blade masks, 1 before i); ``sample_pattern_mv`` refuses bounds
 under which a bracket of two samples could sum to 2^53 or more, past which
-doubles no longer hold every integer.
+doubles no longer hold every integer.  A witness sample draws for at most
+k = 8 real basis elements: when the Lie pattern has more, a partial
+Fisher-Yates shuffle on the row's stream picks 8 first.  A blade product is
++-(a ^ b), so exp(u) and conj(U) U stay in the XOR span of at most 8 masks,
+at most 256 blades, and a sample's cost does not grow with n.  Every Lie
+row at n <= 3 has at most 8 real basis elements, so its draw is dense.
 """
 
 from __future__ import annotations
@@ -150,32 +155,21 @@ class UnknownCheck(Exception):
 # ----------------------------------------------------------------------
 # sampling
 
-@lru_cache(maxsize=None)
-def _draw_plan(sig: Signature,
-               pattern: SubspacePattern) -> tuple[tuple[int, bool, bool], ...]:
-    """(mask, draw real, draw imaginary) for every blade the pattern allows,
-    in ascending mask order.  The cache stays small: a signature has 256
-    patterns."""
-    # per main type, on plain ints (CoeffClass operators are slow)
-    draws = [(bool(c & CoeffClass.REAL.value), bool(c & CoeffClass.IMAGINARY.value))
-             for c in map(int, pattern.classes)]
-    plan = []
-    for mask in sig.blades():
-        draw_re, draw_im = draws[grade(mask) & 3]
-        if draw_re or draw_im:
-            plan.append((mask, draw_re, draw_im))
-    return tuple(plan)
-
-
 def sample_pattern_mv(sig: Signature, pattern: SubspacePattern, rng: SplitMix64,
-                      field: Field, lo: int = -3, hi: int = 3) -> Multivector:
+                      field: Field, lo: int = -3, hi: int = 3,
+                      k: Optional[int] = None) -> Multivector:
     """Integer-coefficient element matching ``pattern``.
 
     Blades are visited in ascending mask order; for each allowed part the
     next integer is drawn (real part first), so the element is a pure
-    function of the generator state.  Raises FieldMismatch when the field is
-    real and the pattern grants an imaginary part, and ValueError when the
-    range is empty or a bracket of two draws could leave the exact integers.
+    function of the generator state.  With a cap ``k`` and more than k real
+    basis elements unit * blade in the pattern, only k of them get a draw:
+    a partial Fisher-Yates shuffle of ``_real_basis`` picks them (for i in
+    0..k-1, swap position i with position ``next_int(i, len - 1)``), and
+    the picked ones draw in the same ascending (mask, 1 before i) order.
+    Raises FieldMismatch when the field is real and the pattern grants an
+    imaginary part, and ValueError when the range is empty, the cap is
+    below 1, or a bracket of two draws could leave the exact integers.
     """
     _check_field(pattern, field)
     # A bracket of two samples sums up to 2^n terms per blade, each at most
@@ -185,14 +179,23 @@ def sample_pattern_mv(sig: Signature, pattern: SubspacePattern, rng: SplitMix64,
         raise ValueError(f"empty draw range [{lo}, {hi}]")
     if 4 * max(abs(lo), abs(hi)) ** 2 * 2 ** sig.n >= 2 ** 53:
         raise ValueError(f"draws in [{lo}, {hi}] at n = {sig.n} could sum past 2^53")
-    # no validating constructor: the plan's masks are valid and distinct,
-    # and every kept draw is a nonzero integer
+    if k is not None and k < 1:
+        raise ValueError(f"sample cap k = {k} must be at least 1")
+    basis = _real_basis(sig, pattern)
+    if k is not None and len(basis) > k:
+        picks = list(range(len(basis)))
+        for i in range(k):
+            j = rng.next_int(i, len(basis) - 1)
+            picks[i], picks[j] = picks[j], picks[i]
+        basis = [basis[i] for i in sorted(picks[:k])]
+    # no validating constructor: the basis masks are valid, and every kept
+    # draw is a nonzero integer (adding to 0j clears the -0.0 real part
+    # of a negative draw times 1j)
     terms = {}
-    for mask, draw_re, draw_im in _draw_plan(sig, pattern):
-        re = rng.next_int(lo, hi) if draw_re else 0
-        im = rng.next_int(lo, hi) if draw_im else 0
-        if re or im:
-            terms[mask] = complex(re, im)
+    for mask, unit in basis:
+        v = rng.next_int(lo, hi)
+        if v:
+            terms[mask] = terms.get(mask, 0j) + v * unit
     return Multivector._raw(sig, field, terms)
 
 
@@ -278,11 +281,17 @@ def _pair_fail(name: str, sig: Signature, a: int, b: int, op: OpKind,
 _UNITS = (1, 1j)
 
 
-def _real_basis(sig: Signature, pattern: SubspacePattern) -> list[tuple[int, complex]]:
+@lru_cache(maxsize=None)
+def _real_basis(sig: Signature,
+                pattern: SubspacePattern) -> tuple[tuple[int, complex], ...]:
     """(mask, unit) of every real basis element unit * blade of the
-    pattern's subspace, in ascending mask order, 1 before i."""
-    return [(mask, unit) for mask, re, im in _draw_plan(sig, pattern)
-            for unit, granted in zip(_UNITS, (re, im)) if granted]
+    pattern's subspace, in ascending mask order, 1 before i.  The cache
+    stays small: a signature has 256 patterns."""
+    # per main type, on plain ints (CoeffClass operators are slow)
+    units = [tuple(u for bit, u in enumerate(_UNITS) if c >> bit & 1)
+             for c in map(int, pattern.classes)]
+    return tuple((mask, unit) for mask in sig.blades()
+                 for unit in units[grade(mask) & 3])
 
 
 def _census_leak(sig: Signature, op: OpKind, p1: SubspacePattern,
@@ -674,6 +683,10 @@ def _theorem7_exact(cfg: CheckConfig, name: str, lie: SubspacePattern,
     return CheckReport(name, CheckStatus.PASS, closure.cases_run + len(rows))
 
 
+# Real basis elements each theorem 7 witness sample draws at most.
+_WITNESS_K = 8
+
+
 def _theorem7_row(cfg: CheckConfig, lie: SubspacePattern,
                   ambient: SubspacePattern, group_tol: float) -> CheckReport:
     name = f"theorem7:{lie}->{ambient}"
@@ -683,7 +696,9 @@ def _theorem7_row(cfg: CheckConfig, lie: SubspacePattern,
     cases = report.cases_run
     rng = SplitMix64(derive_subseed(cfg.seed, name))
     for i in range(cases + 1, cases + cfg.samples + 1):
-        u = sample_pattern_mv(cfg.sig, lie, rng, Field.COMPLEX)
+        # at most _WITNESS_K terms, so exp(u) and conj(U) U stay in the XOR
+        # span of their masks: at most 2^_WITNESS_K blades at any n
+        u = sample_pattern_mv(cfg.sig, lie, rng, Field.COMPLEX, k=_WITNESS_K)
         # The l1 norm is submultiplicative (every blade product has
         # coefficient +-1), so at l1 <= 1 the series cannot build large
         # terms that cancel; the inf-norm bounds nothing of the kind.

@@ -440,7 +440,7 @@ def test_exp_refuses_non_finite_eps():
             u.exp(eps=eps)
 
 
-def test_exp_makes_one_product_per_series_term_and_halving(monkeypatch):
+def test_exp_series_makes_no_product_and_one_squaring_per_halving(monkeypatch):
     calls = []
     product = Multivector.geometric_product
 
@@ -451,20 +451,74 @@ def test_exp_makes_one_product_per_series_term_and_halving(monkeypatch):
     monkeypatch.setattr(Multivector, "geometric_product", counted)
     sig = Signature(1, 1)
     u = Multivector(sig, Field.REAL, {0b01: 1, 0b10: 1})  # u*u = 0
-    # series 1 + u, then the zero term u*u/2 stops it: two products
+    # series 1 + u, then the zero term u*u/2 stops it, with no public product
     assert u.exp() == Multivector(sig, Field.REAL, {0: 1, 0b01: 1, 0b10: 1})
-    assert calls == [False, False]
-    calls.clear()
+    assert calls == []
     # inf-norm 4: two halvings, the same two series terms, two squarings
     assert u.scale(4).exp() == Multivector(sig, Field.REAL, {0: 1, 0b01: 4, 0b10: 4})
-    assert calls == [False, False, True, True]
+    assert calls == [True, True]
     calls.clear()
     # inf-norm 2.5: two halvings, and the series runs to many terms
     w = Multivector(S22, Field.COMPLEX, {0b11: 0.7, 0b1100: 0.4j, 0b0110: -2.5})
     w.exp()
-    series, squarings = calls[:-2], calls[-2:]
-    assert squarings == [True, True]
-    assert len(series) >= 10 and not any(series)
+    assert calls == [True, True]
+
+
+def reference_exp(x: Multivector, eps: float = 1e-14,
+                  max_terms: int = 200) -> Multivector:
+    """exp as a series of public products: term = (term * u).scale(1/m)."""
+    u, halvings = x, 0
+    while u.inf_norm() > 1.0:
+        u = u.scale(0.5)
+        halvings += 1
+    acc = {0: 1 + 0j}
+    term = Multivector.scalar(x.sig, 1, x.field)
+    for m in range(1, max_terms + 1):
+        term = term.geometric_product(u).scale(1.0 / m)
+        for k, c in term.terms.items():
+            s = acc.get(k, 0j) + c
+            if s:
+                acc[k] = s
+            else:
+                del acc[k]
+        acc_norm = max((abs(c.real) + abs(c.imag) for c in acc.values()), default=0.0)
+        if term.inf_norm() < eps * (1.0 + acc_norm):
+            break
+    else:
+        raise ConvergenceFailure("reference series not converged")
+    result = Multivector(x.sig, x.field, sorted(acc.items()))
+    for _ in range(halvings):
+        result = result.geometric_product(result)
+    return result
+
+
+def _bits(u: Multivector) -> list:
+    return [(m, c.real.hex(), c.imag.hex()) for m, c in u.terms.items()]
+
+
+def test_exp_bits_match_series_of_public_products():
+    rng = random.Random(20240611)
+    for _ in range(240):
+        n = rng.randint(1, 7)
+        p = rng.randint(0, n)
+        sig = Signature(p, n - p)
+        field = rng.choice((Field.REAL, Field.COMPLEX))
+        kind = rng.choice(("float", "real int", "imaginary int"))
+        if field is Field.REAL and kind == "imaginary int":
+            kind = "real int"
+        masks = rng.sample(range(1 << n), rng.randint(0, min(1 << n, 10)))
+        terms = {}
+        for mask in masks:
+            if kind == "real int":
+                terms[mask] = rng.randint(-3, 3)
+            elif kind == "imaginary int":
+                terms[mask] = complex(0, rng.randint(-3, 3))
+            elif field is Field.REAL:
+                terms[mask] = rng.uniform(-2.0, 2.0)
+            else:
+                terms[mask] = complex(rng.uniform(-2.0, 2.0), rng.uniform(-2.0, 2.0))
+        u = Multivector(sig, field, terms)
+        assert _bits(u.exp()) == _bits(reference_exp(u)), (sig, field, terms)
 
 
 # ----------------------------------------------------------------------
@@ -574,3 +628,84 @@ def test_arithmetic_results_finite_or_refused(t1, t2, op, x):
     except ValueError:
         return
     assert all(cmath.isfinite(c) for c in result.terms.values())
+
+
+# ----------------------------------------------------------------------
+# exactness bound of integer arithmetic
+
+def _l1(terms: dict) -> int:
+    return sum(abs(re) + abs(im) for re, im in terms.values())
+
+
+def _int_product(t1: dict, t2: dict, sig: Signature) -> dict:
+    """Exact product on Gaussian-integer (re, im) coefficients."""
+    out: dict = {}
+    for a, (ar, ai) in t1.items():
+        for b, (br, bi) in t2.items():
+            s, m = oracle_sign(a, b, sig)
+            re, im = out.get(m, (0, 0))
+            out[m] = (re + s * (ar * br - ai * bi), im + s * (ar * bi + ai * br))
+    return out
+
+
+@st.composite
+def bound_operands(draw):
+    """Signature at n = 1..4 and two Gaussian-integer term dicts whose
+    l1 product falls on either side of 2^52 and 2^53.  The parts come from
+    a seeded generator: hypothesis would favour small integers, which stay
+    exact at any size."""
+    n = draw(st.integers(1, 4))
+    p = draw(st.integers(0, n))
+    rnd = random.Random(draw(st.integers(0, 2 ** 32)))
+    scale = 2.0 ** rnd.uniform(24.0, 28.0)
+    terms = []
+    for imag in (rnd.random() < 0.5, rnd.random() < 0.5):
+        terms.append({rnd.randrange(2 ** n): (round(rnd.uniform(-scale, scale)),
+                                              round(imag * rnd.uniform(-scale, scale)))
+                      for _ in range(rnd.randint(1, 3))})
+    return Signature(p, n - p), terms[0], terms[1]
+
+
+@settings(max_examples=300, deadline=None)
+@given(bound_operands())
+def test_integer_arithmetic_exact_below_stated_bound(operands):
+    # Products are exact when l1(a) l1(b) < 2^53, brackets when it is below
+    # 2^52: every partial sum of a coefficient is then an integer below 2^53.
+    # Past the bound each coefficient is still within the usual rounding
+    # bound of a sum of at most 2^n pair terms.
+    sig, t1, t2 = operands
+    u, v = (Multivector(sig, Field.COMPLEX, {m: complex(*c) for m, c in t.items()})
+            for t in (t1, t2))
+    uv, vu = _int_product(t1, t2, sig), _int_product(t2, t1, sig)
+    exact = {
+        "gp": (u.geometric_product(v), uv, 2 ** 53),
+        "comm": (u.commutator(v), {m: (uv.get(m, (0, 0))[0] - vu.get(m, (0, 0))[0],
+                                       uv.get(m, (0, 0))[1] - vu.get(m, (0, 0))[1])
+                                   for m in {*uv, *vu}}, 2 ** 52),
+        "anticomm": (u.anticommutator(v), {m: (uv.get(m, (0, 0))[0] + vu.get(m, (0, 0))[0],
+                                               uv.get(m, (0, 0))[1] + vu.get(m, (0, 0))[1])
+                                           for m in {*uv, *vu}}, 2 ** 52),
+    }
+    l1 = _l1(t1) * _l1(t2)
+    for op, (got, want, bound) in exact.items():
+        for m in {*got.terms, *want}:
+            c, (re, im) = got.terms.get(m, 0j), want.get(m, (0, 0))
+            if l1 < bound:
+                assert (c.real, c.imag) == (re, im), (op, m)
+            else:
+                slack = (2 ** sig.n + 3) * 2.0 ** -52 * l1
+                assert abs(c.real - re) <= slack and abs(c.imag - im) <= slack, (op, m)
+
+
+def test_integer_product_bound_is_tight():
+    # squares of single terms: the l1 product is the coefficient itself
+    sig = Signature(1, 0)
+
+    def square(c: int) -> float:
+        u = Multivector.basis_blade(sig, 1, c)
+        return u.geometric_product(u).coefficient(0).real
+
+    assert 94906265 ** 2 < 2 ** 53 < 94906267 ** 2
+    assert square(94906265) == 94906265 ** 2
+    assert square(94906267) != 94906267 ** 2  # odd and past 2^53
+    assert square(134217729) == 18014398777917440 != 134217729 ** 2  # README

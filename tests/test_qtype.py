@@ -141,6 +141,13 @@ def test_qtype_construction_and_str():
         QType.from_string("05")
 
 
+def test_qtype_from_string_refuses_non_ascii_digits():
+    # int() reads "\u0663" (ARABIC-INDIC DIGIT THREE) as 3
+    for text in ("\u0663", "0\u0663", "\uff12", "1 ", "-1", "x"):
+        with pytest.raises(ValueError, match="must be 0..3"):
+            QType.from_string(text)
+
+
 def test_qtype_set_behavior():
     t = QType.of(1, 2)
     assert 1 in t and 2 in t and 0 not in t

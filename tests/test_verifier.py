@@ -116,6 +116,36 @@ def test_sample_pattern_rejects_imaginary_parts_in_real_field():
         sample_pattern_mv(S22, p, SplitMix64(3), Field.REAL)
 
 
+def test_sample_cap_picks_k_real_basis_elements():
+    p = SubspacePattern.from_parts(real="23", imag="1")
+    # real basis elements unit * blade, ascending masks, 1 before i
+    basis = [(m, unit) for m in range(16) for bit, unit in ((0, 1), (1, 1j))
+             if int(p[grade(m) & 3]) >> bit & 1]
+    assert list(verify._real_basis(S22, p)) == basis and len(basis) == 14
+    for seed in range(20):
+        # a cap of at least the basis size keeps the dense draw, bit for bit
+        dense = sample_pattern_mv(S22, p, SplitMix64(seed), Field.COMPLEX)
+        capped = sample_pattern_mv(S22, p, SplitMix64(seed), Field.COMPLEX, k=14)
+        assert dense == capped and list(dense.terms) == list(capped.terms)
+        # a smaller cap: 3 partial Fisher-Yates steps, then 3 draws in
+        # ascending basis order, replayed from the raw splitmix64 stream
+        g = SplitMix64(seed)
+        u = sample_pattern_mv(S22, p, g, Field.COMPLEX, k=3)
+        replay = SplitMix64(seed)
+        order = list(range(14))
+        for i in range(3):
+            j = i + replay.next_u64() % (14 - i)
+            order[i], order[j] = order[j], order[i]
+        want = {}
+        for index in sorted(order[:3]):
+            mask, unit = basis[index]
+            want[mask] = want.get(mask, 0) + (replay.next_u64() % 7 - 3) * unit
+        assert u == Multivector(S22, Field.COMPLEX, want)
+        assert g.next_u64() == replay.next_u64()
+    with pytest.raises(ValueError, match="at least 1"):
+        sample_pattern_mv(S22, p, SplitMix64(1), Field.COMPLEX, k=0)
+
+
 # ----------------------------------------------------------------------
 # config plumbing
 
@@ -166,7 +196,7 @@ def test_axioms_trivial_at_n1():
     assert report.status is CheckStatus.PASS
 
 
-def test_grade_pattern_passes_both_modes():
+def test_grade_pattern_census_passes():
     for sig in (S22, Signature(4, 3)):
         assert check_grade_pattern(cfg_for(sig)).status is CheckStatus.PASS
 
@@ -236,6 +266,27 @@ def test_theorem7_passes_at_n8():
     # terms; scaled to inf-norm <= 1 they missed the 1e-9 bound here.
     reports = check_theorem7(cfg_for(Signature(4, 4), samples=3))
     assert [r.status for r in reports] == [CheckStatus.PASS] * 4
+
+
+def test_theorem7_witness_stays_in_2_to_the_k_blades_at_n12(monkeypatch):
+    samples, exps = [], []
+    draw, original_exp = verify.sample_pattern_mv, Multivector.exp
+
+    def recorded_draw(*args, **kw):
+        samples.append(draw(*args, **kw))
+        return samples[-1]
+
+    def recorded_exp(self, *args):
+        exps.append(original_exp(self, *args))
+        return exps[-1]
+
+    monkeypatch.setattr(verify, "sample_pattern_mv", recorded_draw)
+    monkeypatch.setattr(Multivector, "exp", recorded_exp)
+    reports = check_theorem7(cfg_for(Signature(6, 6), samples=3))
+    assert [r.status for r in reports] == [CheckStatus.PASS] * 4
+    assert len(samples) == len(exps) == 12
+    assert max(len(u.terms) for u in samples) <= verify._WITNESS_K == 8
+    assert max(len(big_u.terms) for big_u in exps) <= 2 ** 8
 
 
 def test_theorem7_exp_respects_config_budget():
@@ -476,7 +527,7 @@ def _coverage(report):
     return float(re.search(r"cell coverage ([\d.]+)%", report.notes).group(1))
 
 
-def test_random_table_coverage_bounded_by_census():
+def test_census_table_coverage_pins():
     for sig in (S22, Signature(4, 0)):
         for op, want in ((OpKind.GEOMETRIC, 97.5), (OpKind.COMMUTATOR, 87.1),
                          (OpKind.ANTICOMMUTATOR, 100.0)):
