@@ -677,14 +677,15 @@ def test_integer_arithmetic_exact_below_stated_bound(operands):
     u, v = (Multivector(sig, Field.COMPLEX, {m: complex(*c) for m, c in t.items()})
             for t in (t1, t2))
     uv, vu = _int_product(t1, t2, sig), _int_product(t2, t1, sig)
+
+    def bracket(sign: int) -> dict:
+        return {m: tuple(x + sign * y for x, y in zip(uv.get(m, (0, 0)), vu.get(m, (0, 0))))
+                for m in {*uv, *vu}}
+
     exact = {
         "gp": (u.geometric_product(v), uv, 2 ** 53),
-        "comm": (u.commutator(v), {m: (uv.get(m, (0, 0))[0] - vu.get(m, (0, 0))[0],
-                                       uv.get(m, (0, 0))[1] - vu.get(m, (0, 0))[1])
-                                   for m in {*uv, *vu}}, 2 ** 52),
-        "anticomm": (u.anticommutator(v), {m: (uv.get(m, (0, 0))[0] + vu.get(m, (0, 0))[0],
-                                               uv.get(m, (0, 0))[1] + vu.get(m, (0, 0))[1])
-                                           for m in {*uv, *vu}}, 2 ** 52),
+        "comm": (u.commutator(v), bracket(-1), 2 ** 52),
+        "anticomm": (u.anticommutator(v), bracket(1), 2 ** 52),
     }
     l1 = _l1(t1) * _l1(t2)
     for op, (got, want, bound) in exact.items():
