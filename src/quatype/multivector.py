@@ -11,6 +11,11 @@ operand in ascending mask order, so every slot sums in the same order however
 the operands list their terms: elements that are ``==`` have ``==`` products,
 brackets and exponentials.  Products, sums and ``exp`` list their result
 terms in ascending mask order.
+
+``exp`` keeps that order without calling the product: it builds one
+sign-folded row per left mask once per call (up to a fixed entry budget)
+and reuses it for every series term, and it reads the partial sum's norm
+only when an upper bound on that norm no longer rules out stopping.
 """
 
 from __future__ import annotations
@@ -29,6 +34,10 @@ from .blades import MAX_GENERATORS, Signature, grade, sign_table
 # Every blade mask as one shared int object, so that picking the nonzero
 # slots of a product allocates no int.
 _MASKS = tuple(range(1 << MAX_GENERATORS))
+
+# Entries (one per left mask and right term) that exp's series may keep in
+# its row cache per call, at most about 0.4 MB.
+_ROW_CACHE_ENTRIES = 4096
 
 
 class AlgebraError(Exception):
@@ -74,6 +83,18 @@ def _check_tol(tol: float) -> float:
     if not (math.isfinite(tol) and tol >= 0):
         raise ValueError("tolerance must be finite and nonnegative")
     return tol
+
+
+def _check_count(name: str, value) -> None:
+    """Refuse a count that is not an integer (``range`` would raise a bare
+    TypeError on it later) or is below 1."""
+    try:
+        operator.index(value)
+    except TypeError:
+        raise TypeError(f"{name} must be an integer, not "
+                        f"{type(value).__name__}") from None
+    if value < 1:
+        raise ValueError(f"{name} must be at least 1")
 
 
 def _require_finite(data: dict) -> None:
@@ -322,22 +343,35 @@ class Multivector:
         The argument is halved until its inf-norm is at most 1, the series
         sum stops once the latest term's inf-norm drops below
         ``eps * (1 + inf-norm of the partial sum)``, and the result is
-        squared once per halving.  The series reads u's kernel rows once and
-        reuses them for every term, summing each term into 2**n slots in
-        ``geometric_product``'s order, so its bits equal a series of public
-        products; the squarings are public products.  ``eps`` must be
-        positive and finite (an infinite one would stop after the first
-        term).  Raises
-        ConvergenceFailure if the series uses up ``max_terms`` terms first,
-        or if the argument needs 52 or more halvings: each squaring doubles
-        the relative error, so after k halvings it is about 2**k machine
-        epsilons, and once ``2**k * sys.float_info.epsilon >= 1`` no digit
-        of the result is left.
+        squared once per halving; the squarings are public products.
+
+        Each series term is the previous term times u, summed into 2**n
+        slots in ``geometric_product``'s order, so its bits equal a series
+        of public products.  The first time a left mask a occurs, its
+        sign-folded row ``[(a ^ b, ±cb) for each term b of u]`` is built
+        from the split sign table; every later term only adds ``ca * (±cb)``
+        per entry.  At most ``_ROW_CACHE_ENTRIES`` entries are stored per
+        call; past that budget, a new left mask's entries are folded inline
+        every term instead, since a row built for one use costs more than it
+        saves.
+
+        The stopping test reads the partial sum's norm only when it might
+        stop.  An upper bound B on that norm grows by each term's norm, and
+        while ``term norm >= eps * (1 + B)`` the exact test cannot stop
+        either, because ``eps * (1 + x)`` rounds monotonically in x; so the
+        series stops at the same term as one that reads the norm every time.
+
+        ``eps`` must be positive and finite (an infinite one would stop
+        after the first term) and ``max_terms`` an integer of at least 1.
+        Raises ConvergenceFailure if the series uses up ``max_terms`` terms
+        first, or if the argument needs 52 or more halvings: each squaring
+        doubles the relative error, so after k halvings it is about 2**k
+        machine epsilons, and once ``2**k * sys.float_info.epsilon >= 1`` no
+        digit of the result is left.
         """
         if not (math.isfinite(eps) and eps > 0.0):
             raise ValueError("eps must be finite and positive")
-        if max_terms < 1:
-            raise ValueError("max_terms must be at least 1")
+        _check_count("max_terms", max_terms)
         u = self
         halvings = 0
         while u.inf_norm() > 1.0:
@@ -348,22 +382,40 @@ class Multivector:
                 f"exp argument needs {halvings} halvings, which leave no "
                 f"correct digit (argument inf-norm {self.inf_norm()!r})"
             )
-        # The loop nest must stay geometric_product's (left operand
-        # ascending, the same factors in the same order), so that each term
-        # has the bits of a public product.
+        # Rows keep geometric_product's b order.  ca * (±cb) has the bits of
+        # its sign * ca * cb in every nonzero part (IEEE rounding is
+        # symmetric); a zero part whose sign differs is cleared when it is
+        # added to a +0j slot.
         h, low, high = sign_table(self.sig)
         lo = (1 << h) - 1
-        rhs = [(b, b & lo, b >> h, cb) for b, cb in u._terms.items()]
+        rhs = [(b, b & lo, b >> h, (cb, -cb)) for b, cb in u._terms.items()]
+        rows = {}
+        budget = _ROW_CACHE_ENTRIES
         size = self.sig.blade_count
         acc = {0: 1 + 0j}
         term = dict(acc)
+        # bound >= the inf-norm of acc; it restarts from that norm whenever
+        # the norm is read.  One step rounds each slot's sum, its norm and
+        # the bound's own update a few times, each by at most 2**-53
+        # relative; the 2**-40 margin covers one step's rounding, so by
+        # induction it covers the additions of all max_terms terms.
+        bound = 1.0
         for m in range(1, max_terms + 1):
             slots = [0j] * size
             for a, ca in term.items():  # ascending: filled from the slots
-                ah = a >> h
-                row_lo, row_hi = low[ah.bit_count() & 1][a & lo], high[ah]
-                for b, bl, bh, cb in rhs:
-                    slots[a ^ b] += row_lo[bl] * row_hi[bh] * ca * cb
+                row = rows.get(a)
+                if row is None:
+                    ah = a >> h
+                    row_lo, row_hi = low[ah.bit_count() & 1][a & lo], high[ah]
+                    if budget < len(rhs):
+                        for b, bl, bh, pm in rhs:
+                            slots[a ^ b] += ca * pm[row_lo[bl] * row_hi[bh] < 0]
+                        continue
+                    row = rows[a] = [(a ^ b, pm[row_lo[bl] * row_hi[bh] < 0])
+                                     for b, bl, bh, pm in rhs]
+                    budget -= len(rhs)
+                for t, c in row:
+                    slots[t] += ca * c
             # One pass empties the slots: 1/m scaling, running sum, the
             # term's inf-norm and its finite check (1/m <= 1 keeps a finite
             # slot finite, and a non-finite one gives a norm that is not
@@ -385,11 +437,17 @@ class Multivector:
                         acc[k] = s
                     else:
                         del acc[k]
+            bound = (bound + term_norm) * (1.0 + 2.0 ** -40)
+            # eps * (1 + x) rounds monotonically in x, so a term that clears
+            # the bound's threshold clears the exact one: skip the norm.
+            if bound < math.inf and term_norm >= eps * (1.0 + bound):
+                continue
             acc_norm = _inf_norm(acc.values())
             if math.isinf(acc_norm):  # |re| + |im| can overflow on finite parts
                 _require_finite(acc)
             if term_norm < eps * (1.0 + acc_norm):
                 break
+            bound = acc_norm
         else:
             raise ConvergenceFailure(
                 f"exp series not converged after {max_terms} terms "

@@ -34,7 +34,7 @@ from functools import lru_cache
 from typing import Callable, Optional
 
 from .blades import Signature, grade, sign_table
-from .multivector import Field, FieldMismatch, Multivector, _check_tol
+from .multivector import Field, FieldMismatch, Multivector, _check_count, _check_tol
 from .qtype import (
     CoeffClass,
     OpKind,
@@ -110,15 +110,13 @@ class CheckConfig:
     def __post_init__(self) -> None:
         if not isinstance(self.sig, Signature):
             raise TypeError("sig must be a Signature")
-        if self.samples < 1:
-            raise ValueError("samples must be at least 1")
+        _check_count("samples", self.samples)
         # NaN compares false with everything, so tol=nan would pass any leak.
         if not (math.isfinite(self.tol) and self.tol >= 0.0):
             raise ValueError("tol must be finite and nonnegative")
         if not (math.isfinite(self.exp_eps) and self.exp_eps > 0.0):
             raise ValueError("exp_eps must be finite and positive")
-        if self.exp_max_terms < 1:
-            raise ValueError("exp_max_terms must be at least 1")
+        _check_count("exp_max_terms", self.exp_max_terms)
         if not isinstance(self.strategy, Strategy):
             raise TypeError("strategy must be a Strategy")
         object.__setattr__(self, "seed", int(self.seed) & _MASK64)

@@ -22,6 +22,7 @@ from quatype.multivector import (
     Multivector,
     RankOutOfRange,
     SignatureMismatch,
+    _ROW_CACHE_ENTRIES,
 )
 from test_blades import oracle_sign
 
@@ -431,6 +432,13 @@ def test_exp_parameter_validation():
         u.exp(max_terms=0)
 
 
+def test_exp_refuses_non_integer_max_terms():
+    # a float count used to pass validation and fail inside range()
+    u = Multivector.scalar(S22, 0.5)
+    with pytest.raises(TypeError, match="max_terms must be an integer"):
+        u.exp(max_terms=2.5)
+
+
 def test_exp_refuses_non_finite_eps():
     # an infinite eps used to stop the series after one term: exp(e12) came
     # back as 1 + e12 in Cl(2,0)
@@ -519,6 +527,40 @@ def test_exp_bits_match_series_of_public_products():
                 terms[mask] = complex(rng.uniform(-2.0, 2.0), rng.uniform(-2.0, 2.0))
         u = Multivector(sig, field, terms)
         assert _bits(u.exp()) == _bits(reference_exp(u)), (sig, field, terms)
+
+
+def _exp_outcome(f, *args):
+    try:
+        return _bits(f(*args))
+    except ConvergenceFailure:
+        return ConvergenceFailure
+
+
+def test_exp_stopping_rule_matches_series_that_reads_every_norm():
+    # reference_exp reads the partial sum's norm after every term, so equal
+    # bits and equal failures pin exp's bound-first stopping test, not only
+    # its default path.
+    rng = random.Random(20261018)
+    operands = []
+    for _ in range(60):
+        n = rng.randint(1, 6)
+        p = rng.randint(0, n)
+        masks = rng.sample(range(1 << n), rng.randint(1, min(1 << n, 8)))
+        terms = {m: complex(rng.uniform(-3, 3), rng.uniform(-3, 3)) for m in masks}
+        operands.append(Multivector(Signature(p, n - p), Field.COMPLEX, terms))
+    # dense at n = 7: 128 rows of 128 entries, more than the row cache keeps
+    assert (1 << 7) ** 2 > _ROW_CACHE_ENTRIES
+    dense = {m: rng.uniform(-1.0, 1.0) for m in range(1 << 7)}
+    operands.append(Multivector(Signature(4, 3), Field.REAL, dense))
+    failures = 0
+    for u in operands:
+        for eps in (1e-1, 1e-6, 1e-14):
+            assert _bits(u.exp(eps)) == _bits(reference_exp(u, eps)), (u, eps)
+        for max_terms in range(1, 7):
+            want = _exp_outcome(reference_exp, u, 1e-6, max_terms)
+            assert _exp_outcome(u.exp, 1e-6, max_terms) == want, (u, max_terms)
+            failures += want is ConvergenceFailure
+    assert 0 < failures < 6 * len(operands)
 
 
 # ----------------------------------------------------------------------

@@ -174,6 +174,14 @@ def test_config_validation():
             CheckConfig(sig=S22, exp_eps=bad)
 
 
+def test_config_refuses_non_integer_counts():
+    # float counts used to pass validation and fail later inside range()
+    with pytest.raises(TypeError, match="samples must be an integer"):
+        CheckConfig(sig=S22, samples=2.5)
+    with pytest.raises(TypeError, match="exp_max_terms must be an integer"):
+        CheckConfig(sig=S22, exp_max_terms=30.5)
+
+
 # ----------------------------------------------------------------------
 # positive checks
 
@@ -385,6 +393,20 @@ def test_census_cells_match_closed_form():
             assert {row[2:] for row in rows} == closed, (p, n - p)
             assert len(rows) == len(closed)
     assert len(closed) == 455
+
+
+def test_pair_count_matches_mod4_binomial_closed_form():
+    # A second derivation of the real dimensions behind the census verdicts:
+    # sum over g = k mod 4 of C(n, g) = 2^(n-2) + 2^((n-2)/2) cos(pi (n-2k)/4).
+    for n in range(1, 13):
+        for k in range(4):
+            direct = sum(math.comb(n, g) for g in range(k, n + 1, 4))
+            closed = round(2 ** (n - 2) + 2 ** ((n - 2) / 2)
+                           * math.cos(math.pi * (n - 2 * k) / 4))
+            assert direct == closed, (n, k)
+            pattern = SubspacePattern.from_parts(real=str(k))
+            sig = Signature(n // 2, n - n // 2)
+            assert verify._pair_count(sig, pattern, pattern) == closed ** 2
 
 
 @pytest.mark.parametrize("half", ["low0", "high"])
