@@ -85,15 +85,20 @@ def _check_tol(tol: float) -> float:
     return tol
 
 
-def _check_count(name: str, value) -> None:
-    """Refuse a count that is not an integer (``range`` would raise a bare
-    TypeError on it later) or is below 1."""
+def _check_int(name: str, value) -> int:
+    """``value`` as an int; refuse anything that is not an integer, such as
+    a float or a string, rather than truncate or parse it."""
     try:
-        operator.index(value)
+        return operator.index(value)
     except TypeError:
         raise TypeError(f"{name} must be an integer, not "
                         f"{type(value).__name__}") from None
-    if value < 1:
+
+
+def _check_count(name: str, value) -> None:
+    """Refuse a count that is not an integer (``range`` would raise a bare
+    TypeError on it later) or is below 1."""
+    if _check_int(name, value) < 1:
         raise ValueError(f"{name} must be at least 1")
 
 
@@ -257,13 +262,16 @@ class Multivector:
         self._like(other)
         h, low, high = sign_table(self.sig)
         lo = (1 << h) - 1
-        rhs = [(b, b & lo, b >> h, cb) for b, cb in other._terms.items()]
+        # Each pair adds ca * (±cb), which has the bits of sign * ca * cb in
+        # every nonzero part (IEEE rounding is symmetric); a zero part whose
+        # sign differs is cleared when it is added to a +0j slot.
+        rhs = [(b, b & lo, b >> h, (cb, -cb)) for b, cb in other._terms.items()]
         acc = [0j] * self.sig.blade_count
         for a, ca in sorted(self._terms.items()):
             ah = a >> h
             row_lo, row_hi = low[ah.bit_count() & 1][a & lo], high[ah]
-            for b, bl, bh, cb in rhs:
-                acc[a ^ b] += row_lo[bl] * row_hi[bh] * ca * cb
+            for b, bl, bh, pm in rhs:
+                acc[a ^ b] += ca * pm[row_lo[bl] * row_hi[bh] < 0]
         # a complex is true when nonzero: the masks of the nonzero slots,
         # zipped with their values
         out = dict(zip(compress(_MASKS, acc), filter(None, acc)))
@@ -382,10 +390,8 @@ class Multivector:
                 f"exp argument needs {halvings} halvings, which leave no "
                 f"correct digit (argument inf-norm {self.inf_norm()!r})"
             )
-        # Rows keep geometric_product's b order.  ca * (±cb) has the bits of
-        # its sign * ca * cb in every nonzero part (IEEE rounding is
-        # symmetric); a zero part whose sign differs is cleared when it is
-        # added to a +0j slot.
+        # Rows keep geometric_product's b order; each entry is the same
+        # per-pair expression as geometric_product.
         h, low, high = sign_table(self.sig)
         lo = (1 << h) - 1
         rhs = [(b, b & lo, b >> h, (cb, -cb)) for b, cb in u._terms.items()]

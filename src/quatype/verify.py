@@ -15,10 +15,9 @@ runs with the same config produce byte-identical reports, and a reported
 counterexample can be replayed by any implementation of the same generator
 (the update and output constants are in ``SplitMix64``).  Sampling draws
 integer coefficients in [-3, 3] per real basis element unit * blade
-(ascending blade masks, 1 before i); ``sample_pattern_mv`` refuses bounds
-under which a bracket of two samples could sum to 2^53 or more, past which
-doubles no longer hold every integer.  A witness sample draws for at most
-k = 8 real basis elements: when the Lie pattern has more, a partial
+(ascending blade masks, 1 before i), and theorem 7 scales each sample to
+l1 norm at most 1 before exponentiating it.  A witness sample draws for at
+most k = 8 real basis elements: when the Lie pattern has more, a partial
 Fisher-Yates shuffle on the row's stream picks 8 first.  A blade product is
 +-(a ^ b), so exp(u) and conj(U) U stay in the XOR span of at most 8 masks,
 at most 256 blades, and a sample's cost does not grow with n.  Every Lie
@@ -34,7 +33,7 @@ from functools import lru_cache
 from typing import Callable, Optional
 
 from .blades import Signature, grade, sign_table
-from .multivector import Field, FieldMismatch, Multivector, _check_count, _check_tol
+from .multivector import Field, FieldMismatch, Multivector, _check_count, _check_int, _check_tol
 from .qtype import (
     CoeffClass,
     OpKind,
@@ -119,7 +118,7 @@ class CheckConfig:
         _check_count("exp_max_terms", self.exp_max_terms)
         if not isinstance(self.strategy, Strategy):
             raise TypeError("strategy must be a Strategy")
-        object.__setattr__(self, "seed", int(self.seed) & _MASK64)
+        object.__setattr__(self, "seed", _check_int("seed", self.seed) & _MASK64)
 
 
 @dataclass(frozen=True)
@@ -154,9 +153,8 @@ class UnknownCheck(Exception):
 # sampling
 
 def sample_pattern_mv(sig: Signature, pattern: SubspacePattern, rng: SplitMix64,
-                      field: Field, lo: int = -3, hi: int = 3,
                       k: Optional[int] = None) -> Multivector:
-    """Integer-coefficient element matching ``pattern``.
+    """Complex element matching ``pattern``, with integer parts in [-3, 3].
 
     Blades are visited in ascending mask order; for each allowed part the
     next integer is drawn (real part first), so the element is a pure
@@ -165,18 +163,8 @@ def sample_pattern_mv(sig: Signature, pattern: SubspacePattern, rng: SplitMix64,
     a partial Fisher-Yates shuffle of ``_real_basis`` picks them (for i in
     0..k-1, swap position i with position ``next_int(i, len - 1)``), and
     the picked ones draw in the same ascending (mask, 1 before i) order.
-    Raises FieldMismatch when the field is real and the pattern grants an
-    imaginary part, and ValueError when the range is empty, the cap is
-    below 1, or a bracket of two draws could leave the exact integers.
+    Raises ValueError when the cap is below 1.
     """
-    _check_field(pattern, field)
-    # A bracket of two samples sums up to 2^n terms per blade, each at most
-    # 4 m^2 (two products of two parts each); integers stay exact in a double
-    # only below 2^53.
-    if lo > hi:
-        raise ValueError(f"empty draw range [{lo}, {hi}]")
-    if 4 * max(abs(lo), abs(hi)) ** 2 * 2 ** sig.n >= 2 ** 53:
-        raise ValueError(f"draws in [{lo}, {hi}] at n = {sig.n} could sum past 2^53")
     if k is not None and k < 1:
         raise ValueError(f"sample cap k = {k} must be at least 1")
     basis = _real_basis(sig, pattern)
@@ -191,15 +179,10 @@ def sample_pattern_mv(sig: Signature, pattern: SubspacePattern, rng: SplitMix64,
     # of a negative draw times 1j)
     terms = {}
     for mask, unit in basis:
-        v = rng.next_int(lo, hi)
+        v = rng.next_int(-3, 3)
         if v:
             terms[mask] = terms.get(mask, 0j) + v * unit
-    return Multivector._raw(sig, field, terms)
-
-
-def _check_field(pattern: SubspacePattern, field: Field) -> None:
-    if field is Field.REAL and any(c & CoeffClass.IMAGINARY for c in pattern.classes):
-        raise FieldMismatch(f"pattern {pattern} has imaginary parts in a real field")
+    return Multivector._raw(sig, Field.COMPLEX, terms)
 
 
 # ----------------------------------------------------------------------
@@ -487,13 +470,16 @@ def check_pattern_closure(
     The blade-pair census decides every real basis pair (unit * blade,
     unit 1 or i as the pattern grants) exactly, and the report counts the
     abstract case plus those pairs, or plus the failing pair's position.
-    An abstract leak without a concrete witness FAILs with one case."""
+    An abstract leak without a concrete witness FAILs with one case.
+    Raises FieldMismatch when the field is real and the pattern grants an
+    imaginary part."""
     label = name or f"closure:{op.value}:{field.value}:{pattern}"
     composed = pattern_compose(op, pattern, pattern)
     contained = pattern.contains(composed)
     notes = "" if contained else (
         f"abstract composition leaks: {pattern} composes to {composed}")
-    _check_field(pattern, field)
+    if field is Field.REAL and any(c & CoeffClass.IMAGINARY for c in pattern.classes):
+        raise FieldMismatch(f"pattern {pattern} has imaginary parts in a real field")
     leak = _census_leak(cfg.sig, op, pattern, pattern, pattern)
     if leak:
         return _leak_fail(label, 1, cfg.sig, op, pattern, pattern, leak,
@@ -696,7 +682,7 @@ def _theorem7_row(cfg: CheckConfig, lie: SubspacePattern,
     for i in range(cases + 1, cases + cfg.samples + 1):
         # at most _WITNESS_K terms, so exp(u) and conj(U) U stay in the XOR
         # span of their masks: at most 2^_WITNESS_K blades at any n
-        u = sample_pattern_mv(cfg.sig, lie, rng, Field.COMPLEX, k=_WITNESS_K)
+        u = sample_pattern_mv(cfg.sig, lie, rng, k=_WITNESS_K)
         # The l1 norm is submultiplicative (every blade product has
         # coefficient +-1), so at l1 <= 1 the series cannot build large
         # terms that cancel; the inf-norm bounds nothing of the kind.

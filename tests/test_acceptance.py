@@ -190,9 +190,9 @@ def test_criterion_08_structural_properties():
     from quatype.verify import sample_pattern_mv
     exact_bad = 0
     for _ in range(200):
-        u = sample_pattern_mv(S22, full, rng, Field.COMPLEX)
-        v = sample_pattern_mv(S22, full, rng, Field.COMPLEX)
-        w = sample_pattern_mv(S22, full, rng, Field.COMPLEX)
+        u = sample_pattern_mv(S22, full, rng)
+        v = sample_pattern_mv(S22, full, rng)
+        w = sample_pattern_mv(S22, full, rng)
         uv = u.geometric_product(v)
         if uv.scale(2) != u.commutator(v) + u.anticommutator(v):
             exact_bad += 1

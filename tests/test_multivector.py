@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
-from quatype.blades import Signature, blade_indices
+from quatype.blades import Signature, blade_indices, canonical_sign
 from quatype.exprio import format_expression, parse_expression
 from quatype.multivector import (
     ConvergenceFailure,
@@ -195,6 +195,49 @@ def test_products_match_sign_oracle_at_large_n(n):
         assert u.geometric_product(v) == uv
         assert u.commutator(v) == uv - vu
         assert u.anticommutator(v) == uv + vu
+
+
+def signed_pair_sum(u: Multivector, v: Multivector) -> dict:
+    """uv as a sum of canonical_sign(a, b) * ca * cb into +0j slots, a in
+    ascending order and b in v's order; nonzero slots in ascending order."""
+    slots = {}
+    for a, ca in sorted(u.terms.items()):
+        for b, cb in v.terms.items():
+            s, m = canonical_sign(a, b, u.sig)
+            slots[m] = slots.get(m, 0j) + s * ca * cb
+    return {m: c for m, c in sorted(slots.items()) if c}
+
+
+def test_product_bits_match_signed_pair_sums():
+    # Non-integer coefficients round, so equal bits pin the summation order
+    # and the per-pair expression, which integer operands cannot.
+    rng = random.Random(20261019)
+    pairs = []
+    for n in range(1, 9):
+        for field in (Field.REAL, Field.COMPLEX):
+            for _ in range(4):
+                p = rng.randint(0, n)
+                sig = Signature(p, n - p)
+                pairs.append([Multivector(sig, field, {
+                    m: complex(rng.uniform(-2, 2),
+                               rng.uniform(-2, 2) if field is Field.COMPLEX else 0.0)
+                    for m in rng.sample(range(1 << n), rng.randint(1, min(1 << n, 24)))})
+                    for _ in range(2)])
+    sig = Signature(5, 7)
+    pairs.append([Multivector(sig, Field.COMPLEX, {
+        rng.randrange(1 << 12): complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
+        for _ in range(16)}) for _ in range(2)])
+    for u, v in pairs:
+        uv, vu = signed_pair_sum(u, v), signed_pair_sum(v, u)
+        masks = sorted(uv.keys() | vu.keys())
+        for got, want in (
+            (u.geometric_product(v), uv),
+            (u.commutator(v), {m: uv.get(m, 0j) - vu.get(m, 0j) for m in masks}),
+            (u.anticommutator(v), {m: uv.get(m, 0j) + vu.get(m, 0j) for m in masks}),
+        ):
+            # _bits keeps the result's term order, so the order is compared too
+            assert _bits(got) == [(m, c.real.hex(), c.imag.hex())
+                                  for m, c in want.items() if c], (u, v)
 
 
 def test_product_identity_splits_into_both_brackets():

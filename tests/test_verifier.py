@@ -92,28 +92,8 @@ def test_sample_pattern_respects_pattern():
     g = SplitMix64(3)
     p = SubspacePattern.from_parts(real="02", imag="1")
     for _ in range(20):
-        u = sample_pattern_mv(S22, p, g, Field.COMPLEX)
-        assert p.matches(u, 0.0)
-
-
-def test_sample_bounds_keep_bracket_sums_below_2_53():
-    # A bracket of two samples sums 2^n terms of at most 4 m^2 each.
-    sig = Signature(6, 6)
-    full = SubspacePattern.from_parts("0123", "0123")
-    widest = math.isqrt(2 ** 39 - 1)  # 4 m^2 2^12 < 2^53 exactly when m^2 < 2^39
-    sample_pattern_mv(sig, full, SplitMix64(1), Field.COMPLEX, -widest, widest)
-    for lo, hi in ((-widest - 1, 3), (0, widest + 1), (-2 ** 20, 2 ** 20)):
-        with pytest.raises(ValueError, match="2\\^53"):
-            sample_pattern_mv(sig, full, SplitMix64(1), Field.COMPLEX, lo, hi)
-    assert 4 * 3 ** 2 * 2 ** 12 == 147_456  # today's [-3, 3] draws at n = 12
-    with pytest.raises(ValueError, match="empty draw range"):
-        sample_pattern_mv(S22, full, SplitMix64(1), Field.COMPLEX, 3, -3)
-
-
-def test_sample_pattern_rejects_imaginary_parts_in_real_field():
-    p = SubspacePattern.from_parts(real="02", imag="1")
-    with pytest.raises(FieldMismatch):
-        sample_pattern_mv(S22, p, SplitMix64(3), Field.REAL)
+        u = sample_pattern_mv(S22, p, g)
+        assert p.matches(u, 0.0) and u.field is Field.COMPLEX
 
 
 def test_sample_cap_picks_k_real_basis_elements():
@@ -124,13 +104,13 @@ def test_sample_cap_picks_k_real_basis_elements():
     assert list(verify._real_basis(S22, p)) == basis and len(basis) == 14
     for seed in range(20):
         # a cap of at least the basis size keeps the dense draw, bit for bit
-        dense = sample_pattern_mv(S22, p, SplitMix64(seed), Field.COMPLEX)
-        capped = sample_pattern_mv(S22, p, SplitMix64(seed), Field.COMPLEX, k=14)
+        dense = sample_pattern_mv(S22, p, SplitMix64(seed))
+        capped = sample_pattern_mv(S22, p, SplitMix64(seed), k=14)
         assert dense == capped and list(dense.terms) == list(capped.terms)
         # a smaller cap: 3 partial Fisher-Yates steps, then 3 draws in
         # ascending basis order, replayed from the raw splitmix64 stream
         g = SplitMix64(seed)
-        u = sample_pattern_mv(S22, p, g, Field.COMPLEX, k=3)
+        u = sample_pattern_mv(S22, p, g, k=3)
         replay = SplitMix64(seed)
         order = list(range(14))
         for i in range(3):
@@ -143,7 +123,7 @@ def test_sample_cap_picks_k_real_basis_elements():
         assert u == Multivector(S22, Field.COMPLEX, want)
         assert g.next_u64() == replay.next_u64()
     with pytest.raises(ValueError, match="at least 1"):
-        sample_pattern_mv(S22, p, SplitMix64(1), Field.COMPLEX, k=0)
+        sample_pattern_mv(S22, p, SplitMix64(1), k=0)
 
 
 # ----------------------------------------------------------------------
@@ -180,6 +160,16 @@ def test_config_refuses_non_integer_counts():
         CheckConfig(sig=S22, samples=2.5)
     with pytest.raises(TypeError, match="exp_max_terms must be an integer"):
         CheckConfig(sig=S22, exp_max_terms=30.5)
+
+
+def test_config_refuses_non_integer_seed():
+    # refused, not truncated or parsed as int() would
+    for bad in (2.5, "7"):
+        with pytest.raises(TypeError, match="seed must be an integer"):
+            CheckConfig(sig=S22, seed=bad)
+    # integers still wrap mod 2^64
+    assert CheckConfig(sig=S22, seed=-1).seed == 2 ** 64 - 1
+    assert CheckConfig(sig=S22, seed=2 ** 64 + 5).seed == 5
 
 
 # ----------------------------------------------------------------------
