@@ -7,6 +7,8 @@ constants are computed exactly in integer arithmetic.
 
 Each signature builds one split sign table of at most 4**6 entries
 (``sign_table``); every product and every ``canonical_sign`` call reads it.
+The table holds sign bits (0 for +1, 1 for -1), so the sign of a product
+of signs is the XOR of their bits.
 """
 
 from __future__ import annotations
@@ -118,29 +120,32 @@ def metric_sign(a: int, b: int, sig: Signature) -> int:
 
 
 def canonical_sign(a: int, b: int, sig: Signature) -> tuple[int, int]:
-    """Geometric product of basis blades: returns (sign, result mask)."""
+    """Geometric product of basis blades: returns (sign, result mask), the
+    sign -1 when the XOR of the two sign-table bits is 1 and +1 otherwise."""
     sig.check_blade(a)
     sig.check_blade(b)
     h, low, high = sign_table(sig)
     lo = (1 << h) - 1
     ah = a >> h
-    return low[ah.bit_count() & 1][a & lo][b & lo] * high[ah][b >> h], a ^ b
+    bit = low[ah.bit_count() & 1][a & lo][b & lo] ^ high[ah][b >> h]
+    return -1 if bit else 1, a ^ b
 
 
 @functools.lru_cache(maxsize=None)
 def sign_table(sig: Signature):
-    """Split sign table ``(h, (low0, low1), high)`` with h = (n+1)//2: for
-    aL = a & (2**h - 1) and aH = a >> h, the sign of ``a * b`` is
-    ``low[|aH| & 1][aL][bL] * high[aH][bH]``.  The reorder count splits as
-    T(a,b) = T(aL,bL) + T(aH,bH) + |aH|*|bL|; ``low1`` negates the odd-|bL|
-    columns of ``low0`` to fold in the cross term, and the metric sign
+    """Split table of sign bits ``(h, (low0, low1), high)`` with
+    h = (n+1)//2; a bit is 0 for +1 and 1 for -1.  For aL = a & (2**h - 1)
+    and aH = a >> h, the sign of ``a * b`` is -1 exactly when
+    ``low[|aH| & 1][aL][bL] ^ high[aH][bH]`` is 1.  The reorder count splits
+    as T(a,b) = T(aL,bL) + T(aH,bH) + |aH|*|bL|; ``low1`` XORs the parity
+    of |bL| into ``low0`` to fold in the cross term, and the metric sign
     splits over the shared generators of each half."""
     h = (sig.n + 1) // 2
     lows, highs = range(1 << h), range(1 << (sig.n - h))
-    low0 = [[reorder_sign(a, b) * metric_sign(a, b, sig) for b in lows]
+    low0 = [[int(reorder_sign(a, b) != metric_sign(a, b, sig)) for b in lows]
             for a in lows]
-    low1 = [[-s if b.bit_count() & 1 else s for b, s in enumerate(row)]
+    low1 = [[s ^ (b.bit_count() & 1) for b, s in enumerate(row)]
             for row in low0]
-    high = [[reorder_sign(a, b) * metric_sign(a << h, b << h, sig)
+    high = [[int(reorder_sign(a, b) != metric_sign(a << h, b << h, sig))
              for b in highs] for a in highs]
     return h, (low0, low1), high

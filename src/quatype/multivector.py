@@ -262,16 +262,18 @@ class Multivector:
         self._like(other)
         h, low, high = sign_table(self.sig)
         lo = (1 << h) - 1
-        # Each pair adds ca * (±cb), which has the bits of sign * ca * cb in
-        # every nonzero part (IEEE rounding is symmetric); a zero part whose
-        # sign differs is cleared when it is added to a +0j slot.
+        # The XOR of the two sign-table bits is 0 for +1 and 1 for -1, so it
+        # picks cb or -cb from pm.  Each pair adds ca * (±cb), which has the
+        # bits of sign * ca * cb in every nonzero part (IEEE rounding is
+        # symmetric); a zero part whose sign differs is cleared when it is
+        # added to a +0j slot.
         rhs = [(b, b & lo, b >> h, (cb, -cb)) for b, cb in other._terms.items()]
         acc = [0j] * self.sig.blade_count
         for a, ca in sorted(self._terms.items()):
             ah = a >> h
             row_lo, row_hi = low[ah.bit_count() & 1][a & lo], high[ah]
             for b, bl, bh, pm in rhs:
-                acc[a ^ b] += ca * pm[row_lo[bl] * row_hi[bh] < 0]
+                acc[a ^ b] += ca * pm[row_lo[bl] ^ row_hi[bh]]
         # a complex is true when nonzero: the masks of the nonzero slots,
         # zipped with their values
         out = dict(zip(compress(_MASKS, acc), filter(None, acc)))
@@ -302,8 +304,10 @@ class Multivector:
         return Multivector._raw(self.sig, self.field, data)
 
     def qtype_project(self, kbar: int) -> "Multivector":
-        """Part whose grades are congruent to ``kbar`` mod 4."""
-        if kbar not in (0, 1, 2, 3):
+        """Part whose grades are congruent to ``kbar`` mod 4; raises
+        ValueError unless ``kbar`` is an int in 0..3 (a float or bool is
+        refused, not read as the int it equals)."""
+        if type(kbar) is not int or not 0 <= kbar <= 3:
             raise ValueError(f"quaternion type index {kbar!r} must be 0..3")
         data = {m: c for m, c in self._terms.items() if grade(m) & 3 == kbar}
         return Multivector._raw(self.sig, self.field, data)
@@ -415,9 +419,9 @@ class Multivector:
                     row_lo, row_hi = low[ah.bit_count() & 1][a & lo], high[ah]
                     if budget < len(rhs):
                         for b, bl, bh, pm in rhs:
-                            slots[a ^ b] += ca * pm[row_lo[bl] * row_hi[bh] < 0]
+                            slots[a ^ b] += ca * pm[row_lo[bl] ^ row_hi[bh]]
                         continue
-                    row = rows[a] = [(a ^ b, pm[row_lo[bl] * row_hi[bh] < 0])
+                    row = rows[a] = [(a ^ b, pm[row_lo[bl] ^ row_hi[bh]])
                                      for b, bl, bh, pm in rhs]
                     budget -= len(rhs)
                 for t, c in row:

@@ -193,12 +193,12 @@ def _blade(sig: Signature, mask: int) -> Multivector:
 
 
 def _half_cells(ab, ba) -> dict:
-    """(|x|, |y|, |x & y|, ab[x][y] * ba[y][x]) -> its first (x, y), x-major,
-    over every pair of half-blades of two square sign tables."""
+    """(|x|, |y|, |x & y|, ab[x][y] ^ ba[y][x]) -> its first (x, y), x-major,
+    over every pair of half-blades of two square sign-bit tables."""
     cells = {}
     for x in range(len(ab)):
         for y in range(len(ab)):
-            key = (grade(x), grade(y), grade(x & y), ab[x][y] * ba[y][x])
+            key = (grade(x), grade(y), grade(x & y), ab[x][y] ^ ba[y][x])
             cells.setdefault(key, (x, y))
     return cells
 
@@ -208,11 +208,13 @@ def _census(sig: Signature) -> tuple[tuple[int, int, int, int, int, int], ...]:
     """One row (a, b, |a|, |b|, |a ^ b|, s_ab * s_ba) per cell that the
     ordered basis-blade pairs reach (ab = s_ab (a ^ b), ba = s_ba (a ^ b)),
     with the cell's first pair (a, b) in a-major order; rows come in that
-    order.  The signs are the kernel's, s_ab = low[|aH| & 1][aL][bL] *
-    high[aH][bH], so the checks built on the rows test the kernel itself.
-    Each half is tallied once, the low half per parity pair (|aH|, |bH|)
-    mod 2, and the halves are joined by that parity; a joined cell's first
-    pair is the least pair of the halves' first pairs."""
+    order.  The signs are the kernel's: s_ab = -1 exactly when the bit
+    low[|aH| & 1][aL][bL] ^ high[aH][bH] is 1, so the checks built on the
+    rows test the kernel itself.  Each half is tallied once, keyed on its
+    bit of s_ab * s_ba, the low half per parity pair (|aH|, |bH|) mod 2;
+    the halves are joined by that parity, with s_ab * s_ba =
+    1 - 2 * (sL ^ sH), and a joined cell's first pair is the least pair of
+    the halves' first pairs."""
     h, low, high = sign_table(sig)
     lows = {(pa, pb): _half_cells(low[pa], low[pb])
             for pa in (0, 1) for pb in (0, 1)}
@@ -220,7 +222,7 @@ def _census(sig: Signature) -> tuple[tuple[int, int, int, int, int, int], ...]:
     for (kH, lH, jH, sH), (aH, bH) in _half_cells(high, high).items():
         for (kL, lL, jL, sL), (aL, bL) in lows[kH & 1, lH & 1].items():
             k, l = kL + kH, lL + lH
-            cell = (k, l, k + l - 2 * (jL + jH), sL * sH)
+            cell = (k, l, k + l - 2 * (jL + jH), 1 - 2 * (sL ^ sH))
             pair = (aH << h | aL, bH << h | bL)
             if cell not in first or pair < first[cell]:
                 first[cell] = pair

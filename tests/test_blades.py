@@ -18,6 +18,7 @@ from quatype.blades import (
     mask_from_indices,
     metric_sign,
     reorder_sign,
+    sign_table,
 )
 
 
@@ -135,6 +136,14 @@ def test_product_is_associative_sampled(a, b, c):
 def test_sign_table_matches_direct_computation():
     for n in range(1, 8):
         for sig in all_signatures(n):
+            # sign bits, 0 for +1 and 1 for -1: a stray ±1 entry would index
+            # a product's (cb, -cb) pair at -1 or -2
+            _, (low0, low1), high = sign_table(sig)
+            for table in (low0, low1, high):
+                assert {s for row in table for s in row} <= {0, 1}
+            for a, row in enumerate(low0):
+                for b, s in enumerate(row):
+                    assert low1[a][b] == s ^ (b.bit_count() & 1)
             for a in sig.blades():
                 for b in sig.blades():
                     assert canonical_sign(a, b, sig) == \

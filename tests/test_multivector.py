@@ -332,8 +332,9 @@ def test_qtype_projection_collects_grades_mod_4():
     assert set(p1.terms) == {0b1, 0b11111}
     assert u.qtype_project(2) == Multivector.basis_blade(sig, 0b11, 5)
     assert u.qtype_project(3).is_zero()
-    with pytest.raises(ValueError):
-        u.qtype_project(4)
+    for kbar in (4, 2.0, True):
+        with pytest.raises(ValueError):
+            u.qtype_project(kbar)
 
 
 def test_qtype_projections_partition():

@@ -405,7 +405,7 @@ def test_census_sees_one_flipped_kernel_sign(monkeypatch, half):
     h, (low0, low1), high = sign_table(sig)
     low0, high = [row[:] for row in low0], [row[:] for row in high]
     flipped = low0 if half == "low0" else high
-    flipped[1][2] = -flipped[1][2]
+    flipped[1][2] ^= 1
     monkeypatch.setattr(verify, "sign_table", lambda s: (h, (low0, low1), high))
     verify._census.cache_clear()
     try:
