@@ -4,6 +4,12 @@ The package has three levels: a blade kernel (`blades`), sparse multivector
 arithmetic over it (`multivector`), and the mod-4 type layer with its
 composition tables, subspace patterns, and verification harness (`qtype`,
 `verify`).  `exprio` and `cli` provide text and JSON interfaces.
+
+`import quatype` loads `blades`, `multivector`, `qtype` and `exprio`.  The
+verifier (`verify`) loads the first time one of its names is read from the
+package (`quatype.run_suite`, `from quatype import CheckConfig`, or
+`from quatype import *`), on `import quatype.verify`, or through the CLI, so
+a process that only does arithmetic never compiles it.
 """
 
 from .blades import Signature, blade_indices, canonical_sign, grade, mask_from_indices
@@ -39,29 +45,31 @@ from .exprio import (
     mv_to_document,
     parse_expression,
 )
-from .verify import (
-    CheckConfig,
-    CheckReport,
-    CheckStatus,
-    Counterexample,
-    SplitMix64,
-    Strategy,
-    UnknownCheck,
-    WC_PATTERN,
-    check_grade_pattern,
-    check_pattern_closure,
-    check_quaternion_axioms,
-    check_rank_coincidence,
-    check_subalgebra_theorems,
-    check_theorem5,
-    check_theorem6,
-    check_theorem6_7,
-    check_theorem7,
-    check_type_table,
-    check_wc_membership,
-    is_in_wc,
-    is_pseudo_unitary,
-    run_suite,
+
+# The verifier's names, served from `quatype.verify` by `__getattr__` below.
+_VERIFY_NAMES = (
+    "CheckConfig",
+    "CheckReport",
+    "CheckStatus",
+    "Counterexample",
+    "SplitMix64",
+    "Strategy",
+    "UnknownCheck",
+    "WC_PATTERN",
+    "check_grade_pattern",
+    "check_pattern_closure",
+    "check_quaternion_axioms",
+    "check_rank_coincidence",
+    "check_subalgebra_theorems",
+    "check_theorem5",
+    "check_theorem6",
+    "check_theorem6_7",
+    "check_theorem7",
+    "check_type_table",
+    "check_wc_membership",
+    "is_in_wc",
+    "is_pseudo_unitary",
+    "run_suite",
 )
 
 __version__ = "0.1.0"
@@ -121,3 +129,16 @@ __all__ = [
     "qtype_compose",
     "run_suite",
 ]
+
+
+def __getattr__(name):
+    # Not stored in the package dict, so a name always reads what
+    # `quatype.verify` holds now, even after something replaces it there.
+    if name in _VERIFY_NAMES:
+        from . import verify
+        return getattr(verify, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

@@ -87,12 +87,13 @@ def _check_tol(tol: float) -> float:
 
 def _check_int(name: str, value) -> int:
     """``value`` as an int; refuse anything that is not an integer, such as
-    a float or a string, rather than truncate or parse it."""
-    try:
-        return operator.index(value)
-    except TypeError:
-        raise TypeError(f"{name} must be an integer, not "
-                        f"{type(value).__name__}") from None
+    a float, a string or a bool, rather than truncate, parse or count it."""
+    if not isinstance(value, bool):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise TypeError(f"{name} must be an integer, not {type(value).__name__}")
 
 
 def _check_count(name: str, value) -> None:
@@ -292,8 +293,9 @@ class Multivector:
     # projections
 
     def grade_project(self, k: int) -> "Multivector":
-        """Part of fixed grade ``k``; raises RankOutOfRange unless 0 <= k <= n."""
-        if not (isinstance(k, int) and 0 <= k <= self.sig.n):
+        """Part of fixed grade ``k``; raises RankOutOfRange unless ``k`` is an
+        int with 0 <= k <= n (a float or bool is refused)."""
+        if not (type(k) is int and 0 <= k <= self.sig.n):
             raise RankOutOfRange(f"grade {k!r} out of range 0..{self.sig.n}")
         data = {m: c for m, c in self._terms.items() if grade(m) == k}
         return Multivector._raw(self.sig, self.field, data)

@@ -291,6 +291,8 @@ def test_grade_projection_examples():
         e1.grade_project(5)
     with pytest.raises(RankOutOfRange):
         e1.grade_project(-1)
+    with pytest.raises(RankOutOfRange):  # not read as grade 1
+        e1.grade_project(True)
 
 
 def test_grade_projections_partition():
@@ -481,6 +483,9 @@ def test_exp_refuses_non_integer_max_terms():
     u = Multivector.scalar(S22, 0.5)
     with pytest.raises(TypeError, match="max_terms must be an integer"):
         u.exp(max_terms=2.5)
+    # a bool is not counted as 1 or 0
+    with pytest.raises(TypeError, match="max_terms must be an integer, not bool"):
+        u.exp(max_terms=True)
 
 
 def test_exp_refuses_non_finite_eps():

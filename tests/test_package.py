@@ -1,0 +1,62 @@
+"""What `import quatype` loads, checked in a fresh interpreter.
+
+The verifier loads on first use of one of its names, so a process that only
+does arithmetic never compiles `verify.py`.  The probe runs in a subprocess
+because the test process has long since imported `quatype.verify`.
+"""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+PROBE = """
+import json
+import sys
+
+import quatype
+
+facts = {"verify_loaded_by_import": "quatype.verify" in sys.modules}
+facts["unresolved"] = [n for n in quatype.__all__ if not hasattr(quatype, n)]
+import quatype.verify as verify
+
+shared = [n for n in quatype.__all__ if n in vars(verify)]
+facts["shared"] = shared
+facts["not_verify_object"] = [n for n in shared
+                              if getattr(quatype, n) is not vars(verify)[n]]
+# a name read through the package is not cached there: a later
+# replacement in quatype.verify shows through it
+original, verify.run_suite = verify.run_suite, object()
+facts["sees_replacement"] = quatype.run_suite is verify.run_suite
+verify.run_suite = original
+star = {}
+exec("from quatype import *", star)
+facts["unbound_by_star"] = [n for n in quatype.__all__ if n not in star]
+facts["missing_from_dir"] = sorted(set(quatype.__all__) - set(dir(quatype)))
+try:
+    quatype.no_such_name
+    facts["no_such_name"] = "resolved"
+except AttributeError as exc:
+    facts["no_such_name"] = str(exc)
+print(json.dumps(facts))
+"""
+
+
+def test_import_defers_the_verifier_until_a_name_is_used():
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    r = subprocess.run([sys.executable, "-W", "error", "-c", PROBE], env=env,
+                       capture_output=True, text=True, timeout=120)
+    assert r.returncode == 0, r.stderr
+    facts = json.loads(r.stdout)
+    assert facts["verify_loaded_by_import"] is False
+    assert facts["unresolved"] == []
+    # every name verify defines or imports is one object through the package
+    assert {"run_suite", "CheckConfig", "WC_PATTERN"} <= set(facts["shared"])
+    assert facts["not_verify_object"] == []
+    assert facts["sees_replacement"] is True
+    assert facts["unbound_by_star"] == []
+    assert facts["missing_from_dir"] == []
+    assert facts["no_such_name"] == "module 'quatype' has no attribute 'no_such_name'"

@@ -160,11 +160,16 @@ def test_config_refuses_non_integer_counts():
         CheckConfig(sig=S22, samples=2.5)
     with pytest.raises(TypeError, match="exp_max_terms must be an integer"):
         CheckConfig(sig=S22, exp_max_terms=30.5)
+    # a bool is refused, not stored or read as 1 or 0
+    with pytest.raises(TypeError, match="samples must be an integer, not bool"):
+        CheckConfig(sig=S22, samples=True)
+    with pytest.raises(TypeError, match="exp_max_terms must be an integer, not bool"):
+        CheckConfig(sig=S22, exp_max_terms=False)
 
 
 def test_config_refuses_non_integer_seed():
-    # refused, not truncated or parsed as int() would
-    for bad in (2.5, "7"):
+    # refused, not truncated (2.5), parsed ("7") or read as 1 (True)
+    for bad in (2.5, "7", True):
         with pytest.raises(TypeError, match="seed must be an integer"):
             CheckConfig(sig=S22, seed=bad)
     # integers still wrap mod 2^64
