@@ -18,9 +18,9 @@ def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--max-n", type=int, default=5, help="largest p+q to sweep")
     ap.add_argument("--min-n", type=int, default=1, help="smallest p+q to sweep")
-    ap.add_argument("--samples", type=int, default=100)
-    ap.add_argument("--seed", type=int, default=0)
-    ap.add_argument("--tol", type=float, default=1e-12)
+    ap.add_argument("--samples", type=int, default=CheckConfig.samples)
+    ap.add_argument("--seed", type=int, default=CheckConfig.seed)
+    ap.add_argument("--tol", type=float, default=CheckConfig.tol)
     ap.add_argument("--suite", default="all", choices=SUITE_NAMES)
     args = ap.parse_args(argv)
     try:

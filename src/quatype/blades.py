@@ -30,8 +30,7 @@ class Signature:
     q: int
 
     def __post_init__(self) -> None:
-        if not (isinstance(self.p, int) and isinstance(self.q, int)) or \
-                isinstance(self.p, bool) or isinstance(self.q, bool):
+        if not (type(self.p) is int and type(self.q) is int):
             raise TypeError("signature components must be integers")
         if self.p < 0 or self.q < 0:
             raise ValueError("signature components must be nonnegative")
@@ -50,9 +49,10 @@ class Signature:
         return 1 << self.n
 
     def metric(self, i: int) -> int:
-        """Square of generator ``e^i`` (1-based index)."""
-        if not 1 <= i <= self.n:
-            raise ValueError(f"generator index {i} out of range 1..{self.n}")
+        """Square of generator ``e^i`` (1-based index); ValueError unless
+        ``i`` is an int (not a bool or float) in 1..n."""
+        if not (type(i) is int and 1 <= i <= self.n):
+            raise ValueError(f"generator index {i!r} out of range 1..{self.n}")
         return 1 if i <= self.p else -1
 
     def blades(self) -> range:
@@ -60,7 +60,9 @@ class Signature:
         return range(self.blade_count)
 
     def check_blade(self, mask: int) -> None:
-        if not (isinstance(mask, int) and 0 <= mask < self.blade_count):
+        """Refuse a mask that is not an int in 0..2**n - 1 with ValueError;
+        a bool is refused, not read as mask 0 or 1."""
+        if not (type(mask) is int and 0 <= mask < self.blade_count):
             raise ValueError(f"blade mask {mask!r} invalid for n={self.n}")
 
     def __str__(self) -> str:
@@ -89,7 +91,7 @@ def mask_from_indices(indices, n: int) -> int:
     mask = 0
     prev = 0
     for i in indices:
-        if not (isinstance(i, int) and 1 <= i <= n):
+        if not (type(i) is int and 1 <= i <= n):
             raise ValueError(f"generator index {i!r} out of range 1..{n}")
         if i <= prev:
             raise ValueError("generator indices must be strictly increasing")

@@ -49,10 +49,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     v.add_argument("--suite", default="all", choices=SUITE_NAMES,
                    help="which checks to run: a group or a single check")
-    v.add_argument("--samples", type=int, default=200,
+    v.add_argument("--samples", type=int, default=CheckConfig.samples,
                    help="exp witness samples per theorem7 row")
-    v.add_argument("--seed", type=int, default=0, help="base seed for sampling")
-    v.add_argument("--tol", type=float, default=1e-12, help="leakage tolerance")
+    v.add_argument("--seed", type=int, default=CheckConfig.seed,
+                   help="base seed for sampling")
+    v.add_argument("--tol", type=float, default=CheckConfig.tol,
+                   help="leakage tolerance")
     v.add_argument("--format", default="text", choices=["text", "json"],
                    help="report format")
 

@@ -318,11 +318,14 @@ class Multivector:
     # involution and norms
 
     def conjugate(self) -> "Multivector":
-        """Clifford conjugation: reverse each blade's generator order and
-        complex-conjugate each coefficient.
+        """Reversion composed with complex conjugation: reverse each blade's
+        generator order and complex-conjugate each coefficient.
 
         Per blade of grade g the reversal contributes (-1)**(g*(g-1)//2),
-        i.e. -1 exactly when g mod 4 is 2 or 3.
+        i.e. -1 exactly when g mod 4 is 2 or 3; ``WC_PATTERN`` in
+        ``quatype.verify`` rests on these signs.  This is not Clifford
+        conjugation (reversion composed with grade involution), whose sign
+        is -1 when g mod 4 is 1 or 2.
         """
         data = {}
         for m, c in self._terms.items():

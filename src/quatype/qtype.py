@@ -64,6 +64,11 @@ def coeff_le(a: CoeffClass, b: CoeffClass) -> bool:
     return (int(a) & ~int(b)) == 0
 
 
+# Ascending main types of each 4-bit type mask, built once: the type tables
+# read QType.members thousands of times per verdict.
+_MEMBERS = tuple(tuple(k for k in range(4) if mask >> k & 1) for mask in range(16))
+
+
 @dataclass(frozen=True)
 class QType:
     """Subset of the four main types, stored as a 4-bit mask."""
@@ -94,7 +99,7 @@ class QType:
 
     @property
     def members(self) -> tuple[int, ...]:
-        return tuple(k for k in range(4) if self.mask >> k & 1)
+        return _MEMBERS[self.mask]
 
     def __iter__(self):
         return iter(self.members)
@@ -159,8 +164,8 @@ def qtype_compose(op: OpKind, t1: QType, t2: QType) -> QType:
         return (qtype_compose(OpKind.COMMUTATOR, t1, t2)
                 | qtype_compose(OpKind.ANTICOMMUTATOR, t1, t2))
     mask = 0
-    for a in t1:
-        for b in t2:
+    for a in t1.members:
+        for b in t2.members:
             mask |= 1 << main_compose(op, a, b)
     return QType(mask)
 
@@ -225,9 +230,9 @@ class SubspacePattern:
         re, im, _ = _type_profile(mv)
         worst = 0.0
         for k, cls in enumerate(map(int, self.classes)):
-            if not cls & CoeffClass.REAL.value:
+            if not cls & 1:  # no real part granted
                 worst = max(worst, re[k])
-            if not cls & CoeffClass.IMAGINARY.value:
+            if not cls & 2:  # no imaginary part granted
                 worst = max(worst, im[k])
         return worst
 

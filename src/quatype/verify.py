@@ -26,6 +26,7 @@ row at n <= 3 has at most 8 real basis elements, so its draw is dense.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import asdict, dataclass
 from enum import Enum
@@ -33,7 +34,15 @@ from functools import lru_cache
 from typing import Callable, Optional
 
 from .blades import Signature, grade, sign_table
-from .multivector import Field, FieldMismatch, Multivector, _check_count, _check_int, _check_tol
+from .multivector import (
+    Field,
+    FieldMismatch,
+    Multivector,
+    _check_count,
+    _check_int,
+    _check_tol,
+    _inf_norm,
+)
 from .qtype import (
     CoeffClass,
     OpKind,
@@ -335,12 +344,28 @@ def _pair_count(sig: Signature, p1: SubspacePattern, p2: SubspacePattern) -> int
 # membership predicates
 
 def _wc_defect(u: Multivector) -> float:
-    return (u.conjugate() + u).inf_norm()
+    """``(u.conjugate() + u).inf_norm()`` without building the sum, with
+    the same ValueError when a part of the sum overflows a double."""
+    conj, terms = u.conjugate().terms, u.terms
+    # conj has u's masks, unless a test substitutes a conjugate that moves them
+    worst = _inf_norm(c for m, c in conj.items() if m not in terms)
+    for m, c in terms.items():
+        s = conj.get(m, 0j) + c
+        x = abs(s.real) + abs(s.imag)
+        if x == math.inf and not cmath.isfinite(s):
+            raise ValueError("arithmetic result overflows a double")
+        if x > worst:
+            worst = x
+    return worst
 
 
 def _unitary_defect(u: Multivector) -> float:
-    e = Multivector.scalar(u.sig, 1.0, u.field)
-    return (u.conjugate().geometric_product(u) - e).inf_norm()
+    """``(conj(u) u - 1).inf_norm()`` read off the terms of the product
+    conj(u) u, with 1 taken from its scalar slot."""
+    prod = u.conjugate().geometric_product(u).terms
+    s = prod.get(0, 0j) - 1.0
+    return max(abs(s.real) + abs(s.imag),
+               _inf_norm(c for m, c in prod.items() if m))
 
 
 def is_pseudo_unitary(u: Multivector, tol: float = 1e-12) -> bool:

@@ -180,6 +180,8 @@ def test_mask_from_indices_rejects_bad_input():
         mask_from_indices([5], 4)
     with pytest.raises(ValueError):
         mask_from_indices([0], 4)
+    with pytest.raises(ValueError, match="index True"):
+        mask_from_indices([True], 2)
 
 
 def test_signature_validation():
@@ -203,3 +205,6 @@ def test_signature_metric_and_str():
         sig.metric(0)
     with pytest.raises(ValueError):
         sig.metric(6)
+    for bad in (True, 1.0):
+        with pytest.raises(ValueError, match="index"):
+            sig.metric(bad)

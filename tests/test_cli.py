@@ -5,6 +5,7 @@ the exit-code contract (0 pass, 1 verification failure, 2 usage/parse,
 3 non-convergence) is asserted on return values, not on a subprocess.
 """
 
+import hashlib
 import json
 import os
 import subprocess
@@ -80,6 +81,26 @@ def test_verify_json_byte_identical_across_runs(capsys):
     code2, out2, _ = run_cli(capsys, *args)
     assert code1 == code2 == 0
     assert out1 == out2
+
+
+# sha256 of `verify --suite all --format json --seed 42` stdout at each n = 4
+# signature, the benchmark's verify-small inputs.  A change that alters a
+# report on purpose updates these pins and says so in CHANGES.md.
+_VERIFY_N4_SHA256 = {
+    (4, 0): "0f05aec49caccada43f7b501504a37eec12d3f7aac1057985d544d93539f0714",
+    (3, 1): "60cdad928a8d1190b4f8491ce3f6cacb878696952c2cd4c13e7c97437b16c4d8",
+    (2, 2): "5201990c4df5742675f619b3fcd520125e420caaa4ddb0fd084633413e7a48a6",
+    (1, 3): "cb8b67333a7de7bd49c569422010e1f36a1941c15bebc61461b8a9879d9bbe47",
+    (0, 4): "542cbcfe2caa340cd7f129fd75230117c348e1235b6f2343becba85fefcfd627",
+}
+
+
+@pytest.mark.parametrize("p, q", list(_VERIFY_N4_SHA256))
+def test_verify_json_pinned_at_n4(capsys, p, q):
+    code, out, err = run_cli(capsys, "verify", "--p", str(p), "--q", str(q),
+                             "--suite", "all", "--format", "json", "--seed", "42")
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == _VERIFY_N4_SHA256[p, q]
 
 
 def test_verify_usage_errors(capsys):

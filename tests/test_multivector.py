@@ -115,6 +115,16 @@ def test_invalid_blade_mask_rejected():
         Multivector(S22, Field.COMPLEX, {1 << 4: 1})
     with pytest.raises(ValueError):
         Multivector(S22, Field.COMPLEX, {-1: 1})
+    # a bool is refused, not read as mask 0 or 1
+    sig = Signature(2, 1)
+    with pytest.raises(ValueError, match="blade mask True"):
+        Multivector(sig, Field.REAL, [(True, 1.0)])
+    with pytest.raises(ValueError, match="blade mask True"):
+        Multivector.basis_blade(sig, True)
+    with pytest.raises(ValueError, match="blade mask False"):
+        Multivector.scalar(sig, 1).coefficient(False)
+    with pytest.raises(ValueError, match="blade mask True"):
+        Multivector.basis_blade(sig, 1).coefficient(True)
 
 
 def test_immutability():

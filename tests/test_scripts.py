@@ -5,6 +5,9 @@ import subprocess
 import sys
 from pathlib import Path
 
+from quatype.blades import Signature
+from quatype.verify import CheckConfig, run_suite
+
 ROOT = Path(__file__).resolve().parent.parent
 
 
@@ -26,6 +29,18 @@ def test_full_report_closures_at_every_signature_to_n12():
     r = run_script("full_report.py", "--max-n", "12", "--suite", "closures")
     assert r.returncode == 0, r.stderr
     assert "total: 3870 pass, 0 fail, 0 skipped" in r.stdout.splitlines()
+
+
+def test_full_report_defaults_match_verify():
+    # theorem7's case counts include its witness samples, so they show the
+    # --samples default
+    r = run_script("full_report.py", "--max-n", "1", "--suite", "theorem7")
+    assert r.returncode == 0, r.stderr
+    cases = {row.split()[0]: int(row.split()[4])
+             for row in r.stdout.splitlines()[1:3]}
+    for sig in (Signature(0, 1), Signature(1, 0)):
+        reports = run_suite(["theorem7"], CheckConfig(sig=sig))
+        assert cases[str(sig)] == sum(rep.cases_run for rep in reports)
 
 
 def test_full_report_rejects_bad_suite_and_config():

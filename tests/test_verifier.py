@@ -8,6 +8,7 @@ should: a corrupted composition rule and two subspaces that are not closed.
 
 import itertools
 import math
+import random
 import re
 
 import pytest
@@ -579,6 +580,60 @@ def test_is_pseudo_unitary_examples():
             is_pseudo_unitary(e.scale(2), tol)
 
 
+def _reference_wc_defect(u):
+    return (u.conjugate() + u).inf_norm()
+
+
+def _reference_unitary_defect(u):
+    e = Multivector.scalar(u.sig, 1.0, u.field)
+    return (u.conjugate().geometric_product(u) - e).inf_norm()
+
+
+def _outcome(defect, u):
+    """repr of the defect (equal reprs are equal bits), or the error text."""
+    try:
+        return repr(defect(u))
+    except ValueError as exc:
+        return f"ValueError: {exc}"
+
+
+@pytest.mark.parametrize("moved", [False, True])
+def test_defect_helpers_match_multivector_expressions(monkeypatch, moved):
+    if moved:  # a broken conjugate that moves and rescales terms
+        original = Multivector.conjugate
+        monkeypatch.setattr(Multivector, "conjugate", lambda self: Multivector(
+            self.sig, self.field,
+            {m ^ 1: 2 * c for m, c in original(self).terms.items()}))
+    rng = random.Random(16)
+    draws = (
+        lambda: rng.randint(-3, 3),
+        lambda: rng.uniform(-2.0, 2.0),
+        lambda: rng.uniform(-1e-3, 1e-3),
+        lambda: rng.choice((0.5, -0.25, 1e154, 1.5e308)),  # overflow too
+    )
+    cases = 0
+    for n in range(1, 7):
+        for _ in range(500):
+            p = rng.randint(0, n)
+            sig = Signature(p, n - p)
+            field = rng.choice((Field.REAL, Field.COMPLEX))
+            draw = rng.choice(draws)
+            terms = {}
+            for _ in range(rng.randint(0, 10)):  # 0 terms: the zero element
+                c = draw() if field is Field.REAL else complex(draw(), draw())
+                terms[rng.randrange(sig.blade_count)] = c
+            u = Multivector(sig, field, terms)
+            if rng.random() < 0.25 and u.inf_norm() < 1:
+                u = u.exp()  # near-unitary: scalar slot of conj(U) U near 1
+            for v in (u, -u):  # -u stores -0.0 parts
+                for new, old in ((verify._wc_defect, _reference_wc_defect),
+                                 (verify._unitary_defect,
+                                  _reference_unitary_defect)):
+                    assert _outcome(new, v) == _outcome(old, v), (new, v)
+                    cases += 1
+    assert cases == 4 * 6 * 500
+
+
 def test_is_in_wc_examples():
     assert is_in_wc(Multivector.scalar(S22, 1j), 0.0)
     assert is_in_wc(Multivector.basis_blade(S22, 0b11, 1), 0.0)
@@ -587,6 +642,10 @@ def test_is_in_wc_examples():
     for tol in (float("nan"), float("inf")):
         with pytest.raises(ValueError):
             is_in_wc(Multivector.basis_blade(S22, 0b1, 1), tol)
+    for u in (Multivector.scalar(Signature(2, 1), 1.5e308),  # conj(u) + u
+              Multivector.basis_blade(Signature(2, 1), 0b11, 1.5e308j)):
+        with pytest.raises(ValueError, match="overflows"):
+            is_in_wc(u)
 
 
 # ----------------------------------------------------------------------
