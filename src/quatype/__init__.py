@@ -6,10 +6,11 @@ composition tables, subspace patterns, and verification harness (`qtype`,
 `verify`).  `exprio` and `cli` provide text and JSON interfaces.
 
 `import quatype` loads `blades`, `multivector`, `qtype` and `exprio`.  The
-verifier (`verify`) loads the first time one of its names is read from the
-package (`quatype.run_suite`, `from quatype import CheckConfig`, or
-`from quatype import *`), on `import quatype.verify`, or through the CLI, so
-a process that only does arithmetic never compiles it.
+names in `__all__` that those imports do not bind are the verifier's; they
+load lazily.  The verifier (`verify`) loads the first time one of them is
+read from the package (`quatype.run_suite`, `from quatype import
+CheckConfig`, or `from quatype import *`), on `import quatype.verify`, or
+through the CLI, so a process that only does arithmetic never compiles it.
 """
 
 from .blades import Signature, blade_indices, canonical_sign, grade, mask_from_indices
@@ -44,32 +45,6 @@ from .exprio import (
     mv_from_document,
     mv_to_document,
     parse_expression,
-)
-
-# The verifier's names, served from `quatype.verify` by `__getattr__` below.
-_VERIFY_NAMES = (
-    "CheckConfig",
-    "CheckReport",
-    "CheckStatus",
-    "Counterexample",
-    "SplitMix64",
-    "Strategy",
-    "UnknownCheck",
-    "WC_PATTERN",
-    "check_grade_pattern",
-    "check_pattern_closure",
-    "check_quaternion_axioms",
-    "check_rank_coincidence",
-    "check_subalgebra_theorems",
-    "check_theorem5",
-    "check_theorem6",
-    "check_theorem6_7",
-    "check_theorem7",
-    "check_type_table",
-    "check_wc_membership",
-    "is_in_wc",
-    "is_pseudo_unitary",
-    "run_suite",
 )
 
 __version__ = "0.1.0"
@@ -132,9 +107,11 @@ __all__ = [
 
 
 def __getattr__(name):
-    # Not stored in the package dict, so a name always reads what
-    # `quatype.verify` holds now, even after something replaces it there.
-    if name in _VERIFY_NAMES:
+    # Python asks here only for names missing from the package dict, so an
+    # `__all__` name that gets here is one of the verifier's.  Not stored
+    # in the package dict, so a name always reads what `quatype.verify`
+    # holds now, even after something replaces it there.
+    if name in __all__:
         from . import verify
         return getattr(verify, name)
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -76,14 +76,14 @@ class QType:
     mask: int
 
     def __post_init__(self) -> None:
-        if not (isinstance(self.mask, int) and 0 <= self.mask <= 0b1111):
+        if not (type(self.mask) is int and 0 <= self.mask <= 0b1111):
             raise ValueError(f"type mask {self.mask!r} out of range")
 
     @classmethod
     def of(cls, *members: int) -> "QType":
         m = 0
         for k in members:
-            if k not in (0, 1, 2, 3):
+            if type(k) is not int or not 0 <= k <= 3:
                 raise ValueError(f"main type {k!r} must be 0..3")
             m |= 1 << k
         return cls(m)
@@ -105,7 +105,7 @@ class QType:
         return iter(self.members)
 
     def __contains__(self, k: int) -> bool:
-        return 0 <= k <= 3 and bool(self.mask >> k & 1)
+        return type(k) is int and 0 <= k <= 3 and bool(self.mask >> k & 1)
 
     def __bool__(self) -> bool:
         return self.mask != 0
@@ -143,7 +143,7 @@ def main_compose(op: OpKind, a: int, b: int) -> int:
     Anticommutator: a ^ b.  Commutator: a ^ b ^ 2.  Both are symmetric and
     reproduce the quaternion-unit table with unit 0 resp. unit 2.
     """
-    if a not in (0, 1, 2, 3) or b not in (0, 1, 2, 3):
+    if not (type(a) is int and type(b) is int and 0 <= a <= 3 and 0 <= b <= 3):
         raise ValueError(f"main types must be 0..3, got {a!r}, {b!r}")
     if op is OpKind.ANTICOMMUTATOR:
         return a ^ b

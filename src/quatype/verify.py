@@ -50,10 +50,10 @@ from .qtype import (
     SubspacePattern,
     TYPE_ORDER,
     detect_qtype,
+    emit_table,
     is_closed,
     main_compose,
     pattern_compose,
-    qtype_compose,
 )
 from .exprio import format_expression
 
@@ -172,10 +172,11 @@ def sample_pattern_mv(sig: Signature, pattern: SubspacePattern, rng: SplitMix64,
     a partial Fisher-Yates shuffle of ``_real_basis`` picks them (for i in
     0..k-1, swap position i with position ``next_int(i, len - 1)``), and
     the picked ones draw in the same ascending (mask, 1 before i) order.
-    Raises ValueError when the cap is below 1.
+    Raises TypeError when the cap is not an int (a bool is refused) and
+    ValueError when it is below 1.
     """
-    if k is not None and k < 1:
-        raise ValueError(f"sample cap k = {k} must be at least 1")
+    if k is not None:
+        _check_count("k", k)
     basis = _real_basis(sig, pattern)
     if k is not None and len(basis) > k:
         picks = list(range(len(basis)))
@@ -457,7 +458,7 @@ def check_type_table(op: OpKind, cfg: CheckConfig) -> CheckReport:
     coverage are both exact."""
     name = f"tables:{op.value}"
     sig = cfg.sig
-    cells = [[qtype_compose(op, t1, t2) for t2 in TYPE_ORDER] for t1 in TYPE_ORDER]
+    cells = emit_table(op)
     reached = [[0] * len(TYPE_ORDER) for _ in TYPE_ORDER]
     # Indices of the types that hold main type k; k itself comes first.
     holding = [[i for i, t in enumerate(TYPE_ORDER) if k in t] for k in range(4)]

@@ -139,6 +139,18 @@ def test_qtype_construction_and_str():
         QType.of(4)
     with pytest.raises(ValueError):
         QType.from_string("05")
+    # a bool or float equals an int in range but is refused, not read as it
+    for bad in (True, 1.0):
+        with pytest.raises(ValueError, match="must be 0..3"):
+            QType.of(bad)
+        with pytest.raises(ValueError, match="must be 0..3"):
+            main_compose(OpKind.COMMUTATOR, bad, 0)
+        with pytest.raises(ValueError, match="must be 0..3"):
+            main_compose(OpKind.ANTICOMMUTATOR, 0, bad)
+        with pytest.raises(ValueError, match="out of range"):
+            QType(bad)
+        assert bad not in QType.of(1)
+    assert "1" not in FULL_TYPE and None not in FULL_TYPE
 
 
 def test_qtype_from_string_refuses_non_ascii_digits():

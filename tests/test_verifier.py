@@ -125,6 +125,10 @@ def test_sample_cap_picks_k_real_basis_elements():
         assert g.next_u64() == replay.next_u64()
     with pytest.raises(ValueError, match="at least 1"):
         sample_pattern_mv(S22, p, SplitMix64(1), k=0)
+    # a bool would draw one element, a float or str would fail inside range
+    for bad in (2.5, "3", True):
+        with pytest.raises(TypeError, match="k must be an integer"):
+            sample_pattern_mv(S22, p, SplitMix64(1), k=bad)
 
 
 # ----------------------------------------------------------------------
@@ -783,9 +787,9 @@ def test_grade_pattern_exhaustive_fail_report(monkeypatch):
 
 
 def _drop_type_2(monkeypatch):
-    original = verify.qtype_compose
-    monkeypatch.setattr(verify, "qtype_compose", lambda op, t1, t2: QType(
-        original(op, t1, t2).mask & 0b1011))
+    original = verify.emit_table
+    monkeypatch.setattr(verify, "emit_table", lambda op: [
+        [QType(cell.mask & 0b1011) for cell in row] for row in original(op)])
 
 
 def test_type_table_exhaustive_fail_report(monkeypatch):
