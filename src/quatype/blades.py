@@ -14,31 +14,52 @@ of signs is the XOR of their bits.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 
 MAX_GENERATORS = 12
 
 
-@dataclass(frozen=True)
 class Signature:
     """Diagonal metric with ``p`` generators squaring to +1, then ``q`` to -1.
 
     Only nondegenerate signatures are supported, with 1 <= p+q <= 12.
+    Immutable: equal signatures compare and hash alike, and copy and
+    pickle rebuild through the same checks.
     """
 
-    p: int
-    q: int
+    __slots__ = ("p", "q")
+    __match_args__ = ("p", "q")
 
-    def __post_init__(self) -> None:
-        if not (type(self.p) is int and type(self.q) is int):
+    def __init__(self, p: int, q: int) -> None:
+        if not (type(p) is int and type(q) is int):
             raise TypeError("signature components must be integers")
-        if self.p < 0 or self.q < 0:
+        if p < 0 or q < 0:
             raise ValueError("signature components must be nonnegative")
-        n = self.p + self.q
-        if n < 1 or n > MAX_GENERATORS:
+        if not 1 <= p + q <= MAX_GENERATORS:
             raise ValueError(
-                f"need 1 <= p+q <= {MAX_GENERATORS}, got p={self.p}, q={self.q}"
+                f"need 1 <= p+q <= {MAX_GENERATORS}, got p={p}, q={q}"
             )
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "q", q)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.p == other.p and self.q == other.q
+
+    def __hash__(self) -> int:
+        return hash((self.p, self.q))
+
+    def __reduce__(self):
+        return Signature, (self.p, self.q)
+
+    def __repr__(self) -> str:
+        return f"Signature(p={self.p}, q={self.q})"
 
     @property
     def n(self) -> int:

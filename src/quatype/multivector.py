@@ -77,9 +77,17 @@ def _check_coeff(c: complex, field: Field) -> complex:
     return c
 
 
+def _check_real(name: str, value) -> None:
+    """Refuse a bool where a float is expected, rather than read it as 0.0
+    or 1.0."""
+    if isinstance(value, bool):
+        raise TypeError(f"{name} must be a real number, not bool")
+
+
 def _check_tol(tol: float) -> float:
     """Refuse a tolerance under which a ``<= tol`` test passes vacuously
-    (inf) or never (nan, negative)."""
+    (inf) or never (nan, negative), and a bool."""
+    _check_real("tolerance", tol)
     if not (math.isfinite(tol) and tol >= 0):
         raise ValueError("tolerance must be finite and nonnegative")
     return tol
@@ -155,6 +163,12 @@ class Multivector:
 
     def __setattr__(self, name, value):
         raise AttributeError("Multivector is immutable")
+
+    def __reduce__(self):
+        # copy and pickle rebuild through the trusted constructor: the
+        # validating one would add each coefficient to 0j, which turns a
+        # -0.0 part into 0.0.  Terms keep their order and their bits.
+        return Multivector._raw, (self.sig, self.field, self._terms)
 
     # ------------------------------------------------------------------
     # constructors
@@ -301,6 +315,11 @@ class Multivector:
         return Multivector._raw(self.sig, self.field, data)
 
     def parity_project(self, even: bool) -> "Multivector":
+        """Even-grade part when ``even`` is True, odd-grade part when it is
+        False; TypeError for anything but a bool (None is not read as
+        False)."""
+        if type(even) is not bool:
+            raise TypeError(f"even must be a bool, not {type(even).__name__}")
         keep = 0 if even else 1
         data = {m: c for m, c in self._terms.items() if grade(m) & 1 == keep}
         return Multivector._raw(self.sig, self.field, data)
@@ -379,13 +398,15 @@ class Multivector:
         series stops at the same term as one that reads the norm every time.
 
         ``eps`` must be positive and finite (an infinite one would stop
-        after the first term) and ``max_terms`` an integer of at least 1.
+        after the first term) and not a bool, and ``max_terms`` an integer
+        of at least 1.
         Raises ConvergenceFailure if the series uses up ``max_terms`` terms
         first, or if the argument needs 52 or more halvings: each squaring
         doubles the relative error, so after k halvings it is about 2**k
         machine epsilons, and once ``2**k * sys.float_info.epsilon >= 1`` no
         digit of the result is left.
         """
+        _check_real("eps", eps)
         if not (math.isfinite(eps) and eps > 0.0):
             raise ValueError("eps must be finite and positive")
         _check_count("max_terms", max_terms)

@@ -40,6 +40,7 @@ from .multivector import (
     Multivector,
     _check_count,
     _check_int,
+    _check_real,
     _check_tol,
     _inf_norm,
 )
@@ -67,7 +68,7 @@ class SplitMix64:
     __slots__ = ("_state",)
 
     def __init__(self, seed: int) -> None:
-        self._state = seed & _MASK64
+        self._state = _check_int("seed", seed) & _MASK64
 
     def next_u64(self) -> int:
         self._state = (self._state + 0x9E3779B97F4A7C15) & _MASK64
@@ -77,7 +78,12 @@ class SplitMix64:
         return z ^ (z >> 31)
 
     def next_int(self, lo: int, hi: int) -> int:
-        """Uniform-ish integer in [lo, hi]: lo + next_u64() mod (hi-lo+1)."""
+        """Uniform-ish integer in [lo, hi]: lo + next_u64() mod (hi-lo+1).
+        TypeError unless both bounds are ints (a bool is refused), and
+        ValueError when lo > hi."""
+        lo, hi = _check_int("lo", lo), _check_int("hi", hi)
+        if lo > hi:
+            raise ValueError(f"empty range: lo={lo} > hi={hi}")
         return lo + self.next_u64() % (hi - lo + 1)
 
 
@@ -119,6 +125,8 @@ class CheckConfig:
         if not isinstance(self.sig, Signature):
             raise TypeError("sig must be a Signature")
         _check_count("samples", self.samples)
+        _check_real("tol", self.tol)
+        _check_real("exp_eps", self.exp_eps)
         # NaN compares false with everything, so tol=nan would pass any leak.
         if not (math.isfinite(self.tol) and self.tol >= 0.0):
             raise ValueError("tol must be finite and nonnegative")

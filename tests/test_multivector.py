@@ -6,7 +6,9 @@ in the implementation is checked against the definition.
 """
 
 import cmath
+import copy
 import math
+import pickle
 import random
 
 import pytest
@@ -133,6 +135,25 @@ def test_immutability():
         u.field = Field.REAL
     with pytest.raises(TypeError):
         u.terms[0] = 5
+
+
+def test_copy_and_pickle_keep_term_order_and_bits():
+    # Negation leaves -0.0 parts, which the validating constructor would
+    # turn into 0.0; the terms are listed out of mask order.
+    u = -Multivector(S22, Field.COMPLEX, {0b101: 1.5, 0: 2, 0b11: 1e-300 + 3j})
+
+    def bits(v):
+        return [(m, c.real.hex(), c.imag.hex()) for m, c in v.terms.items()]
+
+    assert [m for m, _, _ in bits(u)] == [0b101, 0, 0b11]
+    assert "-0x0.0p+0" in bits(u)[0]
+    twins = [copy.copy(u), copy.deepcopy(u)]
+    twins += [pickle.loads(pickle.dumps(u, proto))
+              for proto in range(pickle.HIGHEST_PROTOCOL + 1)]
+    for twin in twins:
+        assert type(twin) is Multivector and twin == u
+        assert twin.sig == u.sig and twin.field is u.field
+        assert bits(twin) == bits(u)
 
 
 def test_mixed_signature_and_field_raise():
@@ -332,6 +353,10 @@ def test_parity_projection():
     assert u.parity_project(False) + even == u
     e123 = Multivector.basis_blade(Signature(3, 0), 0b111)
     assert e123.parity_project(True).is_zero()
+    # only a bool picks the part: None used to give the odd part
+    for bad in (None, 0, 1, "even"):
+        with pytest.raises(TypeError, match="even must be a bool"):
+            u.parity_project(bad)
 
 
 def test_qtype_projection_collects_grades_mod_4():
@@ -415,6 +440,10 @@ def test_is_zero_tolerance():
     assert not u.is_zero()
     for tol in (-1e-3, float("nan"), float("inf")):
         with pytest.raises(ValueError):
+            u.is_zero(tol)
+    # True used to be read as 1.0
+    for tol in (True, False):
+        with pytest.raises(TypeError, match="tolerance must be a real number"):
             u.is_zero(tol)
 
 
@@ -505,6 +534,9 @@ def test_exp_refuses_non_finite_eps():
     for eps in (math.inf, math.nan):
         with pytest.raises(ValueError):
             u.exp(eps=eps)
+    # a bool is not read as 1.0
+    with pytest.raises(TypeError, match="eps must be a real number, not bool"):
+        u.exp(eps=True)
 
 
 def test_exp_series_makes_no_product_and_one_squaring_per_halving(monkeypatch):

@@ -284,6 +284,11 @@ def test_pattern_matches_and_leakage():
     for tol in (float("nan"), float("inf")):  # inf would admit anything
         with pytest.raises(ValueError):
             p.matches(bad, tol)
+    # True used to be read as 1.0 and admit the leak
+    with pytest.raises(TypeError, match="tolerance must be a real number"):
+        p.matches(bad, True)
+    with pytest.raises(TypeError, match="tolerance must be a real number"):
+        detect_qtype(bad, True)
 
 
 def test_pattern_contains_and_join():

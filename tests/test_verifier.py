@@ -87,6 +87,21 @@ def test_next_int_range():
     draws = [g.next_int(-3, 3) for _ in range(500)]
     assert min(draws) == -3
     assert max(draws) == 3
+    assert g.next_int(4, 4) == 4
+
+
+def test_splitmix64_refuses_non_integer_seeds_and_bounds():
+    # SplitMix64(True) used to seed 1, next_int(3, 1) to return 3 and
+    # next_int(1.5, 3) to return 2.5
+    for bad in (1.5, True, "1"):
+        with pytest.raises(TypeError, match="seed must be an integer"):
+            SplitMix64(bad)
+    g = SplitMix64(7)
+    for lo, hi in ((1.5, 3), (True, 3), (0, 3.0), (0, False)):
+        with pytest.raises(TypeError, match="must be an integer"):
+            g.next_int(lo, hi)
+    with pytest.raises(ValueError, match="lo=3 > hi=1"):
+        g.next_int(3, 1)
 
 
 def test_sample_pattern_respects_pattern():
@@ -157,6 +172,11 @@ def test_config_validation():
             CheckConfig(sig=S22, tol=bad)
         with pytest.raises(ValueError):
             CheckConfig(sig=S22, exp_eps=bad)
+    # a bool is not read as 0.0 or 1.0
+    with pytest.raises(TypeError, match="tol must be a real number, not bool"):
+        CheckConfig(sig=S22, tol=True)
+    with pytest.raises(TypeError, match="exp_eps must be a real number, not bool"):
+        CheckConfig(sig=S22, exp_eps=True)
 
 
 def test_config_refuses_non_integer_counts():
@@ -395,6 +415,19 @@ def test_census_cells_match_closed_form():
     assert len(closed) == 455
 
 
+def test_census_rows_match_closed_form_with_first_pairs():
+    # For grades k, l sharing j generators, the a-major first pair is
+    # a = 2^k - 1 and b = (2^j - 1) | ((2^(l - j) - 1) << k).
+    for n in range(1, 13):
+        closed = sorted(
+            ((1 << k) - 1, (1 << j) - 1 | ((1 << (l - j)) - 1) << k,
+             k, l, k + l - 2 * j, (-1) ** (k * l - j))
+            for k in range(n + 1) for l in range(n + 1)
+            for j in range(min(k, l) + 1) if k + l - j <= n)
+        for p in range(n + 1):
+            assert list(verify._census(Signature(p, n - p))) == closed, (p, n - p)
+
+
 def test_pair_count_matches_mod4_binomial_closed_form():
     # A second derivation of the real dimensions behind the census verdicts:
     # sum over g = k mod 4 of C(n, g) = 2^(n-2) + 2^((n-2)/2) cos(pi (n-2k)/4).
@@ -582,6 +615,8 @@ def test_is_pseudo_unitary_examples():
     for tol in (float("nan"), float("inf")):
         with pytest.raises(ValueError):
             is_pseudo_unitary(e.scale(2), tol)
+    with pytest.raises(TypeError, match="tolerance must be a real number"):
+        is_pseudo_unitary(e.scale(2), True)
 
 
 def _reference_wc_defect(u):
