@@ -15,19 +15,19 @@ from __future__ import annotations
 
 import functools
 
+from ._frozen import Frozen
+
 MAX_GENERATORS = 12
 
 
-class Signature:
+class Signature(Frozen):
     """Diagonal metric with ``p`` generators squaring to +1, then ``q`` to -1.
 
     Only nondegenerate signatures are supported, with 1 <= p+q <= 12.
-    Immutable: equal signatures compare and hash alike, and copy and
-    pickle rebuild through the same checks.
     """
 
-    __slots__ = ("p", "q")
-    __match_args__ = ("p", "q")
+    p: int
+    q: int
 
     def __init__(self, p: int, q: int) -> None:
         if not (type(p) is int and type(q) is int):
@@ -38,28 +38,7 @@ class Signature:
             raise ValueError(
                 f"need 1 <= p+q <= {MAX_GENERATORS}, got p={p}, q={q}"
             )
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "q", q)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.p == other.p and self.q == other.q
-
-    def __hash__(self) -> int:
-        return hash((self.p, self.q))
-
-    def __reduce__(self):
-        return Signature, (self.p, self.q)
-
-    def __repr__(self) -> str:
-        return f"Signature(p={self.p}, q={self.q})"
+        self._store(p, q)
 
     @property
     def n(self) -> int:

@@ -16,8 +16,6 @@ the generator count.  Formatting is the inverse: parse(format(u)) == u.
 
 from __future__ import annotations
 
-from decimal import Decimal
-
 from .blades import Signature, blade_indices, grade, mask_from_indices
 from .multivector import Field, Multivector
 
@@ -180,13 +178,22 @@ def parse_expression(text: str, sig: Signature,
 
 
 def format_float(x: float) -> str:
-    """Positional decimal text for a nonnegative float, integers bare."""
+    """Positional decimal text for a finite float, integers bare."""
     if x == int(x) and abs(x) < 2 ** 53:
         return str(int(x))
     s = repr(x)
-    if "e" in s or "E" in s:
-        s = format(Decimal(s), "f")
-    return s
+    if "e" not in s:
+        return s
+    # shift the point of repr's shortest digits by the exponent
+    sign = "-" if x < 0 else ""
+    mantissa, exponent = s.lstrip("-").split("e")
+    head, _, tail = mantissa.partition(".")
+    digits, point = head + tail, len(head) + int(exponent)
+    if point <= 0:
+        return f"{sign}0.{'0' * -point}{digits}"
+    if point >= len(digits):
+        return sign + digits + "0" * (point - len(digits))
+    return f"{sign}{digits[:point]}.{digits[point:]}"
 
 
 def format_blade(mask: int) -> str:

@@ -14,9 +14,9 @@ imaginary odd part is closed under the commutator".
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum, IntFlag
 
+from ._frozen import Frozen
 from .blades import grade
 from .multivector import Multivector, _check_tol
 
@@ -69,15 +69,15 @@ def coeff_le(a: CoeffClass, b: CoeffClass) -> bool:
 _MEMBERS = tuple(tuple(k for k in range(4) if mask >> k & 1) for mask in range(16))
 
 
-@dataclass(frozen=True)
-class QType:
+class QType(Frozen):
     """Subset of the four main types, stored as a 4-bit mask."""
 
     mask: int
 
-    def __post_init__(self) -> None:
-        if not (type(self.mask) is int and 0 <= self.mask <= 0b1111):
-            raise ValueError(f"type mask {self.mask!r} out of range")
+    def __init__(self, mask: int) -> None:
+        if not (type(mask) is int and 0 <= mask <= 0b1111):
+            raise ValueError(f"type mask {mask!r} out of range")
+        self._store(mask)
 
     @classmethod
     def of(cls, *members: int) -> "QType":
@@ -170,23 +170,20 @@ def qtype_compose(op: OpKind, t1: QType, t2: QType) -> QType:
     return QType(mask)
 
 
-@dataclass(frozen=True)
-class SubspacePattern:
+class SubspacePattern(Frozen):
     """One coefficient class per main type, describing a linear subspace."""
 
     classes: tuple[CoeffClass, CoeffClass, CoeffClass, CoeffClass]
 
-    def __post_init__(self) -> None:
-        if len(self.classes) != 4:
+    def __init__(self, classes: tuple[CoeffClass, ...]) -> None:
+        if len(classes) != 4:
             raise ValueError("a pattern needs exactly four classes")
         # CoeffClass(c) would keep an unknown int on the flag (4 prints as
         # empty, -1 as COMPLEX) and take 3.0 or True as an int
         if not all(isinstance(c, int) and not isinstance(c, bool) and 0 <= c <= 3
-                   for c in self.classes):
-            raise ValueError(f"coefficient classes must be ints 0..3, got {self.classes}")
-        object.__setattr__(
-            self, "classes", tuple(CoeffClass(c) for c in self.classes)
-        )
+                   for c in classes):
+            raise ValueError(f"coefficient classes must be ints 0..3, got {classes}")
+        self._store(tuple(CoeffClass(c) for c in classes))
 
     @classmethod
     def from_parts(cls, real: str = "", imag: str = "") -> "SubspacePattern":

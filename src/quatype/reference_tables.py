@@ -14,8 +14,7 @@ geometric product.  ``A`` denotes the full type in all three.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
+from ._frozen import Frozen
 from .qtype import TYPE_ORDER, FULL_TYPE, OpKind, QType, emit_table
 
 _LETTER_TO_DIGIT = {"E": "0", "I": "1", "J": "2", "K": "3"}
@@ -86,12 +85,14 @@ def cell_to_qtype(cell: str) -> QType:
     return QType.from_string(digits)
 
 
-@dataclass(frozen=True)
-class CellMismatch:
+class CellMismatch(Frozen):
     row: QType
     col: QType
     printed: QType
     derived: QType
+
+    def __init__(self, row: QType, col: QType, printed: QType, derived: QType) -> None:
+        self._store(row, col, printed, derived)
 
     def __str__(self) -> str:
         return (f"({self.row}, {self.col}): printed {self.printed}, "

@@ -28,11 +28,11 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import asdict, dataclass
 from enum import Enum
 from functools import lru_cache
 from typing import Callable, Optional
 
+from ._frozen import Frozen
 from .blades import Signature, grade, sign_table
 from .multivector import (
     Field,
@@ -109,8 +109,7 @@ class CheckStatus(Enum):
     SKIPPED = "skipped"
 
 
-@dataclass(frozen=True)
-class CheckConfig:
+class CheckConfig(Frozen):
     sig: Signature
     seed: int = 0
     samples: int = 200
@@ -121,45 +120,57 @@ class CheckConfig:
     exp_eps: float = 1e-14
     exp_max_terms: int = 200
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.sig, Signature):
+    def __init__(self, sig: Signature, seed: int = seed, samples: int = samples,
+                 tol: float = tol, strategy: Strategy = strategy,
+                 exp_eps: float = exp_eps, exp_max_terms: int = exp_max_terms) -> None:
+        if not isinstance(sig, Signature):
             raise TypeError("sig must be a Signature")
-        _check_count("samples", self.samples)
-        _check_real("tol", self.tol)
-        _check_real("exp_eps", self.exp_eps)
+        _check_count("samples", samples)
+        _check_real("tol", tol)
+        _check_real("exp_eps", exp_eps)
         # NaN compares false with everything, so tol=nan would pass any leak.
-        if not (math.isfinite(self.tol) and self.tol >= 0.0):
+        if not (math.isfinite(tol) and tol >= 0.0):
             raise ValueError("tol must be finite and nonnegative")
-        if not (math.isfinite(self.exp_eps) and self.exp_eps > 0.0):
+        if not (math.isfinite(exp_eps) and exp_eps > 0.0):
             raise ValueError("exp_eps must be finite and positive")
-        _check_count("exp_max_terms", self.exp_max_terms)
-        if not isinstance(self.strategy, Strategy):
+        _check_count("exp_max_terms", exp_max_terms)
+        if not isinstance(strategy, Strategy):
             raise TypeError("strategy must be a Strategy")
-        object.__setattr__(self, "seed", _check_int("seed", self.seed) & _MASK64)
+        seed = _check_int("seed", seed) & _MASK64
+        self._store(sig, seed, samples, tol, strategy, exp_eps, exp_max_terms)
 
 
-@dataclass(frozen=True)
-class Counterexample:
+class Counterexample(Frozen):
     lhs: str
     rhs: Optional[str]
     operation: str
     component: str
     magnitude: float
 
+    def __init__(self, lhs: str, rhs: Optional[str], operation: str, component: str,
+                 magnitude: float) -> None:
+        self._store(lhs, rhs, operation, component, magnitude)
+
     def to_dict(self) -> dict:
-        return asdict(self)
+        return dict(zip(self.__match_args__, self._values()))
 
 
-@dataclass(frozen=True)
-class CheckReport:
+class CheckReport(Frozen):
     name: str
     status: CheckStatus
     cases_run: int
     counterexample: Optional[Counterexample] = None
     notes: str = ""
 
+    def __init__(self, name: str, status: CheckStatus, cases_run: int,
+                 counterexample: Optional[Counterexample] = counterexample,
+                 notes: str = notes) -> None:
+        self._store(name, status, cases_run, counterexample, notes)
+
     def to_dict(self) -> dict:
-        return {**asdict(self), "status": self.status.value}
+        ce = self.counterexample
+        return {"name": self.name, "status": self.status.value, "cases_run": self.cases_run,
+                "counterexample": None if ce is None else ce.to_dict(), "notes": self.notes}
 
 
 class UnknownCheck(Exception):

@@ -6,9 +6,6 @@ equal neighbors against the metric.  The fast popcount path must agree with
 it everywhere.
 """
 
-import copy
-import pickle
-
 import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
@@ -197,27 +194,6 @@ def test_signature_validation():
     for bad in ((1.0, 1), (True, 1), (1, False)):
         with pytest.raises(TypeError, match="must be integers"):
             Signature(*bad)
-
-
-def test_signature_is_an_immutable_value():
-    sig = Signature(2, 3)
-    assert sig == Signature(p=2, q=3)
-    assert sig != Signature(3, 2) and sig != (2, 3)
-    assert hash(sig) == hash(Signature(2, 3))
-    assert repr(sig) == "Signature(p=2, q=3)"
-    for attr in ("p", "n", "other"):
-        with pytest.raises(AttributeError, match=f"cannot assign to field '{attr}'"):
-            setattr(sig, attr, 1)
-    with pytest.raises(AttributeError, match="cannot delete field 'q'"):
-        del sig.q
-    twins = [copy.copy(sig), copy.deepcopy(sig)]
-    twins += [pickle.loads(pickle.dumps(sig, proto))
-              for proto in range(pickle.HIGHEST_PROTOCOL + 1)]
-    for twin in twins:
-        assert type(twin) is Signature and twin == sig and hash(twin) == hash(sig)
-    match sig:
-        case Signature(p, q):
-            assert (p, q) == (2, 3)
 
 
 def test_signature_metric_and_str():

@@ -7,6 +7,7 @@ properties here use '==' (exact coefficients), not a tolerance.
 
 import json
 import math
+from decimal import Decimal
 
 import pytest
 from hypothesis import given, settings
@@ -105,6 +106,21 @@ def test_format_float_forms():
     assert format_float(1e-7) == "0.0000001"
     assert format_float(1e16) == "10000000000000000"
     assert float(format_float(0.1)) == 0.1
+    assert format_float(-1e-7) == "-0.0000001"
+    assert format_float(-1.25e-5) == "-0.0000125"
+    assert format_float(1.2345e17) == "123450000000000000"
+    assert format_float(5e-324) == "0." + "0" * 323 + "5"
+
+
+@settings(max_examples=3000)
+@given(st.floats(allow_nan=False, allow_infinity=False))
+def test_format_float_is_decimal_fixed_point_of_repr(x):
+    # the positional text is Decimal's fixed-point form of repr's digits
+    if x == int(x) and abs(x) < 2 ** 53:
+        want = str(int(x))
+    else:
+        want = format(Decimal(repr(x)), "f")
+    assert format_float(x) == want
 
 
 def test_format_blade_forms():

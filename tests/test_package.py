@@ -1,10 +1,10 @@
 """What `import quatype` loads, checked in a fresh interpreter.
 
-Only the arithmetic core (`blades`, `multivector`) loads with the package.
-The type layer, text I/O and the verifier load on first use of one of their
-names, so a process that only does arithmetic never compiles them.  The
-probes run in a subprocess because the test process has long since imported
-every submodule.
+The verifier loads on first use of one of its names, so a process that only
+does arithmetic never compiles `verify.py`.  No import of the package, the
+CLI included, loads `dataclasses` (which brings `inspect`, `ast`, `dis` and
+`tokenize`) or `decimal`.  The probes run in subprocesses because the test
+process has long since imported all of them.
 """
 
 import json
@@ -12,6 +12,8 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -21,11 +23,7 @@ import sys
 
 import quatype
 
-LAZY = ("quatype.qtype", "quatype.exprio", "quatype.verify")
-facts = {"loaded_by_import": [m for m in LAZY if m in sys.modules]}
-quatype.parse_expression
-facts["loaded_by_exprio_name"] = [m for m in LAZY if m in sys.modules]
-facts["qtype_submodule"] = quatype.qtype is sys.modules["quatype.qtype"]
+facts = {"verify_loaded_by_import": "quatype.verify" in sys.modules}
 facts["unresolved"] = [n for n in quatype.__all__ if not hasattr(quatype, n)]
 import quatype.verify as verify
 
@@ -34,13 +32,10 @@ facts["shared"] = shared
 facts["not_verify_object"] = [n for n in shared
                               if getattr(quatype, n) is not vars(verify)[n]]
 # a name read through the package is not cached there: a later
-# replacement in its submodule shows through it
+# replacement in quatype.verify shows through it
 original, verify.run_suite = verify.run_suite, object()
 facts["sees_replacement"] = quatype.run_suite is verify.run_suite
 verify.run_suite = original
-original, quatype.qtype.detect_qtype = quatype.qtype.detect_qtype, object()
-facts["sees_qtype_replacement"] = quatype.detect_qtype is quatype.qtype.detect_qtype
-quatype.qtype.detect_qtype = original
 star = {}
 exec("from quatype import *", star)
 facts["unbound_by_star"] = [n for n in quatype.__all__ if n not in star]
@@ -53,40 +48,31 @@ except AttributeError as exc:
 print(json.dumps(facts))
 """
 
-# The same check runs in CI on every supported Python.  -S keeps site hooks
-# from loading modules of their own, so only what the import pulls in counts.
-LEAN_IMPORT = (
-    "import quatype, sys; "
-    "sys.exit(sorted({'quatype.qtype', 'quatype.exprio', 'quatype.verify', "
-    "'dataclasses', 'decimal'} & set(sys.modules)) or None)"
-)
-
-
-def _run(*args):
-    env = dict(os.environ, PYTHONPATH=str(SRC))
-    return subprocess.run([sys.executable, *args], env=env,
-                          capture_output=True, text=True, timeout=120)
-
 
 def test_import_defers_the_verifier_until_a_name_is_used():
-    r = _run("-W", "error", "-c", PROBE)
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    r = subprocess.run([sys.executable, "-W", "error", "-c", PROBE], env=env,
+                       capture_output=True, text=True, timeout=120)
     assert r.returncode == 0, r.stderr
     facts = json.loads(r.stdout)
-    assert facts["loaded_by_import"] == []
-    assert facts["loaded_by_exprio_name"] == ["quatype.exprio"]
-    assert facts["qtype_submodule"] is True
+    assert facts["verify_loaded_by_import"] is False
     assert facts["unresolved"] == []
     # every name verify defines or imports is one object through the package
-    assert {"run_suite", "CheckConfig", "WC_PATTERN", "QType",
-            "format_expression"} <= set(facts["shared"])
+    assert {"run_suite", "CheckConfig", "WC_PATTERN"} <= set(facts["shared"])
     assert facts["not_verify_object"] == []
     assert facts["sees_replacement"] is True
-    assert facts["sees_qtype_replacement"] is True
     assert facts["unbound_by_star"] == []
     assert facts["missing_from_dir"] == []
     assert facts["no_such_name"] == "module 'quatype' has no attribute 'no_such_name'"
 
 
-def test_import_loads_only_the_arithmetic_core():
-    r = _run("-S", "-W", "error", "-c", LEAN_IMPORT)
+@pytest.mark.parametrize("module", ["quatype", "quatype.cli"])
+def test_import_loads_no_dataclasses_or_decimal(module):
+    # -S keeps site hooks from loading modules of their own, so only what
+    # the import itself pulls in counts
+    probe = (f"import {module}, sys; "
+             "sys.exit(sorted({'dataclasses', 'decimal'} & set(sys.modules)) or None)")
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    r = subprocess.run([sys.executable, "-S", "-W", "error", "-c", probe], env=env,
+                       capture_output=True, text=True, timeout=120)
     assert r.returncode == 0, r.stderr
