@@ -16,6 +16,8 @@ the generator count.  Formatting is the inverse: parse(format(u)) == u.
 
 from __future__ import annotations
 
+import math
+
 from .blades import Signature, blade_indices, grade, mask_from_indices
 from .multivector import Field, Multivector
 
@@ -118,7 +120,10 @@ class _Parser:
                 self.pos += 1
             if self.pos == frac:
                 raise self.error("expected digits after decimal point")
-        return float(self.text[start:self.pos])
+        value = float(self.text[start:self.pos])
+        if value == math.inf:  # float() gives inf for a decimal past DBL_MAX
+            raise self.error("number too large for a double", start)
+        return value
 
     def blade(self) -> int:
         self.pos += 1  # past 'e'

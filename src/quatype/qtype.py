@@ -201,10 +201,6 @@ class SubspacePattern(Frozen):
     def __getitem__(self, kbar: int) -> CoeffClass:
         return self.classes[kbar]
 
-    @property
-    def support(self) -> QType:
-        return QType.of(*(k for k in range(4) if self.classes[k] != CoeffClass.ZERO))
-
     def contains(self, other: "SubspacePattern") -> bool:
         return all(map(coeff_le, other.classes, self.classes))
 

@@ -11,17 +11,19 @@ as a numeric witness; nothing else samples.
 
 The witness is deterministic: it runs on a splitmix64 generator whose
 stream is seeded by hashing ``(cfg.seed, check name)`` with FNV-1a, so two
-runs with the same config produce byte-identical reports, and a reported
-counterexample can be replayed by any implementation of the same generator
-(the update and output constants are in ``SplitMix64``).  Sampling draws
-integer coefficients in [-3, 3] per real basis element unit * blade
-(ascending blade masks, 1 before i), and theorem 7 scales each sample to
-l1 norm at most 1 before exponentiating it.  A witness sample draws for at
-most k = 8 real basis elements: when the Lie pattern has more, a partial
-Fisher-Yates shuffle on the row's stream picks 8 first.  A blade product is
-+-(a ^ b), so exp(u) and conj(U) U stay in the XOR span of at most 8 masks,
-at most 256 blades, and a sample's cost does not grow with n.  Every Lie
-row at n <= 3 has at most 8 real basis elements, so its draw is dense.
+runs with the same ``CheckConfig`` (sig, seed, samples and tol) produce
+byte-identical reports, and a reported counterexample can be replayed by
+any implementation of the same generator (the update and output constants
+are in ``SplitMix64``).  Sampling draws integer coefficients in [-3, 3] per
+real basis element unit * blade (ascending blade masks, 1 before i), and
+theorem 7 scales each sample to l1 norm at most 1 before exponentiating it
+at ``Multivector.exp``'s defaults (eps 1e-14, at most 200 series terms).  A
+witness sample draws for at most k = 8 real basis elements: when the Lie
+pattern has more, a partial Fisher-Yates shuffle on the row's stream picks
+8 first.  A blade product is +-(a ^ b), so exp(u) and conj(U) U stay in the
+XOR span of at most 8 masks, at most 256 blades, and a sample's cost does
+not grow with n.  Every Lie row at n <= 3 has at most 8 real basis
+elements, so its draw is dense.
 """
 
 from __future__ import annotations
@@ -40,7 +42,6 @@ from .multivector import (
     Multivector,
     _check_count,
     _check_int,
-    _check_real,
     _check_tol,
     _inf_norm,
 )
@@ -100,6 +101,9 @@ def derive_subseed(seed: int, name: str) -> int:
 
 
 class Strategy(Enum):
+    """The one strategy: every claim is decided exactly at every n, and
+    ``CheckConfig.samples`` sizes only theorem 7's exp witness."""
+
     EXHAUSTIVE = "exhaustive"
 
 
@@ -114,30 +118,14 @@ class CheckConfig(Frozen):
     seed: int = 0
     samples: int = 200
     tol: float = 1e-12
-    # The one strategy: every claim is decided exactly at every n, and
-    # ``samples`` sizes only theorem 7's exp witness.
-    strategy: Strategy = Strategy.EXHAUSTIVE
-    exp_eps: float = 1e-14
-    exp_max_terms: int = 200
 
     def __init__(self, sig: Signature, seed: int = seed, samples: int = samples,
-                 tol: float = tol, strategy: Strategy = strategy,
-                 exp_eps: float = exp_eps, exp_max_terms: int = exp_max_terms) -> None:
+                 tol: float = tol) -> None:
         if not isinstance(sig, Signature):
             raise TypeError("sig must be a Signature")
         _check_count("samples", samples)
-        _check_real("tol", tol)
-        _check_real("exp_eps", exp_eps)
-        # NaN compares false with everything, so tol=nan would pass any leak.
-        if not (math.isfinite(tol) and tol >= 0.0):
-            raise ValueError("tol must be finite and nonnegative")
-        if not (math.isfinite(exp_eps) and exp_eps > 0.0):
-            raise ValueError("exp_eps must be finite and positive")
-        _check_count("exp_max_terms", exp_max_terms)
-        if not isinstance(strategy, Strategy):
-            raise TypeError("strategy must be a Strategy")
         seed = _check_int("seed", seed) & _MASK64
-        self._store(sig, seed, samples, tol, strategy, exp_eps, exp_max_terms)
+        self._store(sig, seed, samples, _check_tol(tol))
 
 
 class Counterexample(Frozen):
@@ -739,7 +727,7 @@ def _theorem7_row(cfg: CheckConfig, lie: SubspacePattern,
         anti = _wc_defect(u)
         if anti > cfg.tol:
             return _fail(name, i, "conj", u, None, "conj(u) + u", anti)
-        big_u = u.exp(cfg.exp_eps, cfg.exp_max_terms)
+        big_u = u.exp()
         defect = _unitary_defect(big_u)
         if defect > group_tol:
             return _fail(name, i, "exp", u, None, "conj(U) U - 1", defect)

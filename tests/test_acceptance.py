@@ -23,7 +23,6 @@ from quatype.verify import (
     CheckConfig,
     CheckStatus,
     SplitMix64,
-    Strategy,
     check_grade_pattern,
     check_pattern_closure,
     check_quaternion_axioms,
@@ -52,7 +51,7 @@ def test_criterion_01_axiom_suite():
     t0 = time.monotonic()
     bad = []
     for sig in all_signatures(6):
-        cfg = CheckConfig(sig=sig, tol=0.0, strategy=Strategy.EXHAUSTIVE)
+        cfg = CheckConfig(sig=sig, tol=0.0)
         for op in (OpKind.COMMUTATOR, OpKind.ANTICOMMUTATOR):
             r = check_quaternion_axioms(op, cfg)
             if r.status is not CheckStatus.PASS:
@@ -68,7 +67,7 @@ def test_criterion_01_axiom_suite():
 def test_criterion_02_grade_pattern_suite():
     bad = []
     for sig in all_signatures(6):
-        cfg = CheckConfig(sig=sig, tol=0.0, strategy=Strategy.EXHAUSTIVE)
+        cfg = CheckConfig(sig=sig, tol=0.0)
         r = check_grade_pattern(cfg)
         if r.status is not CheckStatus.PASS:
             bad.append((str(sig), r.to_dict()))
@@ -140,7 +139,7 @@ def test_criterion_05_star_relations_and_lie_subalgebras():
 def test_criterion_06_exponentials_land_in_groups():
     bad = []
     for sig in (Signature(4, 0), S22):
-        cfg = CheckConfig(sig=sig, samples=100, tol=0.0, exp_eps=1e-14)
+        cfg = CheckConfig(sig=sig, samples=100, tol=0.0)
         for r in check_theorem7(cfg):
             if r.status is not CheckStatus.PASS:
                 bad.append((str(sig), r.name, r.to_dict()))

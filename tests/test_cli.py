@@ -255,6 +255,9 @@ def test_type_input_errors(capsys, tmp_path):
         assert (code, out) == (2, "")
         assert message in err
         assert "Traceback" not in err
+    code, out, err = run_cli(capsys, "type", "--expr", "9" * 400)
+    assert (code, out) == (2, "")
+    assert err == "error: number too large for a double (at position 0)\n"
     # --expr and --input are mutually exclusive
     assert run_cli(capsys, "type", "--expr", "1",
                    "--input", str(missing))[0] == 2
@@ -334,6 +337,17 @@ def test_eval_exp_nonconvergence_exit_code(capsys, monkeypatch):
                            "--p", "1", "--q", "0")
     assert code == 3
     assert "settle" in err
+
+
+def test_verify_exp_nonconvergence_exit_code(capsys, monkeypatch):
+    def refuse(self, eps=1e-14, max_terms=200):
+        raise ConvergenceFailure("series did not settle")
+
+    monkeypatch.setattr(Multivector, "exp", refuse)
+    code, out, err = run_cli(capsys, "verify", "--suite", "theorem7",
+                             "--p", "1", "--q", "1", "--samples", "1")
+    assert (code, out) == (3, "")
+    assert err == "error: series did not settle\n"
 
 
 def test_eval_overflowing_product_exit_code(capsys):

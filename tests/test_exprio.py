@@ -97,6 +97,16 @@ def test_error_positions(text, position):
     assert f"position {position}" in str(err.value)
 
 
+def test_number_too_large_for_a_double():
+    # float() would round these to inf and the constructor would see a NaN
+    nines = "9" * 400
+    for text, position in ((nines, 0), (f"(1+{nines}i)e1", 3)):
+        with pytest.raises(ExprSyntaxError) as err:
+            parse_expression(text, S22)
+        assert err.value.position == position
+        assert str(err.value) == f"number too large for a double (at position {position})"
+
+
 # ----------------------------------------------------------------------
 # formatting
 

@@ -35,8 +35,7 @@ VALUES = {
         CheckConfig(Signature(2, 3), seed=-1),
         CheckConfig(sig=Signature(2, 3), seed=2 ** 64 - 1, samples=200),
         "CheckConfig(sig=Signature(p=2, q=3), seed=18446744073709551615, "
-        "samples=200, tol=1e-12, strategy=<Strategy.EXHAUSTIVE: 'exhaustive'>, "
-        "exp_eps=1e-14, exp_max_terms=200)",
+        "samples=200, tol=1e-12)",
     ),
     "Counterexample": (
         CE, Counterexample(lhs="e1", rhs=None, operation="product",
