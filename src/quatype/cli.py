@@ -181,6 +181,14 @@ def cmd_type(args: argparse.Namespace) -> int:
     return 0
 
 
+def _integer_l1(u: Multivector) -> int | None:
+    """Sum of |re| + |im| over terms when every part is an integer, else None."""
+    parts = [x for c in u.terms.values() for x in (c.real, c.imag)]
+    if not all(x.is_integer() for x in parts):
+        return None
+    return sum(abs(int(x)) for x in parts)
+
+
 def cmd_eval(args: argparse.Namespace) -> int:
     sig = Signature(args.p, args.q)
     unary = args.op not in _BINARY_OPS
@@ -197,6 +205,13 @@ def cmd_eval(args: argparse.Namespace) -> int:
             lhs = Multivector(sig, Field.COMPLEX, dict(lhs.terms))
             rhs = Multivector(sig, Field.COMPLEX, dict(rhs.terms))
         result = getattr(lhs, _BINARY_OPS[args.op])(rhs)
+        # README's bound: integer products stay exact while the l1 product is
+        # below 2^53, brackets (a difference of two products) below 2^52
+        a, b = _integer_l1(lhs), _integer_l1(rhs)
+        bits = 53 if args.op == "gp" else 52
+        if a is not None and b is not None and a * b >= 1 << bits:
+            print(f"note: l1(lhs)*l1(rhs) = {a * b} is at least 2^{bits}; "
+                  "the result may not be exact", file=sys.stderr)
     print(format_expression(result))
     print(json.dumps(mv_to_document(result)))
     return 0

@@ -16,6 +16,7 @@ the generator count.  Formatting is the inverse: parse(format(u)) == u.
 
 from __future__ import annotations
 
+import cmath
 import math
 
 from .blades import Signature, blade_indices, grade, mask_from_indices
@@ -57,8 +58,12 @@ class _Parser:
             self.pos += 1
             self.skip_ws()
         while True:
+            start = self.pos
             coeff, mask = self.term()
-            terms[mask] = terms.get(mask, 0j) + sign * coeff
+            total = terms.get(mask, 0j) + sign * coeff
+            if not cmath.isfinite(total):  # each term is finite, their sum may not be
+                raise self.error("coefficient sum too large for a double", start)
+            terms[mask] = total
             self.skip_ws()
             if self.pos == len(self.text):
                 return terms
@@ -288,7 +293,7 @@ def mv_from_document(doc: dict, sig: Signature | None = None) -> Multivector:
     if not isinstance(doc["terms"], list):
         raise ValueError("document terms must be a list")
     terms: dict[int, complex] = {}
-    for entry in doc["terms"]:
+    for i, entry in enumerate(doc["terms"]):
         if not isinstance(entry, dict):
             raise ValueError("each term must be a JSON object")
         for key in ("blade", "re", "im"):
@@ -307,5 +312,9 @@ def mv_from_document(doc: dict, sig: Signature | None = None) -> Multivector:
             coeff = complex(re, im)
         except OverflowError:
             raise ValueError("term coefficient too large for a double") from None
-        terms[mask] = terms.get(mask, 0j) + coeff
+        total = terms.get(mask, 0j) + coeff
+        if not cmath.isfinite(total):
+            raise ValueError(
+                f"term {i} on blade {blade}: coefficient sum {total!r} is not finite")
+        terms[mask] = total
     return Multivector(doc_sig, field, terms)

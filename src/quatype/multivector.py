@@ -357,16 +357,6 @@ class Multivector:
         """max over stored terms of |re| + |im| (0.0 for the zero element)."""
         return _inf_norm(self._terms.values())
 
-    def real_inf_norm(self) -> float:
-        if not self._terms:
-            return 0.0
-        return max(abs(c.real) for c in self._terms.values())
-
-    def imag_inf_norm(self) -> float:
-        if not self._terms:
-            return 0.0
-        return max(abs(c.imag) for c in self._terms.values())
-
     def is_zero(self, tol: float = 0.0) -> bool:
         return self.inf_norm() <= _check_tol(tol)
 

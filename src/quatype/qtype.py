@@ -44,20 +44,12 @@ class CoeffClass(IntFlag):
 # CoeffClass member goes through the enum machinery, about ten times slower.
 
 def _mul(a: int, b: int) -> int:
+    """Class of a product of coefficients drawn from classes a and b."""
     ar, ai = a & 1, (a >> 1) & 1
     br, bi = b & 1, (b >> 1) & 1
     re = (ar & br) | (ai & bi)
     im = (ar & bi) | (ai & br)
     return re | (im << 1)
-
-
-def coeff_mul(a: CoeffClass, b: CoeffClass) -> CoeffClass:
-    """Class of a product of coefficients drawn from classes a and b."""
-    return CoeffClass(_mul(int(a), int(b)))
-
-
-def coeff_join(a: CoeffClass, b: CoeffClass) -> CoeffClass:
-    return CoeffClass(int(a) | int(b))
 
 
 def coeff_le(a: CoeffClass, b: CoeffClass) -> bool:

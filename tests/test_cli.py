@@ -103,6 +103,24 @@ def test_verify_json_pinned_at_n4(capsys, p, q):
     assert hashlib.sha256(out.encode()).hexdigest() == _VERIFY_N4_SHA256[p, q]
 
 
+# The same at n = 5 and n = 8, with `--samples 20` to keep the witness short.
+# From n = 5 on the census reaches all 32 (k, l, g, s) residue cells, so these
+# pins cover every cell a report can depend on.
+_VERIFY_ABOVE_N4_SHA256 = {
+    (3, 2): "e1d86ad466dd6ffff86260eb043b05bd7b941abdbcddaede8936e3c3e8fe7bcd",
+    (4, 4): "57a3ce1efe66d00e4ce99c82e0f613c72709bab601ec9627f5917556ee03fc9d",
+}
+
+
+@pytest.mark.parametrize("p, q", list(_VERIFY_ABOVE_N4_SHA256))
+def test_verify_json_pinned_above_n4(capsys, p, q):
+    code, out, err = run_cli(capsys, "verify", "--p", str(p), "--q", str(q),
+                             "--suite", "all", "--format", "json", "--seed", "42",
+                             "--samples", "20")
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == _VERIFY_ABOVE_N4_SHA256[p, q]
+
+
 def test_verify_usage_errors(capsys):
     assert run_cli(capsys, "verify", "--suite", "bogus")[0] == 2
     assert run_cli(capsys, "verify", "--samples", "0")[0] == 2
@@ -258,6 +276,11 @@ def test_type_input_errors(capsys, tmp_path):
     code, out, err = run_cli(capsys, "type", "--expr", "9" * 400)
     assert (code, out) == (2, "")
     assert err == "error: number too large for a double (at position 0)\n"
+    nines = "9" * 308  # each term a finite double, their sum not
+    code, out, err = run_cli(capsys, "type", "--p", "2", "--q", "0",
+                             "--expr", f"{nines} + {nines}")
+    assert (code, out) == (2, "")
+    assert err == "error: coefficient sum too large for a double (at position 311)\n"
     # --expr and --input are mutually exclusive
     assert run_cli(capsys, "type", "--expr", "1",
                    "--input", str(missing))[0] == 2
@@ -358,6 +381,28 @@ def test_eval_overflowing_product_exit_code(capsys):
     assert out == ""
     assert "overflows" in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("op, lhs, rhs, note", [
+    # the operands of test_integer_product_bound_is_tight, on either side of
+    # 2^53 for the product and past 2^52 for a bracket
+    ("gp", "94906265e1", "94906265e1", ""),
+    ("gp", "94906267e1", "94906267e1", "9007199515875289 is at least 2^53"),
+    ("gp", "134217729e1", "134217729e1", "18014398777917441 is at least 2^53"),
+    ("anticomm", "94906265e1", "94906265e1", "9007199136250225 is at least 2^52"),
+    # a bracket just below and exactly at 2^52
+    ("comm", "67108863e1", "67108863e1", ""),
+    ("comm", "67108864e1", "67108864e1", "4503599627370496 is at least 2^52"),
+    ("gp", "94906267.5e1", "94906267e1", ""),  # not integer parts
+])
+def test_eval_notes_integer_products_past_exactness_bound(capsys, op, lhs, rhs, note):
+    code, out, err = run_cli(capsys, "eval", "--p", "1", "--q", "0",
+                             "--op", op, "--lhs", lhs, "--rhs", rhs)
+    assert code == 0
+    assert err == (f"note: l1(lhs)*l1(rhs) = {note}; the result may not be exact\n"
+                   if note else "")
+    if lhs == "134217729e1":  # README's example, one below the true square
+        assert out.splitlines()[0] == "18014398777917440"
 
 
 def test_eval_exp_refuses_lost_precision(capsys):

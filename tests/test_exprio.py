@@ -107,6 +107,19 @@ def test_number_too_large_for_a_double():
         assert str(err.value) == f"number too large for a double (at position {position})"
 
 
+def test_coefficient_sum_too_large_for_a_double():
+    # each term is a finite double; the error points at the term whose sum
+    # with the earlier ones on its blade overflows
+    nines = "9" * 308
+    for text, position in ((f"{nines} + {nines}", 311),
+                           (f"e1 - {nines}e1 - {nines}e1", 318)):
+        with pytest.raises(ExprSyntaxError) as err:
+            parse_expression(text, Signature(2, 0))
+        assert err.value.position == position
+        assert str(err.value) == (
+            f"coefficient sum too large for a double (at position {position})")
+
+
 # ----------------------------------------------------------------------
 # formatting
 
@@ -215,6 +228,16 @@ def test_document_duplicate_blades_accumulate():
     assert mv_from_document(doc).terms == {0b1: 3 + 0j}
 
 
+def test_document_overflowing_sum_names_term_and_blade():
+    doc = {"p": 2, "q": 2, "field": "R", "terms": [
+        {"blade": [1], "re": 1.7e308, "im": 0.0},
+        {"blade": [1], "re": 1.7e308, "im": 0.0},
+    ]}
+    with pytest.raises(ValueError) as err:
+        mv_from_document(doc)
+    assert str(err.value) == "term 1 on blade [1]: coefficient sum (inf+0j) is not finite"
+
+
 @pytest.mark.parametrize("mutate", [
     lambda d: d.pop("field"),
     lambda d: d.__setitem__("field", "Q"),
@@ -229,6 +252,7 @@ def test_document_duplicate_blades_accumulate():
     lambda d: d["terms"][0].__setitem__("re", "1"),
     lambda d: d["terms"][0].__setitem__("re", math.nan),
     lambda d: d["terms"][0].__setitem__("re", 10 ** 400),
+    lambda d: d["terms"].extend([{"blade": [1], "re": 1.7e308, "im": 0.0}] * 2),
 ])
 def test_document_validation(mutate):
     doc = {"p": 2, "q": 2, "field": "R", "terms": [
