@@ -177,10 +177,9 @@ def parse_expression(text: str, sig: Signature,
                      field: Field | None = None) -> Multivector:
     """Parse ``text`` into a multivector over ``sig``.
 
-    With ``field=None`` the field is inferred: real when every surviving
-    coefficient is real, complex otherwise."""
+    With ``field=None`` the field is inferred: real when every coefficient,
+    summed per blade, is real, complex otherwise."""
     terms = _Parser(text, sig).parse()
-    terms = {m: c for m, c in terms.items() if c != 0}
     if field is None:
         field = (Field.REAL
                  if all(c.imag == 0.0 for c in terms.values()) else Field.COMPLEX)
@@ -199,11 +198,10 @@ def format_float(x: float) -> str:
     mantissa, exponent = s.lstrip("-").split("e")
     head, _, tail = mantissa.partition(".")
     digits, point = head + tail, len(head) + int(exponent)
+    # repr uses an exponent only below 1e-4 (point <= -4) or from 1e16 (point >= 17)
     if point <= 0:
         return f"{sign}0.{'0' * -point}{digits}"
-    if point >= len(digits):
-        return sign + digits + "0" * (point - len(digits))
-    return f"{sign}{digits[:point]}.{digits[point:]}"
+    return sign + digits + "0" * (point - len(digits))
 
 
 def format_blade(mask: int) -> str:

@@ -66,6 +66,8 @@ class Field(Enum):
 
 
 def _check_coeff(c: complex, field: Field) -> complex:
+    if isinstance(c, (str, bool)):  # complex() would parse or count them
+        raise TypeError(f"coefficient must be a number, not {type(c).__name__}")
     try:
         c = complex(c)
     except OverflowError:
@@ -254,9 +256,7 @@ class Multivector:
 
     def scale(self, value) -> "Multivector":
         c = _check_coeff(value, self.field)
-        if c == 0:
-            return Multivector.zero(self.sig, self.field)
-        # a product of nonzero doubles can underflow to zero
+        # a product of nonzero doubles can underflow to zero, and c may be 0
         data = {m: p for m, v in self._terms.items() if (p := v * c)}
         _require_finite(data)
         return Multivector._raw(self.sig, self.field, data)

@@ -150,8 +150,6 @@ def qtype_compose(op: OpKind, t1: QType, t2: QType) -> QType:
     The empty type is absorbing.  The geometric product composes as the union
     of the commutator and anticommutator results (UV = [U,V]/2 + {U,V}/2).
     """
-    if not t1 or not t2:
-        return EMPTY_TYPE
     if op is OpKind.GEOMETRIC:
         return (qtype_compose(OpKind.COMMUTATOR, t1, t2)
                 | qtype_compose(OpKind.ANTICOMMUTATOR, t1, t2))

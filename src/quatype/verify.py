@@ -108,12 +108,19 @@ class Strategy(Enum):
 
 
 class CheckStatus(Enum):
+    """PASS: the claim holds.  FAIL: it does not (see the counterexample, or
+    the notes).  SKIPPED: it does not apply at the signature (rank, n >= 4)."""
+
     PASS = "pass"
     FAIL = "fail"
     SKIPPED = "skipped"
 
 
 class CheckConfig(Frozen):
+    """``sig``: the signature checked.  ``seed`` (mod 2^64) and ``samples``:
+    theorem 7's exp witness, ``samples`` draws per row.  ``tol``: the bound
+    on conj(u) + u in the membership tests (theorems 6 and 7, wc)."""
+
     sig: Signature
     seed: int = 0
     samples: int = 200
@@ -129,6 +136,11 @@ class CheckConfig(Frozen):
 
 
 class Counterexample(Frozen):
+    """``operation(lhs, rhs)`` in ``format_expression`` text, ``rhs`` None
+    for a unary operation.  ``component`` names what was measured (the
+    type, grade or pattern left, or a defect); ``magnitude`` is its size:
+    a basis pair's |coefficient|, else an inf-norm (largest |re| + |im|)."""
+
     lhs: str
     rhs: Optional[str]
     operation: str
@@ -144,6 +156,14 @@ class Counterexample(Frozen):
 
 
 class CheckReport(Frozen):
+    """The ``status`` of claim ``name``, its ``counterexample`` (or None) and
+    ``notes``.  ``cases_run`` counts cases decided, through a failing one:
+    basis-blade pairs in a-major order (axioms, grades, tables: (a, b) is
+    case a * 2^n + b + 1); one abstract case plus real basis pairs unit *
+    blade (closures, theorems 5 and 6); the ambient's closure cases, census
+    rows and witness samples (theorem 7); real basis elements (wc); blades
+    (rank)."""
+
     name: str
     status: CheckStatus
     cases_run: int
@@ -269,13 +289,6 @@ def _fail(name: str, cases: int, operation: str, lhs: Multivector,
     )
 
 
-def _pair_fail(name: str, sig: Signature, a: int, b: int, op: OpKind,
-               component: str, coeff: int) -> CheckReport:
-    """FAIL on the blade pair (a, b), counted at its a-major position."""
-    return _fail(name, (a << sig.n) + b + 1, op.value, _blade(sig, a),
-                 _blade(sig, b), component, float(coeff))
-
-
 # Real basis units of a coefficient: index 0 is 1 (CoeffClass bit 0), index 1
 # is i (bit 1).  The product of units u and v is real when u == v.
 _UNITS = (1, 1j)
@@ -326,16 +339,15 @@ def _census_leak(sig: Signature, op: OpKind, p1: SubspacePattern,
 
 def _leak_fail(name: str, cases: int, sig: Signature, op: OpKind,
                p1: SubspacePattern, p2: SubspacePattern, leak: tuple,
-               component: str, notes: str = "",
-               field: Field = Field.COMPLEX) -> CheckReport:
+               component: str, notes: str = "") -> CheckReport:
     """FAIL on a ``_census_leak`` result, counted after ``cases`` earlier
     cases at the pair's position among the real basis pairs of P1 x P2."""
     a, unit_a, b, unit_b, coeff = leak
     basis1, basis2 = _real_basis(sig, p1), _real_basis(sig, p2)
     position = basis1.index((a, unit_a)) * len(basis2) + basis2.index((b, unit_b)) + 1
     return _fail(name, cases + position, op.value,
-                 Multivector.basis_blade(sig, a, unit_a, field),
-                 Multivector.basis_blade(sig, b, unit_b, field),
+                 Multivector.basis_blade(sig, a, unit_a),
+                 Multivector.basis_blade(sig, b, unit_b),
                  component, float(coeff), notes)
 
 
@@ -390,6 +402,8 @@ def is_in_wc(u: Multivector, tol: float = 1e-12) -> bool:
 # types 0 and 1, real coefficients on types 2 and 3.
 WC_PATTERN = SubspacePattern.from_parts(real="23", imag="01")
 _EVERYTHING = SubspacePattern.from_parts(real="0123", imag="0123")
+# Real basis: the blades in ascending order, so blade pair (a, b) is case a * 2^n + b + 1
+_REAL = SubspacePattern.from_parts(real="0123")
 
 
 # ----------------------------------------------------------------------
@@ -416,8 +430,8 @@ def check_quaternion_axioms(
         coeff = _coefficient(op, s)
         target = rule(op, k & 3, l & 3)
         if coeff and g & 3 != target:
-            return _pair_fail(name, sig, a, b, op,
-                              f"type {g & 3} (expected {target})", coeff)
+            return _leak_fail(name, 0, sig, op, _REAL, _REAL, (a, 1, b, 1, coeff),
+                              f"type {g & 3} (expected {target})")
     return CheckReport(name, CheckStatus.PASS, sig.blade_count ** 2, None,
                        "all basis-blade pairs checked exactly; bilinearity "
                        "extends the result to the full type subspaces")
@@ -449,8 +463,8 @@ def check_grade_pattern(cfg: CheckConfig) -> CheckReport:
             coeff = _coefficient(op, s)
             want = _grade_residue(op, k, l)
             if coeff and g & 3 != want:
-                return _pair_fail(name, sig, a, b, op,
-                                  f"grade {g} (want residue {want})", coeff)
+                return _leak_fail(name, 0, sig, op, _REAL, _REAL, (a, 1, b, 1, coeff),
+                                  f"grade {g} (want residue {want})")
     return CheckReport(name, CheckStatus.PASS, sig.blade_count ** 2, None,
                        "all basis-blade pairs, both operations, exact")
 
@@ -477,8 +491,8 @@ def check_type_table(op: OpKind, cfg: CheckConfig) -> CheckReport:
         for i in holding[k & 3]:
             for j in holding[l & 3]:
                 if not got <= cells[i][j]:
-                    return _pair_fail(name, sig, a, b, op,
-                                      f"type {got} outside cell {cells[i][j]}", coeff)
+                    return _leak_fail(name, 0, sig, op, _REAL, _REAL, (a, 1, b, 1, coeff),
+                                      f"type {got} outside cell {cells[i][j]}")
                 reached[i][j] |= got.mask
 
     possible = sum(len(cell.members) for row in cells for cell in row)
@@ -518,7 +532,7 @@ def check_pattern_closure(
     leak = _census_leak(cfg.sig, op, pattern, pattern, pattern)
     if leak:
         return _leak_fail(label, 1, cfg.sig, op, pattern, pattern, leak,
-                          f"outside pattern {pattern}", notes, field)
+                          f"outside pattern {pattern}", notes)
     if not contained:
         return CheckReport(label, CheckStatus.FAIL, 1, None, notes)
     pairs = _pair_count(cfg.sig, pattern, pattern)
@@ -530,16 +544,13 @@ def check_pattern_closure(
 
 
 # Closed-subspace catalogs: (real digits, imaginary digits) per pattern.
-PRODUCT_CLOSED_REAL = ("02",)
 PRODUCT_CLOSED_COMPLEX = (("02", ""), ("02", "02"), ("02", "13"), ("0123", ""))
-COMM_CLOSED_REAL = ("2", "02", "12", "23")
 COMM_CLOSED_COMPLEX = (
     ("2", ""), ("02", ""), ("12", ""), ("23", ""), ("0123", ""),
     ("02", "02"), ("12", "12"), ("23", "23"),
     ("2", "0"), ("2", "1"), ("2", "2"), ("2", "3"),
     ("02", "13"), ("12", "03"), ("23", "01"),
 )
-ANTICOMM_CLOSED_REAL = ("0", "01", "02", "03")
 ANTICOMM_CLOSED_COMPLEX = (
     ("0", ""), ("01", ""), ("02", ""), ("03", ""), ("0123", ""),
     ("01", "01"), ("02", "02"), ("03", "03"),
@@ -549,15 +560,17 @@ ANTICOMM_CLOSED_COMPLEX = (
 
 
 def closure_catalog() -> list[tuple[OpKind, Field, SubspacePattern]]:
-    """Every closed subspace claim, in a fixed order."""
+    """Every closed subspace claim, in a fixed order: per operation, the
+    complex catalog's real patterns but the whole algebra, over R, then the
+    complex catalog."""
     entries: list[tuple[OpKind, Field, SubspacePattern]] = []
-    for op, real, complex_ in (
-        (OpKind.GEOMETRIC, PRODUCT_CLOSED_REAL, PRODUCT_CLOSED_COMPLEX),
-        (OpKind.COMMUTATOR, COMM_CLOSED_REAL, COMM_CLOSED_COMPLEX),
-        (OpKind.ANTICOMMUTATOR, ANTICOMM_CLOSED_REAL, ANTICOMM_CLOSED_COMPLEX),
+    for op, complex_ in (
+        (OpKind.GEOMETRIC, PRODUCT_CLOSED_COMPLEX),
+        (OpKind.COMMUTATOR, COMM_CLOSED_COMPLEX),
+        (OpKind.ANTICOMMUTATOR, ANTICOMM_CLOSED_COMPLEX),
     ):
         entries += [(op, Field.REAL, SubspacePattern.from_parts(real=re))
-                    for re in real]
+                    for re, im in complex_ if not im and re != "0123"]
         entries += [(op, Field.COMPLEX, SubspacePattern.from_parts(re, im))
                     for re, im in complex_]
     return entries
@@ -845,7 +858,10 @@ SUITE_NAMES = tuple(_GROUPS) + tuple(_LEAVES)
 
 
 def resolve_suite(names) -> list[str]:
-    """Expand group identifiers to leaf check names, deduplicated in order."""
+    """Expand group identifiers to leaf check names, deduplicated in order.
+    TypeError for a bare string, whose characters would be read as names."""
+    if isinstance(names, str):
+        raise TypeError(f"pass a list of check names, not the string {names!r}")
     out: list[str] = []
     for ident in names:
         if ident in _GROUPS:

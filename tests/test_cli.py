@@ -16,9 +16,11 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+from quatype import verify
 from quatype.cli import main
 from quatype.multivector import ConvergenceFailure, Multivector
 from quatype.verify import SUITE_NAMES
+from test_verifier import _comm_11_off_by_one
 
 
 def run_cli(capsys, *argv):
@@ -146,6 +148,35 @@ def test_verify_single_leaf_suite(capsys):
     names = [r["name"] for r in payload["reports"]]
     assert len(names) == 43
     assert all(name.startswith("closure:") for name in names)
+
+
+def test_verify_text_binary_counterexample(capsys, monkeypatch):
+    monkeypatch.setattr(verify, "_grade_residue",
+                        _comm_11_off_by_one(verify._grade_residue))
+    code, out, err = run_cli(capsys, "verify", "--p", "2", "--q", "1",
+                             "--suite", "grades")
+    assert (code, err) == (1, "")
+    assert out == (
+        "grades  FAIL     cases=11\n"
+        "        counterexample: comm(e1, e2) leaks 2 in grade 2 (want residue 3)\n"
+        "1 checks: 0 pass, 1 fail, 0 skipped\n")
+
+
+def test_verify_text_unary_counterexample(capsys, monkeypatch):
+    # exp(u) e1 is still pseudo-unitary but odd, so it leaves 02
+    original = Multivector.exp
+    monkeypatch.setattr(Multivector, "exp", lambda self, *args: original(
+        self, *args).geometric_product(Multivector.basis_blade(self.sig, 0b1)))
+    code, out, err = run_cli(capsys, "verify", "--p", "2", "--q", "1",
+                             "--suite", "theorem7", "--samples", "5")
+    assert (code, err) == (1, "")
+    assert out.splitlines()[:2] == [
+        "theorem7:2->02         FAIL     cases=38",
+        "                       counterexample: exp(0.3333333333333333e12"
+        " + 0.3333333333333333e13 + 0.3333333333333333e23)"
+        " leaks 1.05607 in outside pattern 02",
+    ]
+    assert out.splitlines()[-1] == "4 checks: 1 pass, 3 fail, 0 skipped"
 
 
 # ----------------------------------------------------------------------

@@ -89,6 +89,11 @@ def test_field_inference():
     ("(1+2j)e1", 4),
     ("2e2e3", 3),           # missing '+'/'-' between terms
     ("*e1", 0),
+    ("(1*2i)", 2),          # no sign inside a complex coefficient
+    ("(1+2i", 5),           # unclosed complex coefficient
+    ("(x+1i)", 1),          # real part not a number
+    ("e{1;2}", 3),
+    ("2e", 2),              # 'e' with no indices
 ])
 def test_error_positions(text, position):
     with pytest.raises(ExprSyntaxError) as err:

@@ -88,6 +88,19 @@ def test_nonfinite_coefficients_rejected():
         Multivector(Signature(2, 0), Field.REAL, [(1, 1e308), (1, 1e308)])
 
 
+def test_str_and_bool_coefficients_rejected():
+    # complex() would parse "3" and count True as 1
+    sig = Signature(2, 0)
+    u = Multivector.basis_blade(sig, 0b01, 1)
+    for bad in ("3", True, False):
+        with pytest.raises(TypeError, match="coefficient must be a number"):
+            Multivector(sig, Field.REAL, {0: bad})
+        with pytest.raises(TypeError, match="coefficient must be a number"):
+            u.scale(bad)
+    with pytest.raises(TypeError):
+        u * True
+
+
 def test_overflowing_results_rejected():
     sig = Signature(2, 0)
     big = Multivector.basis_blade(sig, 0b01, 1e190)

@@ -723,6 +723,13 @@ def test_run_suite_unknown_check():
         run_suite(["bogus"], cfg_for(S22))
 
 
+def test_run_suite_refuses_a_bare_string():
+    # iterating "all" would ask for the checks 'a' and 'l'
+    for call in (lambda: resolve_suite("all"), lambda: run_suite("all", cfg_for(S22))):
+        with pytest.raises(TypeError, match="list of check names"):
+            call()
+
+
 def test_run_suite_deterministic():
     cfg = cfg_for(S22, seed=42, samples=10)
     first = run_suite(["axioms", "grades"], cfg)
@@ -895,6 +902,18 @@ def test_theorem6_census_commutator_fail_report(monkeypatch):
     assert [r.to_dict() for r in reports] == [
         _failed("theorem6:i1", 3, (
             "(0+1i)e1", "(0+1i)e2", "comm", "outside pattern i1", 2.0)),
+    ]
+
+
+def test_theorem6_abstract_membership_fail_report(monkeypatch):
+    # Cl(1,0) has no grade-2 blade, so every concrete test passes vacuously
+    lie = SubspacePattern.from_parts(real="2", imag="2")
+    monkeypatch.setattr(verify, "LIE_SUBALGEBRA_ROWS",
+                        ((lie, SubspacePattern.from_parts(real="02", imag="02")),))
+    reports = check_theorem6(cfg_for(Signature(1, 0)))
+    assert [r.to_dict() for r in reports] == [
+        _failed("theorem6:2+i2", 1, None,
+            "abstract membership fails: 2+i2 is not inside 23+i01"),
     ]
 
 
