@@ -20,7 +20,15 @@ class Frozen:
     ...)``, refuse assignment and deletion, match positional class
     patterns, and copy and pickle by calling the class on their fields
     again, so its checks rerun.
+
+    The hash is computed from the fields on the first ``hash()`` call and
+    cached on the instance (copies and pickles do not carry it), so a
+    value whose field is unhashable is still built and compared, and
+    refused only when hashed.  Equality tests identity first, so cache
+    lookups keyed on a value the caller passes again skip the fields.
     """
+
+    _hash = None
 
     def __init_subclass__(cls, **kwargs) -> None:
         super().__init_subclass__(**kwargs)
@@ -36,12 +44,18 @@ class Frozen:
             object.__setattr__(self, name, value)
 
     def __eq__(self, other):
+        if other is self:
+            return True
         if other.__class__ is not self.__class__:
             return NotImplemented
         return self._values() == other._values()
 
     def __hash__(self) -> int:
-        return hash(self._values())
+        h = self._hash
+        if h is None:
+            h = hash(self._values())
+            object.__setattr__(self, "_hash", h)
+        return h
 
     def __repr__(self) -> str:
         fields = ", ".join(f"{name}={value!r}"

@@ -188,7 +188,9 @@ def parse_expression(text: str, sig: Signature,
 
 def format_float(x: float) -> str:
     """Positional decimal text for a finite float, integers bare."""
-    if x == int(x) and abs(x) < 2 ** 53:
+    # an integral double below 1e16 is its int's digits (repr adds ".0");
+    # from 1e16 up repr writes an exponent, which the shift below removes
+    if x == int(x) and abs(x) < 1e16:
         return str(int(x))
     s = repr(x)
     if "e" not in s:

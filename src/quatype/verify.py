@@ -205,10 +205,12 @@ def sample_pattern_mv(sig: Signature, pattern: SubspacePattern, rng: SplitMix64,
     if k is not None:
         _check_count("k", k)
     basis = _real_basis(sig, pattern)
+    # each draw is next_int's lo + next_u64() mod (hi - lo + 1), inlined:
+    # the bounds are known valid, so next_int's checks are skipped
     if k is not None and len(basis) > k:
         picks = list(range(len(basis)))
         for i in range(k):
-            j = rng.next_int(i, len(basis) - 1)
+            j = i + rng.next_u64() % (len(basis) - i)
             picks[i], picks[j] = picks[j], picks[i]
         basis = [basis[i] for i in sorted(picks[:k])]
     # no validating constructor: the basis masks are valid, and every kept
@@ -216,7 +218,7 @@ def sample_pattern_mv(sig: Signature, pattern: SubspacePattern, rng: SplitMix64,
     # of a negative draw times 1j)
     terms = {}
     for mask, unit in basis:
-        v = rng.next_int(-3, 3)
+        v = rng.next_u64() % 7 - 3
         if v:
             terms[mask] = terms.get(mask, 0j) + v * unit
     return Multivector._raw(sig, Field.COMPLEX, terms)

@@ -138,13 +138,18 @@ def test_format_float_forms():
     assert format_float(-1.25e-5) == "-0.0000125"
     assert format_float(1.2345e17) == "123450000000000000"
     assert format_float(5e-324) == "0." + "0" * 323 + "5"
+    # integers bare from 2^53 up to 1e16 too, and they parse back
+    for x, text in ((2.0 ** 53, "9007199254740992"),
+                    (-(2.0 ** 53 + 2), "-9007199254740994"),
+                    (1e16 - 2, "9999999999999998")):
+        assert format_float(x) == text and float(text) == x
 
 
 @settings(max_examples=3000)
 @given(st.floats(allow_nan=False, allow_infinity=False))
 def test_format_float_is_decimal_fixed_point_of_repr(x):
     # the positional text is Decimal's fixed-point form of repr's digits
-    if x == int(x) and abs(x) < 2 ** 53:
+    if x == int(x) and abs(x) < 1e16:
         want = str(int(x))
     else:
         want = format(Decimal(repr(x)), "f")

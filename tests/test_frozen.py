@@ -92,3 +92,20 @@ def test_class_patterns_and_defaults():
             assert (p, q) == (2, 3)
     assert (CheckConfig.seed, CheckConfig.samples, CheckConfig.tol) == (0, 200, 1e-12)
     assert (CheckReport.counterexample, CheckReport.notes) == (None, "")
+
+
+def test_caches_keyed_on_values_hit_for_equal_values_built_apart():
+    from quatype.blades import sign_table
+    from quatype.verify import _real_basis
+
+    assert sign_table(Signature(2, 2)) is sign_table(Signature(2, 2))
+    assert (_real_basis(Signature(2, 2), SubspacePattern.from_parts("2"))
+            is _real_basis(Signature(2, 2), SubspacePattern.from_parts("2")))
+
+
+def test_unhashable_field_is_refused_only_when_hashed():
+    # the hash is computed on first use, so building and comparing work
+    report = CheckReport("grades", CheckStatus.PASS, 1, None, ["note"])
+    assert report == CheckReport("grades", CheckStatus.PASS, 1, None, ["note"])
+    with pytest.raises(TypeError, match="unhashable"):
+        hash(report)

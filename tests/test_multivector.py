@@ -608,15 +608,15 @@ def _bits(u: Multivector) -> list:
 
 def test_exp_bits_match_series_of_public_products():
     rng = random.Random(20240611)
-    for _ in range(240):
-        n = rng.randint(1, 7)
+
+    def check(n, max_size):
         p = rng.randint(0, n)
         sig = Signature(p, n - p)
         field = rng.choice((Field.REAL, Field.COMPLEX))
         kind = rng.choice(("float", "real int", "imaginary int"))
         if field is Field.REAL and kind == "imaginary int":
             kind = "real int"
-        masks = rng.sample(range(1 << n), rng.randint(0, min(1 << n, 10)))
+        masks = rng.sample(range(1 << n), rng.randint(0, min(1 << n, max_size)))
         terms = {}
         for mask in masks:
             if kind == "real int":
@@ -629,6 +629,12 @@ def test_exp_bits_match_series_of_public_products():
                 terms[mask] = complex(rng.uniform(-2.0, 2.0), rng.uniform(-2.0, 2.0))
         u = Multivector(sig, field, terms)
         assert _bits(u.exp()) == _bits(reference_exp(u)), (sig, field, terms)
+
+    for _ in range(240):
+        check(rng.randint(1, 7), 10)
+    # sparse at n = 8, 10 and 12, where the 2^n slots far outnumber the terms
+    for n in (8, 8, 10, 10, 12, 12):
+        check(n, 8)
 
 
 def _exp_outcome(f, *args):
@@ -643,17 +649,20 @@ def test_exp_stopping_rule_matches_series_that_reads_every_norm():
     # bits and equal failures pin exp's bound-first stopping test, not only
     # its default path.
     rng = random.Random(20261018)
-    operands = []
-    for _ in range(60):
-        n = rng.randint(1, 6)
+
+    def sparse(n):
         p = rng.randint(0, n)
         masks = rng.sample(range(1 << n), rng.randint(1, min(1 << n, 8)))
         terms = {m: complex(rng.uniform(-3, 3), rng.uniform(-3, 3)) for m in masks}
-        operands.append(Multivector(Signature(p, n - p), Field.COMPLEX, terms))
+        return Multivector(Signature(p, n - p), Field.COMPLEX, terms)
+
+    operands = [sparse(rng.randint(1, 6)) for _ in range(60)]
     # dense at n = 7: 128 rows of 128 entries, more than the row cache keeps
     assert (1 << 7) ** 2 > _ROW_CACHE_ENTRIES
     dense = {m: rng.uniform(-1.0, 1.0) for m in range(1 << 7)}
     operands.append(Multivector(Signature(4, 3), Field.REAL, dense))
+    # sparse at n = 8, 10 and 12, where the 2^n slots far outnumber the terms
+    operands += [sparse(n) for n in (8, 10, 12)]
     failures = 0
     for u in operands:
         for eps in (1e-1, 1e-6, 1e-14):
