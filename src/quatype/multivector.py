@@ -5,6 +5,12 @@ are stored as complex doubles even in real mode (the imaginary part is pinned
 to zero there), so integer-valued inputs stay exact through products, sums and
 projections.
 
+Products and ``exp`` compute in floats when no operand coefficient has a
+nonzero imaginary part (-0.0 counts as zero), whatever the field, and turn only
+the nonzero results back into complex.  The bits are those of the complex
+arithmetic: there each pair's real part is ``ar*br - (±0)``, the same double
+as ``ar*br``, and its imaginary part is a signed zero that the +0j slots clear.
+
 A product accumulates into a list of 2**n slots, one per blade mask (a fixed
 O(2**n) cost per call, whatever the operand sizes), and reads its left
 operand in ascending mask order, so every slot sums in the same order however
@@ -17,7 +23,9 @@ sign-folded row per left mask once per call (up to a fixed entry budget),
 keeps the rows in a list indexed by mask and reuses them for every series
 term, adds each term into a partial sum held in 2**n slots, and reads that
 sum's norm, over its nonzero slots, only when an upper bound on the norm no
-longer rules out stopping.
+longer rules out stopping.  When the argument has at most n - 4 terms, the XOR
+span of its masks, which holds every series term, has under 2**n / 8 blades,
+and only the span's slots are scanned, in the same ascending order.
 """
 
 from __future__ import annotations
@@ -121,8 +129,18 @@ def _require_finite(data: dict) -> None:
         raise ValueError("arithmetic result overflows a double")
 
 
+_IMAG = operator.attrgetter("imag")
+_REAL = operator.attrgetter("real")
+
+
+def _real_items(terms: dict):
+    """(mask, real part as a float) for each term of ``terms``."""
+    return zip(terms, map(_REAL, terms.values()))
+
+
 def _inf_norm(values) -> float:
-    """max of |re| + |im| over complex ``values`` (0.0 when there are none)."""
+    """max of |re| + |im| over complex or float ``values`` (0.0 when there
+    are none)."""
     return max((abs(c.real) + abs(c.imag) for c in values), default=0.0)
 
 
@@ -279,17 +297,26 @@ class Multivector:
         # picks cb or -cb from pm.  Each pair adds ca * (±cb), which has the
         # bits of sign * ca * cb in every nonzero part (IEEE rounding is
         # symmetric); a zero part whose sign differs is cleared when it is
-        # added to a +0j slot.
-        rhs = [(b, b & lo, b >> h, (cb, -cb)) for b, cb in other._terms.items()]
-        acc = [0j] * self.sig.blade_count
-        for a, ca in sorted(self._terms.items()):
+        # added to a +0j slot.  When neither operand has a nonzero imaginary
+        # part, the loop runs on the real parts as floats, from 0.0 slots:
+        # the complex pairs' real parts are the same doubles and their
+        # imaginary parts zeros that a +0j slot clears, so only the nonzero
+        # results are turned back into complex.
+        ta, tb = self._terms, other._terms
+        real = not (any(map(_IMAG, ta.values())) or any(map(_IMAG, tb.values())))
+        a_items, b_items = ((_real_items(ta), _real_items(tb)) if real
+                            else (ta.items(), tb.items()))
+        rhs = [(b, b & lo, b >> h, (cb, -cb)) for b, cb in b_items]
+        acc = [0.0 if real else 0j] * self.sig.blade_count
+        for a, ca in sorted(a_items):
             ah = a >> h
             row_lo, row_hi = low[ah.bit_count() & 1][a & lo], high[ah]
             for b, bl, bh, pm in rhs:
                 acc[a ^ b] += ca * pm[row_lo[bl] ^ row_hi[bh]]
-        # a complex is true when nonzero: the masks of the nonzero slots,
+        # a number is true when nonzero: the masks of the nonzero slots,
         # zipped with their values
-        out = dict(zip(compress(_MASKS, acc), filter(None, acc)))
+        nonzero = zip(compress(_MASKS, acc), filter(None, acc))
+        out = {m: c + 0j for m, c in nonzero} if real else dict(nonzero)
         _require_finite(out)
         return Multivector._raw(self.sig, self.field, out)
 
@@ -380,7 +407,15 @@ class Multivector:
         instead, since a row built for one use costs more than it saves.
         The partial sum is a list of 2**n slots, one per mask: each term
         adds into it in place, and the result is built from its nonzero
-        slots, which are already in ascending mask order.
+        slots, which are already in ascending mask order.  Every term lies in
+        the XOR span of u's masks, at most 2**len(u.terms) blades; when that
+        bound is below 2**n / 8, each term's slots and the partial sum are
+        read over the span's masks only, ascending, so the same slots add in
+        the same order.
+
+        When u has no nonzero imaginary part, the rows, slots and partial sum
+        hold floats (as in ``geometric_product``, the bits are the complex
+        arithmetic's) and the result is turned back into complex at the end.
 
         The stopping test reads the partial sum's norm only when it might
         stop.  An upper bound B on that norm grows by each term's norm, and
@@ -416,17 +451,30 @@ class Multivector:
         # per-pair expression as geometric_product.
         h, low, high = sign_table(self.sig)
         lo = (1 << h) - 1
-        rhs = [(b, b & lo, b >> h, (cb, -cb)) for b, cb in u._terms.items()]
+        terms = u._terms
+        real = not any(map(_IMAG, terms.values()))
+        zero = 0.0 if real else 0j
+        rhs = [(b, b & lo, b >> h, (cb, -cb))
+               for b, cb in (_real_items(terms) if real else terms.items())]
         size = self.sig.blade_count
         rows = [None] * size
         budget = _ROW_CACHE_ENTRIES
-        # The partial sum, one slot per mask.  Every slot starts at +0j and
+        # The span's slots alone are scanned only when its bound is below
+        # 2**n / 8: a slot read through the span costs about as much as
+        # eight read by the full scan.
+        span = None
+        if (1 << len(rhs)) * 8 < size:
+            span = {0}
+            for b in terms:
+                span |= {s ^ b for s in span}
+            span = sorted(span)
+        # The partial sum, one slot per mask.  Every slot starts at +0 and
         # a sum of doubles is -0.0 only when both addends are, so no slot
-        # part is ever -0.0: a slot whose sum cancels holds +0j, the same
+        # part is ever -0.0: a slot whose sum cancels holds +0, the same
         # bits as a slot never touched.
-        acc = [0j] * size
-        acc[0] = 1 + 0j
-        term = {0: 1 + 0j}
+        acc = [zero] * size
+        acc[0] = zero + 1
+        term = {0: acc[0]}
         # bound >= the inf-norm of acc; it restarts from that norm whenever
         # the norm is read.  One step rounds each slot's sum, its norm and
         # the bound's own update a few times, each by at most 2**-53
@@ -434,7 +482,7 @@ class Multivector:
         # induction it covers the additions of all max_terms terms.
         bound = 1.0
         for m in range(1, max_terms + 1):
-            slots = [0j] * size
+            slots = [zero] * size
             for a, ca in term.items():  # ascending: filled from the slots
                 row = rows[a]
                 if row is None:
@@ -456,11 +504,15 @@ class Multivector:
             r = 1.0 / m
             term = {}
             term_norm = 0.0
-            for k, c in zip(compress(_MASKS, slots), filter(None, slots)):
+            if span is None:
+                scan = zip(compress(_MASKS, slots), filter(None, slots))
+            else:  # its zero slots are skipped below
+                scan = zip(span, map(slots.__getitem__, span))
+            for k, c in scan:
                 c *= r
                 if c:
                     term[k] = c
-                    x = abs(c.real) + abs(c.imag)
+                    x = abs(c) if real else abs(c.real) + abs(c.imag)
                     if not x <= term_norm:
                         if not x < math.inf:
                             raise ValueError("arithmetic result overflows a double")
@@ -473,8 +525,11 @@ class Multivector:
                 continue
             # the nonzero slots, in ascending mask order: the result if the
             # series stops here, and the only slots whose norm is read (at
-            # n = 12 most of the 4096 are 0j)
-            out = dict(zip(compress(_MASKS, acc), filter(None, acc)))
+            # n = 12 most of the 4096 are zero)
+            if span is None:
+                out = dict(zip(compress(_MASKS, acc), filter(None, acc)))
+            else:
+                out = {k: c for k in span if (c := acc[k])}
             acc_norm = _inf_norm(out.values())
             if math.isinf(acc_norm):  # |re| + |im| can overflow on finite parts
                 _require_finite(out)
@@ -486,6 +541,8 @@ class Multivector:
                 f"exp series not converged after {max_terms} terms "
                 f"(argument inf-norm {self.inf_norm()!r})"
             )
+        if real:
+            out = {m: c + 0j for m, c in out.items()}
         result = Multivector._raw(self.sig, self.field, out)
         for _ in range(halvings):
             result = result.geometric_product(result)

@@ -414,6 +414,14 @@ def test_eval_overflowing_product_exit_code(capsys):
     assert "Traceback" not in err
 
 
+def test_eval_overflowing_exp_exit_code(capsys):
+    # exp(1e4) as floats: its squarings overflow
+    code, out, err = run_cli(capsys, "eval", "--p", "1", "--q", "0",
+                             "--op", "exp", "--lhs", "1000e1")
+    assert (code, out) == (2, "")
+    assert err == "error: arithmetic result overflows a double\n"
+
+
 @pytest.mark.parametrize("op, lhs, rhs, note", [
     # the operands of test_integer_product_bound_is_tight, on either side of
     # 2^53 for the product and past 2^52 for a bracket

@@ -112,6 +112,28 @@ def test_overflowing_results_rejected():
         u.commutator(v)
     with pytest.raises(ValueError):
         u.scale(10)
+    # real-valued operands run as floats, with the same refusals: a REAL
+    # product and bracket, and exp(1e4), whose squarings overflow
+    big = Multivector.basis_blade(sig, 0b01, 1e190, Field.REAL)
+    with pytest.raises(ValueError):
+        big.geometric_product(big)
+    with pytest.raises(ValueError):  # each of its products overflows
+        big.commutator(big)
+    for field in (Field.REAL, Field.COMPLEX):
+        with pytest.raises(ValueError, match="overflows a double"):
+            Multivector.scalar(Signature(1, 0), 1000e1, field).exp()
+
+
+def test_underflowing_products_are_zero():
+    # every pair underflows to a signed zero, which a +0 slot clears
+    sig = Signature(2, 1)
+    for field in (Field.REAL, Field.COMPLEX):
+        u = Multivector(sig, field, {0: 1e-200, 0b011: -3e-200, 0b101: 2e-200})
+        v = Multivector(sig, field, {0b001: -1e-200, 0b110: 1e-200})
+        for w in (u, -u, u.conjugate()):
+            assert w.geometric_product(v) == Multivector.zero(sig, field)
+            assert not v.geometric_product(w).terms
+            assert not w.anticommutator(v).terms
 
 
 def test_scale_drops_underflowing_coefficients():
@@ -271,6 +293,18 @@ def test_product_bits_match_signed_pair_sums():
     pairs.append([Multivector(sig, Field.COMPLEX, {
         rng.randrange(1 << 12): complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
         for _ in range(16)}) for _ in range(2)])
+    # COMPLEX operands whose imaginary parts are all +0.0 or -0.0 run as
+    # floats, like REAL ones: negation makes every part -0.0, and conjugate()
+    # those of grades 0 and 1 mod 4.  One real-valued operand times a complex
+    # one does not.
+    for n in (2, 5, 8, 12):
+        p = rng.randint(0, n)
+        sig = Signature(p, n - p)
+        real, cplx = (Multivector(sig, Field.COMPLEX, {
+            m: complex(rng.uniform(-2, 2), rng.uniform(-2, 2) * im)
+            for m in rng.sample(range(1 << n), min(1 << n, 16))}) for im in (0, 1))
+        pairs += [[real, -real], [-real, real.conjugate()],
+                  [real.conjugate(), -real.conjugate()], [real, cplx], [cplx, -real]]
     for u, v in pairs:
         uv, vu = signed_pair_sum(u, v), signed_pair_sum(v, u)
         masks = sorted(uv.keys() | vu.keys())
@@ -282,6 +316,7 @@ def test_product_bits_match_signed_pair_sums():
             # _bits keeps the result's term order, so the order is compared too
             assert _bits(got) == [(m, c.real.hex(), c.imag.hex())
                                   for m, c in want.items() if c], (u, v)
+            assert all(type(c) is complex for c in got.terms.values())
 
 
 def test_product_identity_splits_into_both_brackets():
@@ -574,9 +609,10 @@ def test_exp_series_makes_no_product_and_one_squaring_per_halving(monkeypatch):
     assert calls == [True, True]
 
 
-def reference_exp(x: Multivector, eps: float = 1e-14,
-                  max_terms: int = 200) -> Multivector:
-    """exp as a series of public products: term = (term * u).scale(1/m)."""
+def reference_exp(x: Multivector, eps: float = 1e-14, max_terms: int = 200,
+                  product=Multivector.geometric_product) -> Multivector:
+    """exp as a series of products, public ones unless ``product`` is
+    given: term = product(term, u).scale(1/m)."""
     u, halvings = x, 0
     while u.inf_norm() > 1.0:
         u = u.scale(0.5)
@@ -584,7 +620,7 @@ def reference_exp(x: Multivector, eps: float = 1e-14,
     acc = {0: 1 + 0j}
     term = Multivector.scalar(x.sig, 1, x.field)
     for m in range(1, max_terms + 1):
-        term = term.geometric_product(u).scale(1.0 / m)
+        term = product(term, u).scale(1.0 / m)
         for k, c in term.terms.items():
             s = acc.get(k, 0j) + c
             if s:
@@ -598,7 +634,7 @@ def reference_exp(x: Multivector, eps: float = 1e-14,
         raise ConvergenceFailure("reference series not converged")
     result = Multivector(x.sig, x.field, sorted(acc.items()))
     for _ in range(halvings):
-        result = result.geometric_product(result)
+        result = product(result, result)
     return result
 
 
@@ -635,6 +671,35 @@ def test_exp_bits_match_series_of_public_products():
     # sparse at n = 8, 10 and 12, where the 2^n slots far outnumber the terms
     for n in (8, 8, 10, 10, 12, 12):
         check(n, 8)
+
+
+def test_exp_bits_on_real_values_match_series_of_signed_pair_sums():
+    # Real-valued operands run exp and every product as floats, so a series
+    # of public products would take the same path; this reference multiplies
+    # in complex arithmetic through signed_pair_sum instead.
+    rng = random.Random(20261020)
+
+    def pair_product(a, b):
+        return Multivector(a.sig, a.field, signed_pair_sum(a, b))
+
+    def operand(n, max_size):
+        p = rng.randint(0, n)
+        field = rng.choice((Field.REAL, Field.COMPLEX))
+        masks = rng.sample(range(1 << n), rng.randint(1, min(1 << n, max_size)))
+        u = Multivector(Signature(p, n - p), field,
+                        {m: rng.uniform(-2.0, 2.0) for m in masks})
+        # in a COMPLEX operand, -0.0 imaginary parts too
+        return rng.choice((u, -u, u.conjugate())) if field is Field.COMPLEX else u
+
+    operands = [operand(n, 10) for n in range(1, 8) for _ in range(8)]
+    # sparse at n = 8, 10 and 12, where exp reads only the span's slots of
+    # an argument of at most n - 4 terms
+    operands += [operand(n, k) for n in (8, 10, 12) for k in (2, 4, 8)]
+    assert {u.field for u in operands} == {Field.REAL, Field.COMPLEX}
+    for u in operands:
+        got = u.exp()
+        assert _bits(got) == _bits(reference_exp(u, product=pair_product)), u
+        assert all(type(c) is complex for c in got.terms.values())
 
 
 def _exp_outcome(f, *args):
