@@ -18,14 +18,14 @@ the operands list their terms: elements that are ``==`` have ``==`` products,
 brackets and exponentials.  Products, sums and ``exp`` list their result
 terms in ascending mask order.
 
-``exp`` keeps that order without calling the product: it builds one
-sign-folded row per left mask once per call (up to a fixed entry budget),
-keeps the rows in a list indexed by mask and reuses them for every series
-term, adds each term into a partial sum held in 2**n slots, and reads that
-sum's norm, over its nonzero slots, only when an upper bound on the norm no
-longer rules out stopping.  When the argument has at most n - 4 terms, the XOR
-span of its masks, which holds every series term, has under 2**n / 8 blades,
-and only the span's slots are scanned, in the same ascending order.
+``exp`` keeps that order without calling the product.  Every series term
+lies in the XOR span of the argument's masks, 2**rank blades, which the
+series numbers 0 .. 2**rank - 1 in ascending mask order, so that numbers XOR
+as their masks do.  Its slots, its sign-folded rows (one per left mask, built
+once per call up to a fixed entry budget and reused for every term) and its
+partial sum are all indexed by that number, and it reads the partial sum's
+norm, over its nonzero slots, only when an upper bound on the norm no longer
+rules out stopping.
 """
 
 from __future__ import annotations
@@ -41,8 +41,8 @@ from types import MappingProxyType
 
 from .blades import MAX_GENERATORS, Signature, grade, sign_table
 
-# Every blade mask as one shared int object, so that picking the nonzero
-# slots of a product allocates no int.
+# Every blade mask (and every position in exp's span) as one shared int
+# object, so that picking the nonzero slots of a product allocates no int.
 _MASKS = tuple(range(1 << MAX_GENERATORS))
 
 # Entries (one per left mask and right term) that exp's series may keep in
@@ -142,6 +142,31 @@ def _inf_norm(values) -> float:
     """max of |re| + |im| over complex or float ``values`` (0.0 when there
     are none)."""
     return max((abs(c.real) + abs(c.imag) for c in values), default=0.0)
+
+
+def _xor_span(masks) -> list:
+    """Every XOR of a subset of ``masks``, ascending, numbered so that
+    ``span[i] ^ span[j] == span[i ^ j]``.
+
+    ``span[i]`` is the XOR of the reduced basis vectors that the bits of i
+    pick, in ascending order of leading bit; no basis vector holds another
+    one's leading bit.  At the highest bit k where i and j differ, the
+    vectors above k are picked by both, vector k by one of them, and its
+    leading bit is held by no other vector and lies above every bit of the
+    vectors below k: span[i] and span[j] compare as i and j do.
+    """
+    basis = []
+    for x in masks:
+        for v in basis:
+            if x ^ v < x:  # x holds v's leading bit
+                x ^= v
+        if x:  # a new leading bit: clear it from the other vectors
+            basis = [min(v, v ^ x) for v in basis]
+            basis.append(x)
+    span = [0]
+    for v in sorted(basis):  # ascending values, ascending leading bits
+        span += [s ^ v for s in span]
+    return span
 
 
 class Multivector:
@@ -405,13 +430,14 @@ class Multivector:
         ``_ROW_CACHE_ENTRIES`` entries are stored per call; past that
         budget, a new left mask's entries are folded inline every term
         instead, since a row built for one use costs more than it saves.
-        The partial sum is a list of 2**n slots, one per mask: each term
-        adds into it in place, and the result is built from its nonzero
-        slots, which are already in ascending mask order.  Every term lies in
-        the XOR span of u's masks, at most 2**len(u.terms) blades; when that
-        bound is below 2**n / 8, each term's slots and the partial sum are
-        read over the span's masks only, ascending, so the same slots add in
-        the same order.
+        Every term lies in the XOR span of u's masks, at most
+        2**len(u.terms) blades whatever n is.  ``_xor_span`` lists it in
+        ascending order, numbered so that numbers XOR as their masks do;
+        each term's slots, the rows and the partial sum hold one slot per
+        span mask, indexed by that number, so the same slots add in the
+        same order as over all 2**n masks.  Each term adds into the partial
+        sum in place, and the result is built from its nonzero slots, which
+        are already in ascending mask order.
 
         When u has no nonzero imaginary part, the rows, slots and partial sum
         hold floats (as in ``geometric_product``, the bits are the complex
@@ -448,30 +474,25 @@ class Multivector:
                 f"correct digit (argument inf-norm {self.inf_norm()!r})"
             )
         # Rows keep geometric_product's b order; each entry is the same
-        # per-pair expression as geometric_product.
+        # per-pair expression as geometric_product.  Slots, rows and the
+        # partial sum are indexed by position in the span of u's masks,
+        # which holds every series term: position i stands for span[i].
         h, low, high = sign_table(self.sig)
         lo = (1 << h) - 1
         terms = u._terms
         real = not any(map(_IMAG, terms.values()))
         zero = 0.0 if real else 0j
-        rhs = [(b, b & lo, b >> h, (cb, -cb))
+        span = _xor_span(terms)
+        index = dict(zip(span, _MASKS))
+        rhs = [(index[b], b & lo, b >> h, (cb, -cb))
                for b, cb in (_real_items(terms) if real else terms.items())]
-        size = self.sig.blade_count
+        size = len(span)
         rows = [None] * size
         budget = _ROW_CACHE_ENTRIES
-        # The span's slots alone are scanned only when its bound is below
-        # 2**n / 8: a slot read through the span costs about as much as
-        # eight read by the full scan.
-        span = None
-        if (1 << len(rhs)) * 8 < size:
-            span = {0}
-            for b in terms:
-                span |= {s ^ b for s in span}
-            span = sorted(span)
-        # The partial sum, one slot per mask.  Every slot starts at +0 and
-        # a sum of doubles is -0.0 only when both addends are, so no slot
-        # part is ever -0.0: a slot whose sum cancels holds +0, the same
-        # bits as a slot never touched.
+        # The partial sum, one slot per span mask.  Every slot starts at +0
+        # and a sum of doubles is -0.0 only when both addends are, so no
+        # slot part is ever -0.0: a slot whose sum cancels holds +0, the
+        # same bits as a slot never touched.
         acc = [zero] * size
         acc[0] = zero + 1
         term = {0: acc[0]}
@@ -483,17 +504,18 @@ class Multivector:
         bound = 1.0
         for m in range(1, max_terms + 1):
             slots = [zero] * size
-            for a, ca in term.items():  # ascending: filled from the slots
-                row = rows[a]
+            for i, ca in term.items():  # ascending: filled from the slots
+                row = rows[i]
                 if row is None:
+                    a = span[i]
                     ah = a >> h
                     row_lo, row_hi = low[ah.bit_count() & 1][a & lo], high[ah]
                     if budget < len(rhs):
-                        for b, bl, bh, pm in rhs:
-                            slots[a ^ b] += ca * pm[row_lo[bl] ^ row_hi[bh]]
+                        for j, bl, bh, pm in rhs:
+                            slots[i ^ j] += ca * pm[row_lo[bl] ^ row_hi[bh]]
                         continue
-                    row = rows[a] = [(a ^ b, pm[row_lo[bl] ^ row_hi[bh]])
-                                     for b, bl, bh, pm in rhs]
+                    row = rows[i] = [(i ^ j, pm[row_lo[bl] ^ row_hi[bh]])
+                                     for j, bl, bh, pm in rhs]
                     budget -= len(rhs)
                 for t, c in row:
                     slots[t] += ca * c
@@ -504,11 +526,7 @@ class Multivector:
             r = 1.0 / m
             term = {}
             term_norm = 0.0
-            if span is None:
-                scan = zip(compress(_MASKS, slots), filter(None, slots))
-            else:  # its zero slots are skipped below
-                scan = zip(span, map(slots.__getitem__, span))
-            for k, c in scan:
+            for k, c in zip(compress(_MASKS, slots), filter(None, slots)):
                 c *= r
                 if c:
                     term[k] = c
@@ -524,12 +542,8 @@ class Multivector:
             if bound < math.inf and term_norm >= eps * (1.0 + bound):
                 continue
             # the nonzero slots, in ascending mask order: the result if the
-            # series stops here, and the only slots whose norm is read (at
-            # n = 12 most of the 4096 are zero)
-            if span is None:
-                out = dict(zip(compress(_MASKS, acc), filter(None, acc)))
-            else:
-                out = {k: c for k in span if (c := acc[k])}
+            # series stops here, and the only slots whose norm is read
+            out = dict(zip(compress(span, acc), filter(None, acc)))
             acc_norm = _inf_norm(out.values())
             if math.isinf(acc_norm):  # |re| + |im| can overflow on finite parts
                 _require_finite(out)

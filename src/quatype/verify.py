@@ -21,8 +21,10 @@ at ``Multivector.exp``'s defaults (eps 1e-14, at most 200 series terms).  A
 witness sample draws for at most k = 8 real basis elements: when the Lie
 pattern has more, a partial Fisher-Yates shuffle on the row's stream picks
 8 first.  A blade product is +-(a ^ b), so exp(u) and conj(U) U stay in the
-XOR span of at most 8 masks, at most 256 blades, and a sample's cost does
-not grow with n.  Every Lie row at n <= 3 has at most 8 real basis
+XOR span of at most 8 masks, at most 256 blades: ``exp``'s series runs over
+that span only, so its cost is bounded at any n, while each product
+(conj(U) U, and one squaring per halving in ``exp``) still makes one pass
+over 2^n slots.  Every Lie row at n <= 3 has at most 8 real basis
 elements, so its draw is dense.
 """
 

@@ -10,6 +10,7 @@ import copy
 import math
 import pickle
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -25,6 +26,7 @@ from quatype.multivector import (
     RankOutOfRange,
     SignatureMismatch,
     _ROW_CACHE_ENTRIES,
+    _xor_span,
 )
 from test_blades import oracle_sign
 
@@ -642,17 +644,49 @@ def _bits(u: Multivector) -> list:
     return [(m, c.real.hex(), c.imag.hex()) for m, c in u.terms.items()]
 
 
+def _span_mask_sets(rng: random.Random, n: int) -> list:
+    """Mask sets (n >= 2) whose XOR span a random draw rarely gives: linearly
+    dependent masks {a, b, a ^ b} with and without the scalar mask 0, masks
+    from the span of (n + 1) // 2 masks (a rank below n), n independent
+    masks, and none at all."""
+    a, b = rng.sample(range(1, 1 << n), 2)
+    gens = [rng.randrange(1 << n) for _ in range((n + 1) // 2)]
+    low_rank = {0}
+    for _ in range(6):
+        low_rank.add(rng.choice(gens) ^ rng.choice(gens) ^ rng.choice(gens))
+    # leading bits 0 .. n-1, so independent, with random lower bits
+    independent = [(1 << k) | rng.randrange(1 << k) for k in range(n)]
+    return [[a, b, a ^ b], [0, a, b, a ^ b], sorted(low_rank), independent, []]
+
+
+def test_xor_span_is_the_sorted_xor_closure_numbered_linearly():
+    rng = random.Random(20261021)
+    for n in range(1, 13):
+        sets = [rng.sample(range(1 << n), rng.randint(0, min(1 << n, 9)))
+                for _ in range(20)]
+        for masks in sets + (_span_mask_sets(rng, n) if n > 1 else []):
+            closure = {0}
+            for m in masks:
+                closure |= {s ^ m for s in closure}
+            span = _xor_span(masks)
+            assert span == sorted(closure), masks
+            for i in range(len(span)):
+                j = rng.randrange(len(span))
+                assert span[i] ^ span[j] == span[i ^ j], masks
+
+
 def test_exp_bits_match_series_of_public_products():
     rng = random.Random(20240611)
 
-    def check(n, max_size):
+    def check(n, max_size, masks=None, scale=1):
         p = rng.randint(0, n)
         sig = Signature(p, n - p)
         field = rng.choice((Field.REAL, Field.COMPLEX))
         kind = rng.choice(("float", "real int", "imaginary int"))
         if field is Field.REAL and kind == "imaginary int":
             kind = "real int"
-        masks = rng.sample(range(1 << n), rng.randint(0, min(1 << n, max_size)))
+        if masks is None:
+            masks = rng.sample(range(1 << n), rng.randint(0, min(1 << n, max_size)))
         terms = {}
         for mask in masks:
             if kind == "real int":
@@ -663,7 +697,7 @@ def test_exp_bits_match_series_of_public_products():
                 terms[mask] = rng.uniform(-2.0, 2.0)
             else:
                 terms[mask] = complex(rng.uniform(-2.0, 2.0), rng.uniform(-2.0, 2.0))
-        u = Multivector(sig, field, terms)
+        u = Multivector(sig, field, {m: scale * c for m, c in terms.items()})
         assert _bits(u.exp()) == _bits(reference_exp(u)), (sig, field, terms)
 
     for _ in range(240):
@@ -671,6 +705,11 @@ def test_exp_bits_match_series_of_public_products():
     # sparse at n = 8, 10 and 12, where the 2^n slots far outnumber the terms
     for n in (8, 8, 10, 10, 12, 12):
         check(n, 8)
+    # 2^-3 keeps short the series of 12 independent masks, which fills all
+    # 4096 blades
+    for n in (4, 8, 12):
+        for masks in _span_mask_sets(rng, n):
+            check(n, None, masks, 0.125)
 
 
 def test_exp_bits_on_real_values_match_series_of_signed_pair_sums():
@@ -682,24 +721,42 @@ def test_exp_bits_on_real_values_match_series_of_signed_pair_sums():
     def pair_product(a, b):
         return Multivector(a.sig, a.field, signed_pair_sum(a, b))
 
-    def operand(n, max_size):
+    def operand(n, max_size, masks=None, scale=1):
         p = rng.randint(0, n)
         field = rng.choice((Field.REAL, Field.COMPLEX))
-        masks = rng.sample(range(1 << n), rng.randint(1, min(1 << n, max_size)))
+        if masks is None:
+            masks = rng.sample(range(1 << n), rng.randint(1, min(1 << n, max_size)))
         u = Multivector(Signature(p, n - p), field,
-                        {m: rng.uniform(-2.0, 2.0) for m in masks})
+                        {m: scale * rng.uniform(-2.0, 2.0) for m in masks})
         # in a COMPLEX operand, -0.0 imaginary parts too
         return rng.choice((u, -u, u.conjugate())) if field is Field.COMPLEX else u
 
     operands = [operand(n, 10) for n in range(1, 8) for _ in range(8)]
-    # sparse at n = 8, 10 and 12, where exp reads only the span's slots of
-    # an argument of at most n - 4 terms
+    # sparse at n = 8, 10 and 12, where exp's slots are the span's only
     operands += [operand(n, k) for n in (8, 10, 12) for k in (2, 4, 8)]
+    operands += [operand(n, None, masks, 0.125) for n in (4, 8, 12)
+                 for masks in _span_mask_sets(rng, n)]
     assert {u.field for u in operands} == {Field.REAL, Field.COMPLEX}
     for u in operands:
         got = u.exp()
         assert _bits(got) == _bits(reference_exp(u, product=pair_product)), u
         assert all(type(c) is complex for c in got.terms.values())
+
+
+def test_exp_allocates_no_slot_per_blade_for_a_sparse_argument():
+    # The series' slots are the span's: 4 for two masks, where a list of
+    # one slot per blade at n = 12 takes 32 KiB.  Inf-norm 0.75, so no
+    # halving calls a squaring product.
+    u = Multivector(Signature(6, 6), Field.COMPLEX, {0b11: 0.5, 0b101 << 6: 0.75j})
+    want = u.exp()  # builds the sign table
+    tracemalloc.start()
+    try:
+        got = u.exp()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got == want
+    assert peak < 16 * 1024, peak
 
 
 def _exp_outcome(f, *args):
