@@ -5,14 +5,19 @@ arithmetic over it (`multivector`), and the mod-4 type layer with its
 composition tables, subspace patterns, and verification harness (`qtype`,
 `verify`).  `exprio` and `cli` provide text and JSON interfaces.
 
-`import quatype` loads `blades`, `multivector`, `qtype` and `exprio`.  The
-names in `__all__` that those imports do not bind are the verifier's; they
-load lazily.  The verifier (`verify`) loads the first time one of them is
-read from the package (`quatype.run_suite`, `from quatype import
-CheckConfig`, or `from quatype import *`), on `import quatype.verify`, or
-through the CLI, so a process that only does arithmetic never compiles it.
-No import of the package loads `dataclasses` or `decimal`: the value
-classes build on `_frozen.Frozen`.
+`import quatype` loads `blades`, `multivector` and `qtype`.  The names in
+`__all__` that those imports do not bind load lazily: the five text and
+JSON names (`ExprSyntaxError`, `parse_expression`, `format_expression`,
+`mv_to_document`, `mv_from_document`) load `exprio`, and the rest load the
+verifier (`verify`), the first time one of them is read from the package
+(`quatype.run_suite`, `from quatype import parse_expression`, or `from
+quatype import *`) or on `import quatype.exprio` or `import
+quatype.verify`.  The CLI loads the verifier at import and `exprio` only in
+the commands that read or write expressions, and the verifier loads
+`exprio` only to write a counterexample; so a process that only does
+arithmetic compiles neither, and a passing verdict never compiles `exprio`.
+No import of the package loads `dataclasses`, `decimal` or `csv`: the
+value classes build on `_frozen.Frozen`.
 """
 
 from .blades import Signature, blade_indices, canonical_sign, grade, mask_from_indices
@@ -41,14 +46,6 @@ from .qtype import (
     pattern_of,
     qtype_compose,
 )
-from .exprio import (
-    ExprSyntaxError,
-    format_expression,
-    mv_from_document,
-    mv_to_document,
-    parse_expression,
-)
-
 __version__ = "0.1.0"
 
 __all__ = [
@@ -108,11 +105,23 @@ __all__ = [
 ]
 
 
+_EXPRIO_NAMES = frozenset({
+    "ExprSyntaxError",
+    "format_expression",
+    "mv_from_document",
+    "mv_to_document",
+    "parse_expression",
+})
+
+
 def __getattr__(name):
     # Python asks here only for names missing from the package dict, so an
-    # `__all__` name that gets here is one of the verifier's.  Not stored
-    # in the package dict, so a name always reads what `quatype.verify`
-    # holds now, even after something replaces it there.
+    # `__all__` name that gets here is one of exprio's or the verifier's.
+    # Not stored in the package dict, so a name always reads what its
+    # module holds now, even after something replaces it there.
+    if name in _EXPRIO_NAMES:
+        from . import exprio
+        return getattr(exprio, name)
     if name in __all__:
         from . import verify
         return getattr(verify, name)

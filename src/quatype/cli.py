@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import csv
 import io
 import json
 import math
@@ -16,12 +15,6 @@ import os
 import sys
 
 from .blades import Signature, grade
-from .exprio import (
-    format_expression,
-    mv_from_document,
-    mv_to_document,
-    parse_expression,
-)
 from .multivector import AlgebraError, ConvergenceFailure, Field, Multivector
 from .qtype import OpKind, TYPE_ORDER, detect_qtype, emit_table, pattern_of
 from .verify import SUITE_NAMES, CheckConfig, CheckStatus, Strategy, run_suite
@@ -141,6 +134,8 @@ def cmd_table(args: argparse.Namespace) -> int:
     if args.format == "json":
         print(json.dumps({"op": args.op, "order": order, "cells": cells}, indent=2))
     elif args.format == "csv":
+        import csv
+
         writer = csv.writer(sys.stdout)
         writer.writerow([args.op] + order)
         for label, row in zip(order, cells):
@@ -154,6 +149,8 @@ def cmd_table(args: argparse.Namespace) -> int:
 
 
 def _load_operand(args: argparse.Namespace, sig: Signature) -> Multivector:
+    from .exprio import mv_from_document, parse_expression
+
     if args.input is not None:
         with open(args.input, "r", encoding="utf-8") as fh:
             try:
@@ -165,6 +162,8 @@ def _load_operand(args: argparse.Namespace, sig: Signature) -> Multivector:
 
 
 def cmd_type(args: argparse.Namespace) -> int:
+    from .exprio import format_expression
+
     sig = Signature(args.p, args.q)
     if not (math.isfinite(args.tol) and args.tol >= 0):
         return _fail_usage("--tol must be finite and nonnegative")
@@ -190,6 +189,8 @@ def _integer_l1(u: Multivector) -> int | None:
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
+    from .exprio import format_expression, mv_to_document, parse_expression
+
     sig = Signature(args.p, args.q)
     unary = args.op not in _BINARY_OPS
     if unary and args.rhs is not None:

@@ -20,11 +20,16 @@ terms in ascending mask order.
 
 ``exp`` keeps that order without calling the product.  Every series term
 lies in the XOR span of the argument's masks, 2**rank blades, which the
-series numbers 0 .. 2**rank - 1 in ascending mask order, so that numbers XOR
-as their masks do.  Its slots, its sign-folded rows (one per left mask, built
-once per call up to a fixed entry budget and reused for every term) and its
-partial sum are all indexed by that number, and it reads the partial sum's
-norm, over its nonzero slots, only when an upper bound on the norm no longer
+series numbers 0 .. 2**rank - 1 in ascending mask order (the sorted XOR
+closure), so that numbers XOR as their masks do.  Its slots, its sign-folded
+rows and its partial sum are all indexed by that number.  The rows are built
+before the series starts, one per span mask in ascending order while they
+fit a fixed entry budget (``_ROW_CACHE_ENTRIES``), and reused for every
+term; a span mask past the budget folds its signs inline.  Each term entry's
+``abs`` is read once; as hypot(re, im) <= |re| + |im| <= sqrt(2) * hypot(re,
+im), an upper bound on the partial sum's inf-norm grows by sqrt(2) times a
+term's largest ``abs``, and the term's and the partial sum's inf-norms are
+read, the latter over its nonzero slots, only when that bound no longer
 rules out stopping.
 """
 
@@ -48,6 +53,13 @@ _MASKS = tuple(range(1 << MAX_GENERATORS))
 # Entries (one per left mask and right term) that exp's series may keep in
 # its row cache per call, at most about 0.4 MB.
 _ROW_CACHE_ENTRIES = 4096
+
+# Per blade mask, nonzero when reversion flips its sign: grade mod 4 is 2 or 3
+# (the popcount has bit 1 set).
+_REVERSES = [m.bit_count() & 2 for m in _MASKS]
+
+# sqrt(2), which rounds up: |re| + |im| <= _SQRT2 * abs(c) for a complex c.
+_SQRT2 = math.sqrt(2.0)
 
 
 class AlgebraError(Exception):
@@ -145,28 +157,27 @@ def _inf_norm(values) -> float:
 
 
 def _xor_span(masks) -> list:
-    """Every XOR of a subset of ``masks``, ascending, numbered so that
-    ``span[i] ^ span[j] == span[i ^ j]``.
+    """Every XOR of a subset of ``masks``, ascending: the sorted XOR
+    closure, numbered so that ``span[i] ^ span[j] == span[i ^ j]``.  ``exp``
+    builds a sign-folded row for each of these masks, in this order, before
+    its series starts, as long as the rows fit its entry budget; the span
+    holds every term of the series, so the series itself builds no row (a
+    mask past the budget folds its signs inline).
 
-    ``span[i]`` is the XOR of the reduced basis vectors that the bits of i
-    pick, in ascending order of leading bit; no basis vector holds another
-    one's leading bit.  At the highest bit k where i and j differ, the
-    vectors above k are picked by both, vector k by one of them, and its
-    leading bit is held by no other vector and lies above every bit of the
-    vectors below k: span[i] and span[j] compare as i and j do.
+    The span has a reduced basis, in which no basis vector holds another
+    one's leading bit; every span mask is the XOR of the basis vectors that
+    the bits of a unique i pick, in ascending order of leading bit.  At the
+    highest bit k where i and j differ, the vectors above k are picked by
+    both, vector k by one of them, and its leading bit is held by no other
+    vector and lies above every bit of the vectors below k: the two masks
+    compare as i and j do.  So the sorted list holds that XOR at position
+    i, and positions XOR as their masks do.
     """
-    basis = []
+    span = {0}
     for x in masks:
-        for v in basis:
-            if x ^ v < x:  # x holds v's leading bit
-                x ^= v
-        if x:  # a new leading bit: clear it from the other vectors
-            basis = [min(v, v ^ x) for v in basis]
-            basis.append(x)
-    span = [0]
-    for v in sorted(basis):  # ascending values, ascending leading bits
-        span += [s ^ v for s in span]
-    return span
+        if x not in span:
+            span |= {s ^ x for s in span}
+    return sorted(span)
 
 
 class Multivector:
@@ -396,11 +407,8 @@ class Multivector:
         conjugation (reversion composed with grade involution), whose sign
         is -1 when g mod 4 is 1 or 2.
         """
-        data = {}
-        for m, c in self._terms.items():
-            g = grade(m) & 3
-            cc = c.conjugate()
-            data[m] = -cc if g in (2, 3) else cc
+        data = {m: -c.conjugate() if _REVERSES[m] else c.conjugate()
+                for m, c in self._terms.items()}
         return Multivector._raw(self.sig, self.field, data)
 
     def inf_norm(self) -> float:
@@ -421,34 +429,37 @@ class Multivector:
         ``eps * (1 + inf-norm of the partial sum)``, and the result is
         squared once per halving; the squarings are public products.
 
-        Each series term is the previous term times u, summed into 2**n
-        slots in ``geometric_product``'s order, so its bits equal a series
-        of public products.  The first time a left mask a occurs, its
-        sign-folded row ``[(a ^ b, ±cb) for each term b of u]`` is built
-        from the split sign table and stored in a list indexed by mask;
-        every later term only adds ``ca * (±cb)`` per entry.  At most
-        ``_ROW_CACHE_ENTRIES`` entries are stored per call; past that
-        budget, a new left mask's entries are folded inline every term
-        instead, since a row built for one use costs more than it saves.
-        Every term lies in the XOR span of u's masks, at most
+        Each series term is the previous term times u, summed in
+        ``geometric_product``'s order, so its bits equal a series of public
+        products.  Every term lies in the XOR span of u's masks, at most
         2**len(u.terms) blades whatever n is.  ``_xor_span`` lists it in
         ascending order, numbered so that numbers XOR as their masks do;
-        each term's slots, the rows and the partial sum hold one slot per
-        span mask, indexed by that number, so the same slots add in the
-        same order as over all 2**n masks.  Each term adds into the partial
-        sum in place, and the result is built from its nonzero slots, which
-        are already in ascending mask order.
+        each term's slots and the partial sum hold one slot per span mask,
+        indexed by that number, so the same slots add in the same order as
+        over all 2**n masks.  Before the series starts, the sign-folded row
+        ``[(a ^ b, ±cb) for each term b of u]`` of every span mask a is
+        built from the split sign table, in ascending order of a, as long
+        as the rows hold at most ``_ROW_CACHE_ENTRIES`` entries in all; a
+        term entry at a built row only adds ``ca * (±cb)`` per row entry,
+        and one past them folds its signs inline, the same sums.  Each
+        term adds into the partial sum in place, and the result is built
+        from its nonzero slots, which are already in ascending mask order.
 
         When u has no nonzero imaginary part, the rows, slots and partial sum
         hold floats (as in ``geometric_product``, the bits are the complex
         arithmetic's) and the result is turned back into complex at the end.
 
-        The stopping test reads the partial sum's norm only when it might
-        stop.  An upper bound B on that norm grows by each term's norm, and
-        while ``term norm >= eps * (1 + B)`` the exact test cannot stop
-        either, because ``eps * (1 + x)`` rounds monotonically in x; so the
-        series stops at the same term as one that reads the norm every time.
-        A read visits the nonzero slots only.
+        The stopping test reads norms only when it might stop.  Each term
+        entry's ``abs`` is read once: for a complex c, hypot(re, im) <=
+        |re| + |im| <= sqrt(2) * hypot(re, im), since (|re| + |im|)**2 =
+        hypot**2 + 2|re||im| <= 2 * hypot**2.  So a term's largest ``abs``
+        A bounds its inf-norm T as A <= T <= sqrt(2) * A (T = A on floats).
+        An upper bound B on the partial sum's norm grows by sqrt(2) * A,
+        and while ``A >= eps * (1 + B)`` the exact test cannot stop either,
+        because T >= A and ``eps * (1 + x)`` rounds monotonically in x.
+        Otherwise T is read, and the partial sum's norm over its nonzero
+        slots; so the series stops at the same term as one that reads both
+        norms every time, and raises the same ValueError on overflow.
 
         ``eps`` must be positive and finite (an infinite one would stop
         after the first term) and not a bool, and ``max_terms`` an integer
@@ -481,14 +492,18 @@ class Multivector:
         lo = (1 << h) - 1
         terms = u._terms
         real = not any(map(_IMAG, terms.values()))
-        zero = 0.0 if real else 0j
+        zero, root2 = (0.0, 1.0) if real else (0j, _SQRT2)
         span = _xor_span(terms)
-        index = dict(zip(span, _MASKS))
-        rhs = [(index[b], b & lo, b >> h, (cb, -cb))
+        rhs = [(span.index(b), b & lo, b >> h, (cb, -cb))
                for b, cb in (_real_items(terms) if real else terms.items())]
+        rows = []
+        for a in span[:_ROW_CACHE_ENTRIES // (len(rhs) or 1)]:
+            i, ah = len(rows), a >> h
+            row_lo, row_hi = low[ah.bit_count() & 1][a & lo], high[ah]
+            rows.append([(i ^ j, pm[row_lo[bl] ^ row_hi[bh]])
+                         for j, bl, bh, pm in rhs])
+        built = len(rows)
         size = len(span)
-        rows = [None] * size
-        budget = _ROW_CACHE_ENTRIES
         # The partial sum, one slot per span mask.  Every slot starts at +0
         # and a sum of doubles is -0.0 only when both addends are, so no
         # slot part is ever -0.0: a slot whose sum cancels holds +0, the
@@ -497,50 +512,54 @@ class Multivector:
         acc[0] = zero + 1
         term = {0: acc[0]}
         # bound >= the inf-norm of acc; it restarts from that norm whenever
-        # the norm is read.  One step rounds each slot's sum, its norm and
-        # the bound's own update a few times, each by at most 2**-53
-        # relative; the 2**-40 margin covers one step's rounding, so by
-        # induction it covers the additions of all max_terms terms.
+        # the norm is read.  One step rounds each slot's sum, its abs, the
+        # sqrt(2) factor and the bound's own update a few times, each by at
+        # most 2**-52 relative; the 2**-40 margin covers one step's
+        # rounding, so by induction it covers the additions of all
+        # max_terms terms.
         bound = 1.0
         for m in range(1, max_terms + 1):
             slots = [zero] * size
             for i, ca in term.items():  # ascending: filled from the slots
-                row = rows[i]
-                if row is None:
-                    a = span[i]
-                    ah = a >> h
-                    row_lo, row_hi = low[ah.bit_count() & 1][a & lo], high[ah]
-                    if budget < len(rhs):
-                        for j, bl, bh, pm in rhs:
-                            slots[i ^ j] += ca * pm[row_lo[bl] ^ row_hi[bh]]
-                        continue
-                    row = rows[i] = [(i ^ j, pm[row_lo[bl] ^ row_hi[bh]])
-                                     for j, bl, bh, pm in rhs]
-                    budget -= len(rhs)
-                for t, c in row:
-                    slots[t] += ca * c
+                if i < built:
+                    for t, c in rows[i]:
+                        slots[t] += ca * c
+                    continue
+                a = span[i]
+                ah = a >> h
+                row_lo, row_hi = low[ah.bit_count() & 1][a & lo], high[ah]
+                for j, bl, bh, pm in rhs:
+                    slots[i ^ j] += ca * pm[row_lo[bl] ^ row_hi[bh]]
             # One pass empties the slots: 1/m scaling, running sum, the
-            # term's inf-norm and its finite check (1/m <= 1 keeps a finite
-            # slot finite, and a non-finite one gives a norm that is not
-            # below inf).
+            # term's largest abs and its finite check (1/m <= 1 keeps a
+            # finite slot finite, and a non-finite one gives an abs that is
+            # not below inf; abs raises OverflowError when hypot passes the
+            # largest double on finite parts).
             r = 1.0 / m
             term = {}
-            term_norm = 0.0
-            for k, c in zip(compress(_MASKS, slots), filter(None, slots)):
-                c *= r
-                if c:
-                    term[k] = c
-                    x = abs(c) if real else abs(c.real) + abs(c.imag)
-                    if not x <= term_norm:
-                        if not x < math.inf:
-                            raise ValueError("arithmetic result overflows a double")
-                        term_norm = x
-                    acc[k] += c
-            bound = (bound + term_norm) * (1.0 + 2.0 ** -40)
-            # eps * (1 + x) rounds monotonically in x, so a term that clears
-            # the bound's threshold clears the exact one: skip the norm.
-            if bound < math.inf and term_norm >= eps * (1.0 + bound):
+            top = 0.0
+            try:
+                for k, c in zip(compress(_MASKS, slots), filter(None, slots)):
+                    c *= r
+                    if c:
+                        term[k] = c
+                        x = abs(c)
+                        if not x <= top:
+                            if not x < math.inf:
+                                raise ValueError("arithmetic result overflows a double")
+                            top = x
+                        acc[k] += c
+            except OverflowError:
+                raise ValueError("arithmetic result overflows a double") from None
+            bound = (bound + root2 * top) * (1.0 + 2.0 ** -40)
+            # the term's inf-norm is at least top, and eps * (1 + x) rounds
+            # monotonically in x, so a top that clears the bound's threshold
+            # clears the exact one: skip both norms.
+            if bound < math.inf and top >= eps * (1.0 + bound):
                 continue
+            term_norm = top if real else _inf_norm(term.values())
+            if not term_norm < math.inf:  # |re| + |im| overflows on finite parts
+                raise ValueError("arithmetic result overflows a double")
             # the nonzero slots, in ascending mask order: the result if the
             # series stops here, and the only slots whose norm is read
             out = dict(zip(compress(span, acc), filter(None, acc)))

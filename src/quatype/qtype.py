@@ -14,6 +14,7 @@ imaginary odd part is closed under the commutator".
 
 from __future__ import annotations
 
+import math
 from enum import Enum, IntFlag
 
 from ._frozen import Frozen
@@ -264,23 +265,33 @@ def _type_profile(mv: Multivector) -> tuple[list[float], list[float], list[float
     return re, im, mag
 
 
-def _threshold(mag: list[float], tol: float) -> float:
-    """tol * (1 + inf_norm(mv)); a NaN or infinite tol is refused."""
-    return _check_tol(tol) * (1.0 + max(mag))
+def _profile(mv: Multivector, tol: float):
+    """``_type_profile(mv)`` and the threshold ``tol * (1 + inf_norm(mv))``;
+    a NaN or infinite tol is refused.
+
+    When some |re| + |im| overflows a double (its parts are finite), the
+    profile and threshold are those of mv / 2, whose sums do not overflow:
+    at that size 1 + inf_norm rounds to inf_norm, so ``x > threshold``
+    is the same test at half scale, and halving is exact above 2**-1021,
+    far below any such threshold but tol = 0's, which is 0 at every norm.
+    """
+    tol = _check_tol(tol)
+    re, im, mag = _type_profile(mv)
+    if tol and math.isinf(max(mag)):
+        re, im, mag = _type_profile(mv.scale(0.5))
+    return re, im, mag, tol * (1.0 + max(mag)) if tol else 0.0
 
 
 def detect_qtype(mv: Multivector, tol: float = 1e-12) -> QType:
     """Main types whose projection exceeds ``tol * (1 + inf_norm(mv))``."""
-    _, _, mag = _type_profile(mv)
-    thresh = _threshold(mag, tol)
+    _, _, mag, thresh = _profile(mv, tol)
     return QType(sum(1 << k for k in range(4) if mag[k] > thresh))
 
 
 def pattern_of(mv: Multivector, tol: float = 1e-12) -> SubspacePattern:
     """Observed coefficient class per main type, at the same relative
     threshold as detect_qtype."""
-    re, im, mag = _type_profile(mv)
-    thresh = _threshold(mag, tol)
+    re, im, _, thresh = _profile(mv, tol)
     return SubspacePattern(tuple(
         CoeffClass((re[k] > thresh) | (im[k] > thresh) << 1) for k in range(4)
     ))

@@ -59,7 +59,6 @@ from .qtype import (
     main_compose,
     pattern_compose,
 )
-from .exprio import format_expression
 
 _MASK64 = (1 << 64) - 1
 
@@ -282,6 +281,8 @@ def _fail(name: str, cases: int, operation: str, lhs: Multivector,
           rhs: Optional[Multivector], component: str, magnitude: float,
           notes: str = "") -> CheckReport:
     """FAIL report whose counterexample is ``operation(lhs, rhs)``."""
+    from .exprio import format_expression  # only a failure writes text
+
     return CheckReport(
         name, CheckStatus.FAIL, cases,
         Counterexample(

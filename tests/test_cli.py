@@ -283,6 +283,22 @@ def test_type_from_document(capsys, tmp_path):
     assert lines["pattern"] == "i2"
 
 
+def test_type_of_document_whose_inf_norm_overflows(capsys, tmp_path):
+    # each part is a finite double, |re| + |im| = 2e308 is not
+    doc = {"p": 2, "q": 2, "field": "C", "terms": [
+        {"blade": [1], "re": 1e308, "im": 1e308},
+    ]}
+    path = tmp_path / "mv.json"
+    path.write_text(json.dumps(doc))
+    for tol in ("0", "1e-12"):
+        code, out, _ = run_cli(capsys, "type", "--p", "2", "--q", "2",
+                               "--tol", tol, "--input", str(path))
+        assert code == 0
+        lines = dict(line.split(": ", 1) for line in out.splitlines())
+        assert (lines["type"], lines["pattern"]) == ("1", "1+i1"), tol
+        assert lines["grade 1"] != "0"
+
+
 def test_type_input_errors(capsys, tmp_path):
     missing = tmp_path / "nope.json"
     assert run_cli(capsys, "type", "--input", str(missing))[0] == 2

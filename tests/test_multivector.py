@@ -796,6 +796,79 @@ def test_exp_stopping_rule_matches_series_that_reads_every_norm():
     assert 0 < failures < 6 * len(operands)
 
 
+def _series_norms(u: Multivector, count: int) -> list:
+    """(largest abs, inf-norm) of each of the first ``count`` series terms
+    of exp(u), u of inf-norm at most 1, with the partial sum's inf-norm
+    after it, from public products."""
+    one = Multivector.scalar(u.sig, 1, u.field)
+    norms, term, acc = [], one, one
+    for m in range(1, count + 1):
+        term = term.geometric_product(u).scale(1.0 / m)
+        acc = acc + term
+        norms.append((max(map(abs, term.terms.values())), term.inf_norm(),
+                       acc.inf_norm()))
+    return norms
+
+
+def test_exp_stopping_rule_reads_the_inf_norm_of_complex_terms():
+    # exp bounds a complex term's inf-norm T (|re| + |im|) by its largest
+    # abs A: A <= T <= sqrt(2) * A.  Each eps here puts some term's A below
+    # eps * (1 + partial-sum norm) and its T not, so the series stops there
+    # only if it skips reading T; equal bits with a series that reads every
+    # norm pin that read.
+    rng = random.Random(20261019)
+    c = 0.5 + 0.5j
+    operands = [Multivector(Signature(1, 0), Field.COMPLEX, {0: c}),
+                Multivector(Signature(1, 0), Field.COMPLEX, {1: c}),
+                Multivector(Signature(0, 1), Field.COMPLEX, {1: c})]
+    for n in (2, 3, 4, 6):
+        masks = rng.sample(range(1 << n), rng.randint(1, 4))
+        terms = {m: complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) for m in masks}
+        u = Multivector(Signature(n // 2, n - n // 2), Field.COMPLEX, terms)
+        operands.append(u.scale(1 / u.inf_norm()))
+    cases = []
+    for u in operands:
+        norms = _series_norms(u, 6)
+        for m, (a, t, acc) in enumerate(norms):
+            eps = (a + t) / 2 / (1 + acc)
+            if (a < eps * (1 + acc) <= t
+                    and all(tk >= eps * (1 + ak) for _, tk, ak in norms[:m])):
+                cases.append((u, eps))
+    assert len(cases) >= 20
+    # The bound grows by sqrt(2) * A, not by A: for u = c, the partial sum
+    # after two terms, 1.5 + 0.75i, has norm 2.25, while 1 + A_1 + A_2 is
+    # 1.957, so at eps 0.08 a bound grown by A alone would skip the second
+    # term (A = T = 0.25 >= 0.08 * 2.957), at which the series stops
+    # (0.25 < 0.08 * 3.25).
+    cases += [(operands[0], 0.08), (operands[1], 0.08), (operands[2], 0.08)]
+    for u, eps in cases:
+        assert _bits(u.exp(eps)) == _bits(reference_exp(u, eps)), (u, eps)
+
+
+def test_exp_turns_an_overflowing_abs_into_the_overflow_error(monkeypatch):
+    # abs(complex) raises OverflowError when hypot(re, im) passes the
+    # largest double on finite parts: abs(1.5e308 + 1.5e308j) does.  No
+    # series at n <= 12 grows that large (after halving, u's operator norm
+    # is at most 512, so no term coefficient passes e^512), so a stand-in
+    # abs raises it here.
+    import quatype.multivector as mv_module
+
+    with pytest.raises(OverflowError):
+        abs(1.5e308 + 1.5e308j)
+
+    def overflowing_abs(x):
+        if isinstance(x, complex) and x.imag:
+            raise OverflowError("absolute value too large")
+        return abs(x)
+
+    monkeypatch.setattr(mv_module, "abs", overflowing_abs, raising=False)
+    u = Multivector(S22, Field.COMPLEX, {0b1: 0.5j, 0b110: 0.25})
+    with pytest.raises(ValueError, match="^arithmetic result overflows a double$"):
+        u.exp()
+    # real values never reach it
+    assert Multivector(S22, Field.COMPLEX, {0b1: 0.5}).exp().terms
+
+
 # ----------------------------------------------------------------------
 # hypothesis properties
 

@@ -1,10 +1,12 @@
 """What `import quatype` loads, checked in a fresh interpreter.
 
 The verifier loads on first use of one of its names, so a process that only
-does arithmetic never compiles `verify.py`.  No import of the package, the
-CLI included, loads `dataclasses` (which brings `inspect`, `ast`, `dis` and
-`tokenize`) or `decimal`.  The probes run in subprocesses because the test
-process has long since imported all of them.
+does arithmetic never compiles `verify.py`; `exprio` loads on first use of
+one of its five names, or in the CLI commands that read or write
+expressions, so a passing verdict never compiles it.  No import of the
+package, the CLI included, loads `dataclasses` (which brings `inspect`,
+`ast`, `dis` and `tokenize`), `decimal` or `csv`.  The probes run in
+subprocesses because the test process has long since imported all of them.
 """
 
 import json
@@ -23,9 +25,17 @@ import sys
 
 import quatype
 
-facts = {"verify_loaded_by_import": "quatype.verify" in sys.modules}
+facts = {"verify_loaded_by_import": "quatype.verify" in sys.modules,
+         "exprio_loaded_by_import": "quatype.exprio" in sys.modules}
 facts["unresolved"] = [n for n in quatype.__all__ if not hasattr(quatype, n)]
+import quatype.exprio as exprio
 import quatype.verify as verify
+
+# the five names exprio defines: each one object through the package
+facts["exprio_names"] = sorted(n for n in quatype.__all__ if n in vars(exprio)
+                               and vars(exprio)[n].__module__ == exprio.__name__)
+facts["not_exprio_object"] = [n for n in facts["exprio_names"]
+                              if getattr(quatype, n) is not vars(exprio)[n]]
 
 shared = [n for n in quatype.__all__ if n in vars(verify)]
 facts["shared"] = shared
@@ -56,7 +66,12 @@ def test_import_defers_the_verifier_until_a_name_is_used():
     assert r.returncode == 0, r.stderr
     facts = json.loads(r.stdout)
     assert facts["verify_loaded_by_import"] is False
+    assert facts["exprio_loaded_by_import"] is False
     assert facts["unresolved"] == []
+    assert facts["exprio_names"] == ["ExprSyntaxError", "format_expression",
+                                     "mv_from_document", "mv_to_document",
+                                     "parse_expression"]
+    assert facts["not_exprio_object"] == []
     # every name verify defines or imports is one object through the package
     assert {"run_suite", "CheckConfig", "WC_PATTERN"} <= set(facts["shared"])
     assert facts["not_verify_object"] == []
@@ -76,3 +91,32 @@ def test_import_loads_no_dataclasses_or_decimal(module):
     r = subprocess.run([sys.executable, "-S", "-W", "error", "-c", probe], env=env,
                        capture_output=True, text=True, timeout=120)
     assert r.returncode == 0, r.stderr
+
+
+_LAZY = ("quatype.exprio", "csv")
+
+
+@pytest.mark.parametrize("module", ["quatype", "quatype.cli"])
+def test_import_loads_no_exprio_or_csv(module):
+    probe = (f"import {module}, sys; "
+             f"sys.exit(sorted(set({_LAZY!r}) & set(sys.modules)) or None)")
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    r = subprocess.run([sys.executable, "-S", "-W", "error", "-c", probe], env=env,
+                       capture_output=True, text=True, timeout=120)
+    assert r.returncode == 0, r.stderr
+
+
+def test_passing_verdict_loads_no_exprio_or_csv():
+    probe = (
+        "import contextlib, io, sys\n"
+        "from quatype import cli\n"
+        "out = io.StringIO()\n"
+        "with contextlib.redirect_stdout(out):\n"
+        "    code = cli.main(['verify', '--p', '2', '--q', '2', '--suite', 'all'])\n"
+        f"print(code, sorted(set({_LAZY!r}) & set(sys.modules)))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    r = subprocess.run([sys.executable, "-S", "-W", "error", "-c", probe], env=env,
+                       capture_output=True, text=True, timeout=300)
+    assert r.returncode == 0, r.stderr
+    assert r.stdout == "0 []\n"

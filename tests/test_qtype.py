@@ -350,6 +350,23 @@ def test_detect_qtype_relative_threshold():
     assert detect_qtype(u.scale(1e6), 1e-12) == QType.of(1)
 
 
+def test_detect_qtype_and_pattern_of_when_the_inf_norm_overflows():
+    # |re| + |im| = 2e308 is past the largest double, though each part fits
+    u = Multivector(S22, Field.COMPLEX, {0b1: 1e308 + 1e308j})
+    for tol in (0.0, 5e-324, 1e-12, 0.4):
+        assert detect_qtype(u, tol) == QType.of(1), tol
+        assert str(pattern_of(u, tol)) == "1+i1", tol
+    # each part is below 0.5 * (1 + 2e308), the sum is above it
+    assert detect_qtype(u, 0.5) == QType.of(1)
+    assert str(pattern_of(u, 0.5)) == "empty"
+    assert detect_qtype(u, 1.0) == EMPTY_TYPE
+    # a smallest subnormal still counts at tol 0 only
+    v = Multivector(S22, Field.COMPLEX, {0b1: 1e308 + 1e308j, 0b11: 5e-324j})
+    assert detect_qtype(v, 0.0) == QType.of(1, 2)
+    assert str(pattern_of(v, 0.0)) == "1+i12"
+    assert detect_qtype(v, 1e-300) == QType.of(1)
+
+
 def test_pattern_of_minimal():
     u = Multivector(S22, Field.COMPLEX, {0: 1j, 0b11: 2})
     p = pattern_of(u, 0.0)
