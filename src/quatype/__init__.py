@@ -16,6 +16,8 @@ quatype.verify`.  The CLI loads the verifier at import and `exprio` only in
 the commands that read or write expressions, and the verifier loads
 `exprio` only to write a counterexample; so a process that only does
 arithmetic compiles neither, and a passing verdict never compiles `exprio`.
+`multivector` loads `_matrix`, the product's matrix path, on the first
+product that takes it.
 No import of the package loads `dataclasses`, `decimal` or `csv`: the
 value classes build on `_frozen.Frozen`.
 """

@@ -6,9 +6,9 @@ always ``sign * (a ^ b)`` with ``sign`` in ``{+1, -1}``, so all structure
 constants are computed exactly in integer arithmetic.
 
 Each signature builds one split sign table of at most 4**6 entries
-(``sign_table``); every product and every ``canonical_sign`` call reads it.
-The table holds sign bits (0 for +1, 1 for -1), so the sign of a product
-of signs is the XOR of their bits.
+(``sign_table``); the product's pair loop, ``exp`` and every
+``canonical_sign`` call read it.  The table holds sign bits (0 for +1, 1
+for -1), so the sign of a product of signs is the XOR of their bits.
 """
 
 from __future__ import annotations

@@ -15,7 +15,13 @@ import os
 import sys
 
 from .blades import Signature, grade
-from .multivector import AlgebraError, ConvergenceFailure, Field, Multivector
+from .multivector import (
+    AlgebraError,
+    ConvergenceFailure,
+    Field,
+    Multivector,
+    _integer_l1,
+)
 from .qtype import OpKind, TYPE_ORDER, detect_qtype, emit_table, pattern_of
 from .verify import SUITE_NAMES, CheckConfig, CheckStatus, Strategy, run_suite
 
@@ -180,14 +186,6 @@ def cmd_type(args: argparse.Namespace) -> int:
     return 0
 
 
-def _integer_l1(u: Multivector) -> int | None:
-    """Sum of |re| + |im| over terms when every part is an integer, else None."""
-    parts = [x for c in u.terms.values() for x in (c.real, c.imag)]
-    if not all(x.is_integer() for x in parts):
-        return None
-    return sum(abs(int(x)) for x in parts)
-
-
 def cmd_eval(args: argparse.Namespace) -> int:
     from .exprio import format_expression, mv_to_document, parse_expression
 
@@ -208,7 +206,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
         result = getattr(lhs, _BINARY_OPS[args.op])(rhs)
         # README's bound: integer products stay exact while the l1 product is
         # below 2^53, brackets (a difference of two products) below 2^52
-        a, b = _integer_l1(lhs), _integer_l1(rhs)
+        a, b = _integer_l1(lhs.terms.values()), _integer_l1(rhs.terms.values())
         bits = 53 if args.op == "gp" else 52
         if a is not None and b is not None and a * b >= 1 << bits:
             print(f"note: l1(lhs)*l1(rhs) = {a * b} is at least 2^{bits}; "

@@ -6,10 +6,13 @@ equal neighbors against the metric.  The fast popcount path must agree with
 it everywhere.
 """
 
+import random
+
 import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
+from quatype import blades, multivector
 from quatype.blades import (
     Signature,
     blade_indices,
@@ -20,6 +23,8 @@ from quatype.blades import (
     reorder_sign,
     sign_table,
 )
+from quatype._matrix import matrix_rep
+from quatype.multivector import Field, Multivector, _pair_product
 
 
 def oracle_sign(a: int, b: int, sig: Signature) -> tuple[int, int]:
@@ -209,3 +214,92 @@ def test_signature_metric_and_str():
     for bad in (True, 1.0):
         with pytest.raises(ValueError, match="index"):
             sig.metric(bad)
+
+
+# A second derivation of the sign kernel: the product's matrix
+# representation builds every blade from the generators alone, so its
+# products give each blade pair's sign without reading the sign table.
+
+def rep_blade(sig: Signature, s: int) -> tuple:
+    """Blade s as a monomial matrix of matrix_rep: (x-mask, phase by row)."""
+    _, _, xs, conj = matrix_rep(sig)
+    return xs[s], [c.conjugate() for c in conj[s]]
+
+
+def rep_mul(a: tuple, b: tuple) -> tuple:
+    """Product of two monomial matrices: row r of a reads row r ^ xa of b."""
+    (xa, pa), (xb, pb) = a, b
+    return xa ^ xb, [pa[r] * pb[r ^ xa] for r in range(len(pa))]
+
+
+def assert_rep_matches_sign_kernel(sig: Signature, pairs) -> None:
+    d = 1 << (sig.n + 1) // 2
+    for i in range(sig.n):
+        e_i = rep_blade(sig, 1 << i)
+        assert rep_mul(e_i, e_i) == (0, [sig.metric(i + 1)] * d)
+        for j in range(i):
+            e_j = rep_blade(sig, 1 << j)
+            x, ph = rep_mul(e_j, e_i)
+            assert rep_mul(e_i, e_j) == (x, [-c for c in ph])
+    for a, b in pairs:
+        s, m = canonical_sign(a, b, sig)
+        x, ph = rep_blade(sig, m)
+        assert rep_mul(rep_blade(sig, a), rep_blade(sig, b)) == (x, [s * c for c in ph])
+
+
+def test_matrix_rep_derives_every_sign_to_n6():
+    for n in range(1, 7):
+        for sig in all_signatures(n):
+            masks = sig.blades()
+            assert_rep_matches_sign_kernel(sig, ((a, b) for a in masks for b in masks))
+            # the product's tables: blades grouped by x-mask in ascending
+            # order, and tr(B_s^H B_t) = D when s == t and 0 otherwise, which
+            # the product's read-back rests on
+            groups, build, xs, conj = matrix_rep(sig)
+            d = len(groups)
+            assert sorted(s for g in groups for s in g) == list(masks)
+            for x, group in enumerate(groups):
+                assert group == sorted(group) and {xs[s] for s in group} == {x}
+                for r in range(d):
+                    assert build[x][r] == tuple(conj[s][r].conjugate() for s in group)
+                for s in group:
+                    for t in group:
+                        tr = sum(c * p for c, p in zip(conj[s], rep_blade(sig, t)[1]))
+                        assert tr == (d if s == t else 0)
+
+
+@pytest.mark.parametrize("n", range(7, 13))
+def test_matrix_rep_derives_seeded_signs_to_n12(n):
+    rng = random.Random(n)
+    h = (n + 1) // 2
+    for p in (0, h - 1, h, n):
+        sig = Signature(p, n - p)
+        pairs = [(rng.randrange(1 << n), rng.randrange(1 << n)) for _ in range(200)]
+        assert_rep_matches_sign_kernel(sig, pairs)
+        matrix_rep.cache_clear()  # about 5 MB at n = 12
+
+
+def test_matrix_rep_and_product_read_no_sign_kernel(monkeypatch):
+    sig = Signature(3, 3)
+    rng = random.Random(6)
+    u, v = (Multivector(sig, Field.COMPLEX, {
+        m: complex(rng.randint(1, 3), rng.randint(-3, 3)) for m in sig.blades()})
+        for _ in range(2))
+    want = _pair_product(sig, u.terms, v.terms)
+
+    def refuse(*args):
+        raise AssertionError("the sign kernel was read")
+
+    for module in (blades, multivector):
+        for name in ("sign_table", "reorder_sign", "metric_sign", "canonical_sign"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, refuse)
+    matrix_rep.cache_clear()
+    try:
+        for p in range(7):
+            matrix_rep(Signature(p, 6 - p))
+        got = u.geometric_product(v)  # dense integer: the matrix path
+    finally:
+        matrix_rep.cache_clear()
+    assert [(m, c.real.hex(), c.imag.hex()) for m, c in got.terms.items()] == \
+        [(m, c.real.hex(), c.imag.hex()) for m, c in want.items()]

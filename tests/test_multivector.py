@@ -16,6 +16,7 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
+from quatype import _matrix
 from quatype.blades import Signature, blade_indices, canonical_sign
 from quatype.exprio import format_expression, parse_expression
 from quatype.multivector import (
@@ -265,13 +266,13 @@ def test_products_match_sign_oracle_at_large_n(n):
         assert u.anticommutator(v) == uv + vu
 
 
-def signed_pair_sum(u: Multivector, v: Multivector) -> dict:
+def signed_pair_sum(u: Multivector, v: Multivector, sign=canonical_sign) -> dict:
     """uv as a sum of canonical_sign(a, b) * ca * cb into +0j slots, a in
     ascending order and b in v's order; nonzero slots in ascending order."""
     slots = {}
     for a, ca in sorted(u.terms.items()):
         for b, cb in v.terms.items():
-            s, m = canonical_sign(a, b, u.sig)
+            s, m = sign(a, b, u.sig)
             slots[m] = slots.get(m, 0j) + s * ca * cb
     return {m: c for m, c in sorted(slots.items()) if c}
 
@@ -308,17 +309,104 @@ def test_product_bits_match_signed_pair_sums():
         pairs += [[real, -real], [-real, real.conjugate()],
                   [real.conjugate(), -real.conjugate()], [real, cplx], [cplx, -real]]
     for u, v in pairs:
-        uv, vu = signed_pair_sum(u, v), signed_pair_sum(v, u)
-        masks = sorted(uv.keys() | vu.keys())
-        for got, want in (
-            (u.geometric_product(v), uv),
-            (u.commutator(v), {m: uv.get(m, 0j) - vu.get(m, 0j) for m in masks}),
-            (u.anticommutator(v), {m: uv.get(m, 0j) + vu.get(m, 0j) for m in masks}),
-        ):
-            # _bits keeps the result's term order, so the order is compared too
-            assert _bits(got) == [(m, c.real.hex(), c.imag.hex())
-                                  for m, c in want.items() if c], (u, v)
-            assert all(type(c) is complex for c in got.terms.values())
+        assert_bits_match_signed_pair_sums(u, v)
+
+
+def assert_bits_match_signed_pair_sums(u: Multivector, v: Multivector,
+                                      sign=canonical_sign) -> None:
+    """uv, [u, v] and {u, v} have the bits and the term order of the signed
+    pair sums, and no zero part of theirs is -0.0."""
+    uv, vu = signed_pair_sum(u, v, sign), signed_pair_sum(v, u, sign)
+    masks = sorted(uv.keys() | vu.keys())
+    for got, want in (
+        (u.geometric_product(v), uv),
+        (u.commutator(v), {m: uv.get(m, 0j) - vu.get(m, 0j) for m in masks}),
+        (u.anticommutator(v), {m: uv.get(m, 0j) + vu.get(m, 0j) for m in masks}),
+    ):
+        # _bits keeps the result's term order, so the order is compared too
+        assert _bits(got) == [(m, c.real.hex(), c.imag.hex())
+                              for m, c in want.items() if c], (u, v)
+        assert all(type(c) is complex for c in got.terms.values())
+        assert not any(x == 0 and math.copysign(1.0, x) < 0
+                       for c in got.terms.values() for x in (c.real, c.imag))
+
+
+def dense_integer_pairs(rng: random.Random, sig: Signature) -> list:
+    """Operand pairs on every blade of ``sig`` with small integer parts:
+    REAL, COMPLEX, and real-valued COMPLEX (imaginary parts +0.0 on the
+    left and -0.0 on the right, after negation)."""
+    def dense(field, imag):
+        return Multivector(sig, field, {
+            m: complex(rng.choice((-3, -2, -1, 1, 2, 3)), rng.randint(-3, 3) * imag)
+            for m in sig.blades()})
+    return [[dense(Field.REAL, 0), dense(Field.REAL, 0)],
+            [dense(Field.COMPLEX, 1), dense(Field.COMPLEX, 1)],
+            [dense(Field.COMPLEX, 0), -dense(Field.COMPLEX, 0)]]
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_dense_integer_products_match_signed_pair_sums(n):
+    # Every signature with this n.  Dense integer operands take the matrix
+    # path at n >= 6 and the pair loop below; integer sums are exact, so both
+    # must give the pair sums' bits, with every zero part +0.0.
+    rng = random.Random(n)
+    for p in range(n + 1):
+        sig = Signature(p, n - p)
+        # canonical_sign once per blade pair, not once per pair and product
+        signs = [[canonical_sign(a, b, sig) for b in sig.blades()]
+                 for a in sig.blades()]
+        for u, v in dense_integer_pairs(rng, sig):
+            assert_bits_match_signed_pair_sums(
+                u, v, lambda a, b, sig: signs[a][b])
+
+
+def test_matrix_path_runs_only_under_its_gate(monkeypatch):
+    calls = []
+    matrix_product = _matrix.matrix_product
+
+    def counted(sig, ta, tb):
+        calls.append(sig)
+        return matrix_product(sig, ta, tb)
+
+    monkeypatch.setattr(_matrix, "matrix_product", counted)
+
+    def takes_matrix_path(u, v):
+        calls.clear()
+        u.geometric_product(v)
+        return len(calls) == 1
+
+    rng = random.Random(27)
+    for n in range(1, 9):
+        for u, v in dense_integer_pairs(rng, Signature(n // 2, n - n // 2)):
+            assert takes_matrix_path(u, v) is (n >= 6), (n, u.field)
+    # sparse integer operands at n = 10 and 12, as in the benchmark's mix
+    for n, (la, lb) in ((10, (64, 256)), (12, (128, 128))):
+        sig = Signature(n // 2, n - n // 2)
+        u, v = (Multivector(sig, Field.COMPLEX, {
+            m: complex(rng.randint(1, 3), rng.randint(-3, 3))
+            for m in rng.sample(range(1 << n), size)}) for size in (la, lb))
+        assert not takes_matrix_path(u, v)
+    sig = Signature(4, 4)
+    u, v = dense_integer_pairs(rng, sig)[1]
+    assert takes_matrix_path(u, v)
+    half = Multivector(sig, Field.COMPLEX, {0: 0.5})
+    assert not takes_matrix_path(u + half, v)
+    assert not takes_matrix_path(u, v + half.scale(1j))
+    # l1(u) * l1(v) * D against 2**53 at n = 6 (D = 8): v's l1 is 64, u's is
+    # 63 + c, so c = 2**44 - 63 puts the product at 2**53 exactly
+    sig = Signature(3, 3)
+    v = Multivector(sig, Field.REAL, {m: 1 for m in sig.blades()})
+    for c, matrix in ((2 ** 44 - 64, True), (2 ** 44 - 63, False)):
+        u = Multivector(sig, Field.REAL, {m: c if m == 5 else 1 for m in sig.blades()})
+        assert takes_matrix_path(u, v) is matrix
+        assert_bits_match_signed_pair_sums(u, v)
+
+
+def test_readme_square_past_the_bound_still_rounds():
+    # README: 134217729e1 squared is 18014398777917441, which a double
+    # cannot hold; the product prints the rounded 18014398777917440
+    u = parse_expression("134217729e1", Signature(1, 0))
+    assert format_expression(u.geometric_product(u)) == "18014398777917440"
 
 
 def test_product_identity_splits_into_both_brackets():

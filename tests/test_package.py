@@ -3,7 +3,8 @@
 The verifier loads on first use of one of its names, so a process that only
 does arithmetic never compiles `verify.py`; `exprio` loads on first use of
 one of its five names, or in the CLI commands that read or write
-expressions, so a passing verdict never compiles it.  No import of the
+expressions, so a passing verdict never compiles it.  The product's matrix
+path (`_matrix`) loads on the first product that takes it.  No import of the
 package, the CLI included, loads `dataclasses` (which brings `inspect`,
 `ast`, `dis` and `tokenize`), `decimal` or `csv`.  The probes run in
 subprocesses because the test process has long since imported all of them.
@@ -120,3 +121,25 @@ def test_passing_verdict_loads_no_exprio_or_csv():
                        capture_output=True, text=True, timeout=300)
     assert r.returncode == 0, r.stderr
     assert r.stdout == "0 []\n"
+
+
+def test_matrix_path_loads_on_its_first_product():
+    # a product on the pair loop leaves the matrix path's module unloaded;
+    # the first dense integer product at n = 6 loads it
+    probe = (
+        "import sys\n"
+        "from quatype import Field, Multivector, Signature\n"
+        "sig = Signature(3, 3)\n"
+        "e = Multivector.basis_blade(sig, 1)\n"
+        "u = Multivector(sig, Field.REAL, {m: 1 for m in sig.blades()})\n"
+        "loaded = ['quatype._matrix' in sys.modules]\n"
+        "for a in (e, u):\n"
+        "    a.geometric_product(a)\n"
+        "    loaded.append('quatype._matrix' in sys.modules)\n"
+        "print(loaded)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    r = subprocess.run([sys.executable, "-S", "-W", "error", "-c", probe], env=env,
+                       capture_output=True, text=True, timeout=120)
+    assert r.returncode == 0, r.stderr
+    assert r.stdout == "[False, False, True]\n"

@@ -64,3 +64,16 @@ def test_table_audit_summary():
     assert r.returncode == 0, r.stderr
     assert r.stdout.splitlines()[-1] == \
         "20 mismatching cell(s) across 3 table(s)"
+
+
+def test_dense_product_check_agrees_with_pair_loop():
+    r = run_script("dense_product_check.py", "--p", "3", "--q", "4", "--seed", "5")
+    assert r.returncode == 0, r.stderr
+    lines = r.stdout.splitlines()
+    assert lines[0] == "Cl(3,4) seed 5: 128 x 128 integer terms"
+    assert [line.split(":")[0] for line in lines[1:4]] == \
+        ["pair loop", "matrix path", "product"]
+    assert lines[-1].endswith("terms, every float.hex equal")
+    r = run_script("dense_product_check.py", "--p", "7", "--q", "6")
+    assert r.returncode == 2
+    assert r.stderr.startswith("error: need 1 <= p+q <= 12")
