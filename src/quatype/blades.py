@@ -6,9 +6,10 @@ always ``sign * (a ^ b)`` with ``sign`` in ``{+1, -1}``, so all structure
 constants are computed exactly in integer arithmetic.
 
 Each signature builds one split sign table of at most 4**6 entries
-(``sign_table``); the product's pair loop, ``exp`` and every
-``canonical_sign`` call read it.  The table holds sign bits (0 for +1, 1
-for -1), so the sign of a product of signs is the XOR of their bits.
+(``sign_table``) from one GF(2) bilinear form (``_form``); the product's
+pair loop, ``exp`` and every ``canonical_sign`` call read it.  The table
+holds sign bits (0 for +1, 1 for -1), so the sign of a product of signs is
+the XOR of their bits.
 """
 
 from __future__ import annotations
@@ -75,7 +76,10 @@ def grade(mask: int) -> int:
 
 
 def blade_indices(mask: int) -> tuple[int, ...]:
-    """Ascending 1-based generator indices of a blade mask."""
+    """Ascending 1-based generator indices of a blade mask; ValueError
+    unless the mask is a nonnegative int (not a bool)."""
+    if not (type(mask) is int and mask >= 0):
+        raise ValueError(f"blade mask {mask!r} invalid")
     out = []
     i = 1
     while mask:
@@ -100,27 +104,6 @@ def mask_from_indices(indices, n: int) -> int:
     return mask
 
 
-def reorder_sign(a: int, b: int) -> int:
-    """Sign from sorting the concatenation of blades ``a`` and ``b``.
-
-    Equals (-1)**T where T counts pairs (j in a, i in b) with j > i, i.e.
-    the adjacent transpositions needed to interleave the two sorted
-    generator sequences.
-    """
-    swaps = 0
-    x = a >> 1
-    while x:
-        swaps += (x & b).bit_count()
-        x >>= 1
-    return -1 if swaps & 1 else 1
-
-
-def metric_sign(a: int, b: int, sig: Signature) -> int:
-    """Product of generator squares over the generators common to a and b."""
-    neg = (a & b) >> sig.p  # bits of the shared part that square to -1
-    return -1 if neg.bit_count() & 1 else 1
-
-
 def canonical_sign(a: int, b: int, sig: Signature) -> tuple[int, int]:
     """Geometric product of basis blades: returns (sign, result mask), the
     sign -1 when the XOR of the two sign-table bits is 1 and +1 otherwise."""
@@ -133,21 +116,36 @@ def canonical_sign(a: int, b: int, sig: Signature) -> tuple[int, int]:
     return -1 if bit else 1, a ^ b
 
 
+def _form(b: int, sig: Signature) -> int:
+    """L(b) of the sign form: the sign bit of ``a * b`` is the parity of
+    ``a & L(b)``, with L(b) = P(b) ^ (b & N).  Bit j of P(b) is the parity
+    of b's generators below j (the swaps that carry a's e^(j+1) past b),
+    and N masks the q generators that square to -1 (the contractions)."""
+    x = b << 1
+    for s in (1, 2, 4, 8):  # prefix XOR over the n <= 12 < 16 bits
+        x ^= x << s
+    return x ^ (b >> sig.p << sig.p)
+
+
 @functools.lru_cache(maxsize=None)
 def sign_table(sig: Signature):
     """Split table of sign bits ``(h, (low0, low1), high)`` with
     h = (n+1)//2; a bit is 0 for +1 and 1 for -1.  For aL = a & (2**h - 1)
     and aH = a >> h, the sign of ``a * b`` is -1 exactly when
-    ``low[|aH| & 1][aL][bL] ^ high[aH][bH]`` is 1.  The reorder count splits
-    as T(a,b) = T(aL,bL) + T(aH,bH) + |aH|*|bL|; ``low1`` XORs the parity
-    of |bL| into ``low0`` to fold in the cross term, and the metric sign
-    splits over the shared generators of each half."""
+    ``low[|aH| & 1][aL][bL] ^ high[aH][bH]`` is 1.
+
+    Proof: ``_form`` is GF(2)-linear and L(bH << h) has no low bit, so aL
+    meets L(bL) alone (``low0``); every high bit of L(bL) is |bL|'s parity,
+    which aH meets |aH| times (the ``low1`` fold); aH << h against
+    L(bH << h) is ``high``.  The metric puts a & b & N into both a & L(b)
+    and b & L(a), so s_ab * s_ba, their XOR's parity, does not depend on
+    it: no check built on that product can see the metric."""
     h = (sig.n + 1) // 2
     lows, highs = range(1 << h), range(1 << (sig.n - h))
-    low0 = [[int(reorder_sign(a, b) != metric_sign(a, b, sig)) for b in lows]
-            for a in lows]
+    cols = [_form(b, sig) for b in lows]
+    low0 = [[(a & c).bit_count() & 1 for c in cols] for a in lows]
     low1 = [[s ^ (b.bit_count() & 1) for b, s in enumerate(row)]
             for row in low0]
-    high = [[int(reorder_sign(a, b) != metric_sign(a << h, b << h, sig))
-             for b in highs] for a in highs]
+    cols = [_form(b << h, sig) for b in highs]
+    high = [[(a << h & c).bit_count() & 1 for c in cols] for a in highs]
     return h, (low0, low1), high

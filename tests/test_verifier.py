@@ -13,7 +13,7 @@ import re
 
 import pytest
 
-from quatype import verify
+from quatype import blades, verify
 
 from quatype.blades import Signature, canonical_sign, grade, sign_table
 from quatype.exprio import format_expression
@@ -442,6 +442,36 @@ def test_census_sees_one_flipped_kernel_sign(monkeypatch, half):
         verify._census.cache_clear()
     assert report.status is CheckStatus.FAIL
     # theorem7's exact half: conjugation no longer reverses every product
+    for row in theorem7:
+        assert row.status is CheckStatus.FAIL, row.name
+        assert row.counterexample.component == "conj(ab) - conj(b) conj(a)"
+
+
+def skip_adjacent_form(b: int, sig: Signature) -> int:
+    """The sign form with a swap count that skips adjacent generators: bit j
+    of the swap part is the parity of b's generators below j - 1."""
+    x = b << 2
+    for s in (1, 2, 4, 8):
+        x ^= x << s
+    return x ^ (b >> sig.p << sig.p)
+
+
+def test_census_sees_an_off_diagonal_fault_in_the_sign_form(monkeypatch):
+    # The census reads s_ab * s_ba, where the form's diagonal (the metric)
+    # cancels; a fault off the diagonal changes it, and the table built
+    # from the form must carry that fault to the census.
+    sig = Signature(4, 4)
+    monkeypatch.setattr(blades, "_form", skip_adjacent_form)
+    blades.sign_table.cache_clear()
+    verify._census.cache_clear()
+    try:
+        report = check_quaternion_axioms(OpKind.COMMUTATOR, cfg_for(sig))
+        theorem7 = check_theorem7(cfg_for(sig, samples=1))
+    finally:
+        blades.sign_table.cache_clear()
+        verify._census.cache_clear()
+    assert report.name == "axioms:comm" and report.status is CheckStatus.FAIL
+    assert len(theorem7) == 4
     for row in theorem7:
         assert row.status is CheckStatus.FAIL, row.name
         assert row.counterexample.component == "conj(ab) - conj(b) conj(a)"
