@@ -39,12 +39,9 @@ closure), so that numbers XOR as their masks do.  Its slots, its sign-folded
 rows and its partial sum are all indexed by that number.  The rows are built
 before the series starts, one per span mask in ascending order while they
 fit a fixed entry budget (``_ROW_CACHE_ENTRIES``), and reused for every
-term; a span mask past the budget folds its signs inline.  Each term entry's
-``abs`` is read once; as hypot(re, im) <= |re| + |im| <= sqrt(2) * hypot(re,
-im), an upper bound on the partial sum's inf-norm grows by sqrt(2) times a
-term's largest ``abs``, and the term's and the partial sum's inf-norms are
-read, the latter over its nonzero slots, only when that bound no longer
-rules out stopping.
+term; a span mask past the budget folds its signs inline.  The series
+cannot overflow at n <= MAX_GENERATORS (``exp`` gives the bound, and a test
+pins its premise); only the squarings, public products, can.
 """
 
 from __future__ import annotations
@@ -53,7 +50,6 @@ import cmath
 import math
 import numbers
 import operator
-import sys
 from enum import Enum
 from itertools import compress
 from types import MappingProxyType
@@ -526,16 +522,27 @@ class Multivector:
         because T >= A and ``eps * (1 + x)`` rounds monotonically in x.
         Otherwise T is read, and the partial sum's norm over its nonzero
         slots; so the series stops at the same term as one that reads both
-        norms every time, and raises the same ValueError on overflow.
+        norms every time.
+
+        The series cannot overflow.  After halving, every |c| <= 1; the
+        matrix representation is faithful, with unitary blades and
+        tr(B_s^H B_t) = D * [s == t], so ||u||_op <= ||u||_F = sqrt(D *
+        sum |c|**2) <= sqrt(2**ceil(n/2) * 2**n) = 512 at n = 12.  Each
+        coefficient of u**m / m! is at most 512**m / m! <= e**512, and a
+        slot sums at most 2**n of them, so every value stays below
+        e**(512 + ln(sqrt(2) * 2**12)) = e**520.7, short of the largest
+        double's e**709.8.  A test pins this premise at MAX_GENERATORS (it
+        fails at 13).  Only the squarings can overflow: public products,
+        which raise ValueError.
 
         ``eps`` must be positive and finite (an infinite one would stop
         after the first term) and not a bool, and ``max_terms`` an integer
         of at least 1.
         Raises ConvergenceFailure if the series uses up ``max_terms`` terms
-        first, or if the argument needs 52 or more halvings: each squaring
-        doubles the relative error, so after k halvings it is about 2**k
-        machine epsilons, and once ``2**k * sys.float_info.epsilon >= 1`` no
-        digit of the result is left.
+        first, or if the argument needs 52 or more halvings (an inf-norm
+        above 2**51): each squaring doubles the relative error, so after k
+        halvings it is about 2**(k - 52): from k = 52 on no digit of the
+        result is left.  The loop refuses at the 52nd halving.
         """
         _check_real("eps", eps)
         if not (math.isfinite(eps) and eps > 0.0):
@@ -544,13 +551,13 @@ class Multivector:
         u = self
         halvings = 0
         while u.inf_norm() > 1.0:
+            if halvings == 51:
+                raise ConvergenceFailure(
+                    "exp argument needs 52 or more halvings, which leave no "
+                    f"correct digit (argument inf-norm {self.inf_norm()!r})"
+                )
             u = u.scale(0.5)
             halvings += 1
-        if 2.0 ** halvings * sys.float_info.epsilon >= 1.0:
-            raise ConvergenceFailure(
-                f"exp argument needs {halvings} halvings, which leave no "
-                f"correct digit (argument inf-norm {self.inf_norm()!r})"
-            )
         # Rows keep geometric_product's b order; each entry is the same
         # per-pair expression as geometric_product.  Slots, rows and the
         # partial sum are indexed by position in the span of u's masks,
@@ -605,34 +612,25 @@ class Multivector:
             r = 1.0 / m
             term = {}
             top = 0.0
-            try:
-                for k, c in zip(compress(_MASKS, slots), filter(None, slots)):
-                    c *= r
-                    if c:
-                        term[k] = c
-                        x = abs(c)
-                        if not x <= top:
-                            if not x < math.inf:
-                                raise ValueError("arithmetic result overflows a double")
-                            top = x
-                        acc[k] += c
-            except OverflowError:
-                raise ValueError("arithmetic result overflows a double") from None
+            for k, c in zip(compress(_MASKS, slots), filter(None, slots)):
+                c *= r
+                if c:
+                    term[k] = c
+                    x = abs(c)
+                    if x > top:
+                        top = x
+                    acc[k] += c
             bound = (bound + root2 * top) * (1.0 + 2.0 ** -40)
             # the term's inf-norm is at least top, and eps * (1 + x) rounds
             # monotonically in x, so a top that clears the bound's threshold
             # clears the exact one: skip both norms.
-            if bound < math.inf and top >= eps * (1.0 + bound):
+            if top >= eps * (1.0 + bound):
                 continue
             term_norm = top if real else _inf_norm(term.values())
-            if not term_norm < math.inf:  # |re| + |im| overflows on finite parts
-                raise ValueError("arithmetic result overflows a double")
             # the nonzero slots, in ascending mask order: the result if the
             # series stops here, and the only slots whose norm is read
             out = dict(zip(compress(span, acc), filter(None, acc)))
             acc_norm = _inf_norm(out.values())
-            if math.isinf(acc_norm):  # |re| + |im| can overflow on finite parts
-                _require_finite(out)
             if term_norm < eps * (1.0 + acc_norm):
                 break
             bound = acc_norm

@@ -120,7 +120,9 @@ class CheckStatus(Enum):
 class CheckConfig(Frozen):
     """``sig``: the signature checked.  ``seed`` (mod 2^64) and ``samples``:
     theorem 7's exp witness, ``samples`` draws per row.  ``tol``: the bound
-    on conj(u) + u in the membership tests (theorems 6 and 7, wc)."""
+    on conj(u) + u in the membership tests (theorems 6 and 7, wc), below 1:
+    a unit basis element leaks 0 or 1 from a pattern and has conjugation
+    defect 0 or 2, so a tol of 1 or more cannot tell members apart."""
 
     sig: Signature
     seed: int = 0
@@ -133,7 +135,10 @@ class CheckConfig(Frozen):
             raise TypeError("sig must be a Signature")
         _check_count("samples", samples)
         seed = _check_int("seed", seed) & _MASK64
-        self._store(sig, seed, samples, _check_tol(tol))
+        if _check_tol(tol) >= 1:
+            raise ValueError("tol must be below 1: the membership tests "
+                             "could not tell a unit basis element in or out")
+        self._store(sig, seed, samples, tol)
 
 
 class Counterexample(Frozen):

@@ -138,6 +138,16 @@ def test_verify_rejects_non_finite_tol(capsys):
         assert "tol" in err
 
 
+def test_verify_rejects_tol_of_one_or_more(capsys):
+    # at Cl(2,2) --tol 1 used to FAIL wc on a correct kernel, exit 1
+    for tol in ("1", "1.5", "2", "5"):
+        code, out, err = run_cli(capsys, "verify", "--suite", "wc", "--tol", tol)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: tol must be below 1")
+    code, _, _ = run_cli(capsys, "verify", "--suite", "wc", "--tol", "0.999")
+    assert code == 0
+
+
 def test_verify_single_leaf_suite(capsys):
     code, out, _ = run_cli(capsys, "verify", "--p", "2", "--q", "1",
                            "--suite", "closures", "--samples", "5",
@@ -468,6 +478,20 @@ def test_eval_exp_refuses_lost_precision(capsys):
     assert "halvings" in err
 
 
+_E308 = "1" + "0" * 308  # 1e308, which would take 1024 halvings
+
+
+@pytest.mark.parametrize("lhs", [_E308, f"({_E308}+{_E308}i)"],
+                         ids=["real", "complex"])
+def test_eval_exp_refuses_huge_argument_without_a_traceback(capsys, lhs):
+    # the refusal used to compute 2.0 ** 1024 and crash with OverflowError
+    code, out, err = run_cli(capsys, "eval", "--p", "1", "--q", "0",
+                             "--op", "exp", "--lhs", lhs)
+    assert (code, out) == (3, "")
+    assert err.startswith("error: exp argument needs 52 or more halvings")
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
 # ----------------------------------------------------------------------
 # top-level usage
 
@@ -518,7 +542,7 @@ _PQ = st.integers(-1, 4).map(str) | st.just("x")
 _TOL = st.sampled_from(["0", "1e-12", "0.5", "-1", "nan", "inf", "abc"])
 _EXPR = st.sampled_from([
     "0", "1", "e1", "1 + 2e12", "e1 + 2e12", "(0+1i)e1", "3e{1,3}",
-    "0.5e12 - e1", "e21", "e5", "", "1" + "0" * 20 + "e12",
+    "0.5e12 - e1", "e21", "e5", "", "1" + "0" * 20 + "e12", _E308,
 ]) | st.text(alphabet="0123456789.+-ie{},() ", max_size=16)
 _JUNK = st.sampled_from([None, True, "2", -1, 13, 10 ** 400, [], {}])
 
@@ -585,6 +609,7 @@ _ARGV = st.one_of(
 @settings(max_examples=100, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @example(case=(["type", "--p", "2", "--q", "2", "--input"], _FIELD_MISMATCH_DOC))
+@example(case=(["eval", "--p", "1", "--q", "0", "--op", "exp", "--lhs", _E308], None))
 @given(case=_ARGV)
 def test_cli_exit_code_contract(case, tmp_path):
     """Any argv, and any document behind --input, exits 0, 1, 2 or 3; an

@@ -10,6 +10,7 @@ import copy
 import math
 import pickle
 import random
+import sys
 import tracemalloc
 
 import pytest
@@ -17,7 +18,7 @@ from hypothesis import given, settings
 import hypothesis.strategies as st
 
 from quatype import _matrix
-from quatype.blades import Signature, blade_indices, canonical_sign
+from quatype.blades import MAX_GENERATORS, Signature, blade_indices, canonical_sign
 from quatype.exprio import format_expression, parse_expression
 from quatype.multivector import (
     ConvergenceFailure,
@@ -202,6 +203,12 @@ def test_mixed_signature_and_field_raise():
     w = Multivector.scalar(Signature(2, 2), 1, Field.REAL)
     with pytest.raises(FieldMismatch):
         u.geometric_product(w)
+    with pytest.raises(TypeError, match="^expected Multivector, got int$"):
+        u + 3
+    with pytest.raises(TypeError, match="^sig must be a Signature$"):
+        Multivector("Cl(2,2)", Field.REAL)
+    with pytest.raises(TypeError, match="^field must be a Field$"):
+        Multivector(S22, "R")
 
 
 def test_equality_is_exact():
@@ -209,6 +216,14 @@ def test_equality_is_exact():
     v = Multivector.scalar(S22, 1.0 + 1e-15)
     assert u == Multivector.scalar(S22, 1)
     assert u != v
+    # not equal to a number, even one it holds as a scalar
+    assert not u == 1 and u != 1
+
+
+def test_repr_lists_terms_in_mask_order():
+    u = Multivector(S22, Field.REAL, {0b110: -1, 0b1: 2})
+    assert repr(u) == "Multivector(Cl(2,2), R, {0x1: (2+0j), 0x6: (-1+0j)})"
+    assert repr(Multivector.zero(S22)) == "Multivector(Cl(2,2), C, {})"
 
 
 # ----------------------------------------------------------------------
@@ -426,6 +441,9 @@ def test_scalar_multiplication_forms():
     assert u * 2 == u.scale(2)
     assert -u == u.scale(-1)
     assert (u - u).is_zero()
+    for bad in (lambda: u * "x", lambda: "x" * u):
+        with pytest.raises(TypeError):
+            bad()
 
 
 def test_jacobi_identity():
@@ -643,6 +661,18 @@ def test_exp_refuses_argument_beyond_double_precision():
         u = Multivector.basis_blade(sig, 0b11, coeff, Field.REAL)
         with pytest.raises(ConvergenceFailure):
             u.exp()
+
+
+def test_exp_refuses_past_51_halvings_without_overflowing():
+    # 2^51 takes 51 halvings, and its squarings overflow; the next double up
+    # needs 52, which leave no correct digit.  1e308 would need 1024
+    # halvings, and 1e308+1e308j has an inf-norm that overflows to inf.
+    sig = Signature(1, 0)
+    with pytest.raises(ValueError, match="^arithmetic result overflows a double$"):
+        Multivector.scalar(sig, 2.0 ** 51).exp()
+    for value in (math.nextafter(2.0 ** 51, math.inf), 1e308, 1e308 + 1e308j):
+        with pytest.raises(ConvergenceFailure, match="52 or more halvings"):
+            Multivector.scalar(sig, value).exp()
 
 
 def test_exp_parameter_validation():
@@ -933,28 +963,18 @@ def test_exp_stopping_rule_reads_the_inf_norm_of_complex_terms():
         assert _bits(u.exp(eps)) == _bits(reference_exp(u, eps)), (u, eps)
 
 
-def test_exp_turns_an_overflowing_abs_into_the_overflow_error(monkeypatch):
-    # abs(complex) raises OverflowError when hypot(re, im) passes the
-    # largest double on finite parts: abs(1.5e308 + 1.5e308j) does.  No
-    # series at n <= 12 grows that large (after halving, u's operator norm
-    # is at most 512, so no term coefficient passes e^512), so a stand-in
-    # abs raises it here.
-    import quatype.multivector as mv_module
+def test_exp_series_overflow_bound_holds_at_max_generators():
+    # exp's series has no overflow check; its docstring bounds every value
+    # in it by e^(sqrt(D * 2^n) + ln(sqrt(2) * 2^n)), D = 2^ceil(n/2), for an
+    # argument halved to |c| <= 1.  That bound must stay below the largest
+    # double at every supported n: it does at 12 (e^520.7) and not at 13,
+    # so raising MAX_GENERATORS fails here until the series is reviewed.
+    def exponent(n):
+        return math.sqrt(2 ** math.ceil(n / 2) * 2 ** n) + math.log(math.sqrt(2) * 2 ** n)
 
-    with pytest.raises(OverflowError):
-        abs(1.5e308 + 1.5e308j)
-
-    def overflowing_abs(x):
-        if isinstance(x, complex) and x.imag:
-            raise OverflowError("absolute value too large")
-        return abs(x)
-
-    monkeypatch.setattr(mv_module, "abs", overflowing_abs, raising=False)
-    u = Multivector(S22, Field.COMPLEX, {0b1: 0.5j, 0b110: 0.25})
-    with pytest.raises(ValueError, match="^arithmetic result overflows a double$"):
-        u.exp()
-    # real values never reach it
-    assert Multivector(S22, Field.COMPLEX, {0b1: 0.5}).exp().terms
+    largest = math.log(sys.float_info.max)
+    assert exponent(MAX_GENERATORS) < largest
+    assert exponent(13) > largest
 
 
 # ----------------------------------------------------------------------

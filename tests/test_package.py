@@ -80,6 +80,13 @@ def test_import_defers_the_verifier_until_a_name_is_used():
     assert facts["unbound_by_star"] == []
     assert facts["missing_from_dir"] == []
     assert facts["no_such_name"] == "module 'quatype' has no attribute 'no_such_name'"
+    # the same refusal and listing in this process, where every module of
+    # the package has long been loaded
+    import quatype
+
+    with pytest.raises(AttributeError, match=facts["no_such_name"]):
+        quatype.no_such_name
+    assert dir(quatype) == sorted(set(vars(quatype)) | set(quatype.__all__))
 
 
 @pytest.mark.parametrize("module", ["quatype", "quatype.cli"])

@@ -260,6 +260,10 @@ def test_pattern_from_parts_and_str():
     assert crossed[0] is CoeffClass.COMPLEX
     assert SubspacePattern((0, 3, CoeffClass.REAL, 2)) == \
         SubspacePattern.from_parts(real="12", imag="13")
+    # one class per main type 0..3, no fewer and no more
+    for classes in ((1, 1, 1), (1, 1, 1, 1, 1)):
+        with pytest.raises(ValueError, match="exactly four classes"):
+            SubspacePattern(classes)
 
 
 @pytest.mark.parametrize("bad", [4, -1, 3.0, True, "1", None])

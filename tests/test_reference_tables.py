@@ -3,6 +3,8 @@ printed ones.  The printed anticommutator and product tables are consistent
 with the rules; the printed generic table is not, in four rows, and the
 mismatch list below freezes exactly where."""
 
+import pytest
+
 from quatype.qtype import OpKind, emit_table
 from quatype.reference_tables import (
     ANTICOMM_PRINTED,
@@ -17,6 +19,8 @@ from quatype.reference_tables import (
 
 def test_table_names():
     assert set(TABLE_NAMES) == {"generic", "anticomm", "product"}
+    with pytest.raises(ValueError, match="unknown table 'bogus'"):
+        compare_table("bogus")
 
 
 def test_transcriptions_have_full_shape():

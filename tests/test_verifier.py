@@ -169,6 +169,13 @@ def test_config_validation():
     for bad in (float("nan"), float("inf")):
         with pytest.raises(ValueError):
             CheckConfig(sig=S22, tol=bad)
+    # A unit basis element leaks 0 or 1 from a pattern and has conjugation
+    # defect 0 or 2: at tol 1 wc failed a correct kernel, and from 2 on
+    # every membership test passed whatever conjugate did.
+    for bad in (1.0, 1.5, 2.0, 5.0):
+        with pytest.raises(ValueError, match="tol must be below 1"):
+            CheckConfig(sig=S22, tol=bad)
+    assert CheckConfig(sig=S22, tol=0.999).tol == 0.999
     # a bool is not read as 0.0 or 1.0
     with pytest.raises(TypeError, match="tolerance must be a real number, not bool"):
         CheckConfig(sig=S22, tol=True)
