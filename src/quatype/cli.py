@@ -173,6 +173,8 @@ def cmd_type(args: argparse.Namespace) -> int:
     sig = Signature(args.p, args.q)
     if not (math.isfinite(args.tol) and args.tol >= 0):
         return _fail_usage("--tol must be finite and nonnegative")
+    if args.tol >= 1:  # every projection is below tol * (1 + inf-norm)
+        return _fail_usage("--tol must be below 1: every type would drop out")
     u = _load_operand(args, sig)
     qt = detect_qtype(u, args.tol)
     print(f"signature: {sig}")

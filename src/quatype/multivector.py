@@ -16,14 +16,14 @@ ascending mask order.
 
 The matrix path (``quatype._matrix``) multiplies in the complex
 representation of Cl(p,q) by D x D matrices, D = 2**ceil(n/2), in about
-(la + lb + D**2 + 2**n) * D multiply-adds instead of the pair loop's
-la * lb.  It runs when that count is the smaller and every part of both
-operands is an integer with l1(U) * l1(V) * D < 2**53: in practice dense
-integer products at n >= 6.  Products at n <= 5, sparse ones and any with
-a non-integer part take the pair loop.  The module loads, and a
-signature's representation is built and cached, on the first product that
-takes the path; the representation holds 0.1 MB at n = 8 and 4.8 MB at
-n = 12 (7.1 MB at the peak of the build), measured with tracemalloc.
+3 * 2**n * h + D**3 multiply-adds, h = ceil(n/2), instead of the pair
+loop's la * lb.  It runs when la * lb exceeds (la + lb + D**2 + 2**n) * D,
+a conservative count, and every part of both operands is an integer with
+l1(U) * l1(V) * D < 2**53: in practice dense integer products at n >= 6.
+Products at n <= 5, sparse ones and any with a non-integer part take the
+pair loop.  The module loads, and a signature's labels and slot tables are
+built and cached, on the first product that takes the path; they hold
+0.43 MB at n = 12, measured with tracemalloc.
 
 The pair loop and ``exp`` compute in floats when no operand coefficient has
 a nonzero imaginary part (-0.0 counts as zero), whatever the field, and turn
@@ -198,7 +198,10 @@ def _integer_l1(values) -> int | None:
     parts = [*map(_REAL, values), *map(_IMAG, values)]
     if not all(map(float.is_integer, parts)):
         return None
-    return sum(map(abs, map(int, parts)))
+    # A float sum of integers is exact while the total is below 2**53;
+    # past it only the int sum is, which eval's note prints.
+    total = sum(map(abs, parts))
+    return int(total) if total < 2 ** 53 else sum(map(abs, map(int, parts)))
 
 
 def _pair_product(sig: Signature, ta: dict, tb: dict) -> dict:
@@ -384,26 +387,35 @@ class Multivector:
 
         The matrix path (``_matrix.matrix_product``) runs when both hold:
 
-        1. it needs fewer multiply-adds, la * lb > (la + lb + D**2 + 2**n)
-           * D with D = 2**ceil(n/2): building two matrices, multiplying
-           them, and reading back 2**n traces, against one per term pair;
+        1. la * lb > (la + lb + D**2 + 2**n) * D with D = 2**ceil(n/2):
+           what building two matrices entry by entry, multiplying them and
+           reading back 2**n traces one by one would cost, against one
+           multiply-add per term pair.  The butterflies of ``_matrix`` do
+           the build and the read-back in about 3 * 2**n * h additions,
+           so the path costs about that plus D**3, and the rule is
+           conservative: it sends some products to the pair loop that the
+           matrix path would finish sooner;
         2. every re/im part of both operands is an integer, and
            l1(U) * l1(V) * D < 2**53, l1 being the sum of |re| + |im| over
-           the terms (``_integer_l1``, in exact ints).
+           the terms (``_integer_l1``).
 
         The pair loop (``_pair_product``) runs otherwise.  Under 2, every
         intermediate of both paths is an integer below 2**53, so both are
         exact and give the same values.  Write |z| for |re| + |im|.  Every
-        blade puts one entry of modulus 1 in each row, so a matrix entry
-        and its partial sums have |z| <= l1.  The parts of a complex
-        product ab, and the real products that form them, are at most
-        |a| * |b|, so an entry of the matrix product and its partial sums
-        are at most l1(U) * l1(V), and a trace's partial sums at most D
-        times that.  The pair loop's slots are at most l1(U) * l1(V).  The
-        zero parts agree too: the pair loop's +0 slots never hold -0.0, and
-        the matrix path adds 0j to each result.  Past the bound, products
-        keep the pair loop's rounding.  A bracket is two products on either
-        path.
+        butterfly partial sum that builds an operand is a signed sum of a
+        subset of its terms times units i**c, so it has |z| <= l1.  The
+        parts of a complex product ab, and the real products that form
+        them, are at most |a| * |b|, so an entry of the matrix product and
+        its partial sums are at most l1(U) * l1(V).  A read-back
+        butterfly's partial sums are signed sums of a subset of the D
+        entries with one x-mask, at most D times that, and multiplying a
+        trace by conj(i**c) / D only moves, negates and halves parts.  The
+        pair loop's slots are at most l1(U) * l1(V).  No sum is ever
+        inexact, so the order of summation does not matter (nor does a
+        compensated ``sum``).  The zero parts agree too: the pair loop's +0
+        slots never hold -0.0, and the matrix path adds 0j to each result.
+        Past the bound, products keep the pair loop's rounding.  A bracket
+        is two products on either path.
         """
         self._like(other)
         sig, ta, tb = self.sig, self._terms, other._terms

@@ -14,6 +14,7 @@ import hypothesis.strategies as st
 
 from quatype import blades, multivector
 from quatype.blades import (
+    MAX_GENERATORS,
     Signature,
     blade_indices,
     canonical_sign,
@@ -231,9 +232,11 @@ def test_signature_metric_and_str():
 # products give each blade pair's sign without reading the sign table.
 
 def rep_blade(sig: Signature, s: int) -> tuple:
-    """Blade s as a monomial matrix of matrix_rep: (x-mask, phase by row)."""
-    _, _, xs, conj = matrix_rep(sig)
-    return xs[s], [c.conjugate() for c in conj[s]]
+    """Blade s as a monomial matrix of matrix_rep: (x-mask, phase by row),
+    the phase at row r being i**c (-1)**|r & z| from blade s's labels."""
+    xs, zs, cs = matrix_rep(sig)
+    return xs[s], [(1, 1j, -1, -1j)[(cs[s] + 2 * (r & zs[s]).bit_count()) & 3]
+                   for r in range(1 << (sig.n + 1) // 2)]
 
 
 def rep_mul(a: tuple, b: tuple) -> tuple:
@@ -262,20 +265,29 @@ def test_matrix_rep_derives_every_sign_to_n6():
         for sig in all_signatures(n):
             masks = sig.blades()
             assert_rep_matches_sign_kernel(sig, ((a, b) for a in masks for b in masks))
-            # the product's tables: blades grouped by x-mask in ascending
-            # order, and tr(B_s^H B_t) = D when s == t and 0 otherwise, which
-            # the product's read-back rests on
-            groups, build, xs, conj = matrix_rep(sig)
-            d = len(groups)
-            assert sorted(s for g in groups for s in g) == list(masks)
-            for x, group in enumerate(groups):
-                assert group == sorted(group) and {xs[s] for s in group} == {x}
-                for r in range(d):
-                    assert build[x][r] == tuple(conj[s][r].conjugate() for s in group)
+            # tr(B_s^H B_t) = D when s == t and 0 otherwise, which the
+            # product's read-back rests on; only blades with one x-mask
+            # share nonzero entries
+            d = 1 << (n + 1) // 2
+            rep = [rep_blade(sig, s) for s in masks]
+            for x in range(d):
+                group = [s for s in masks if rep[s][0] == x]
                 for s in group:
                     for t in group:
-                        tr = sum(c * p for c, p in zip(conj[s], rep_blade(sig, t)[1]))
+                        tr = sum(c.conjugate() * p for c, p in zip(rep[s][1], rep[t][1]))
                         assert tr == (d if s == t else 0)
+
+
+def test_matrix_rep_labels_are_distinct_at_every_signature():
+    # the read-back puts blade s's trace at slot x_s * D + z_s, so no two
+    # blades may share (x, z); the x-masks and z-masks fit h bits
+    for n in range(1, MAX_GENERATORS + 1):
+        h = (n + 1) // 2
+        for sig in all_signatures(n):
+            xs, zs, _ = matrix_rep(sig)
+            assert len(set(zip(xs, zs))) == len(xs) == 1 << n, sig
+            assert max(xs) < 1 << h and max(zs) < 1 << h
+        matrix_rep.cache_clear()
 
 
 @pytest.mark.parametrize("n", range(7, 13))
@@ -286,7 +298,7 @@ def test_matrix_rep_derives_seeded_signs_to_n12(n):
         sig = Signature(p, n - p)
         pairs = [(rng.randrange(1 << n), rng.randrange(1 << n)) for _ in range(200)]
         assert_rep_matches_sign_kernel(sig, pairs)
-        matrix_rep.cache_clear()  # about 5 MB at n = 12
+        matrix_rep.cache_clear()  # 0.1 MB of labels at n = 12
 
 
 def test_matrix_rep_and_product_read_no_sign_kernel(monkeypatch):

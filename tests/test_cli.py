@@ -272,6 +272,18 @@ def test_type_rejects_non_finite_tol(capsys):
         assert "--tol" in err
 
 
+def test_type_rejects_tol_of_one_or_more(capsys):
+    # --tol 1 used to print "type: (empty)" and exit 0 for a nonzero element
+    for tol in ("1", "1.5", "2", "5"):
+        code, out, err = run_cli(capsys, "type", "--expr", "1 + 2e12", "--tol", tol)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: --tol must be below 1")
+    # at 0.5 the threshold is 1.5: the grade-2 part (2) stays, the scalar drops
+    code, out, _ = run_cli(capsys, "type", "--expr", "1 + 2e12", "--tol", "0.5")
+    assert code == 0
+    assert dict(line.split(": ", 1) for line in out.splitlines())["type"] == "2"
+
+
 def test_type_rejects_decreasing_indices(capsys):
     code, _, err = run_cli(capsys, "type", "--p", "2", "--q", "0",
                            "--expr", "e21")

@@ -28,6 +28,8 @@ from quatype.multivector import (
     RankOutOfRange,
     SignatureMismatch,
     _ROW_CACHE_ENTRIES,
+    _integer_l1,
+    _pair_product,
     _xor_span,
 )
 from test_blades import oracle_sign
@@ -415,6 +417,60 @@ def test_matrix_path_runs_only_under_its_gate(monkeypatch):
         u = Multivector(sig, Field.REAL, {m: c if m == 5 else 1 for m in sig.blades()})
         assert takes_matrix_path(u, v) is matrix
         assert_bits_match_signed_pair_sums(u, v)
+
+
+def test_integer_l1_is_exact_on_both_sides_of_2_53():
+    # below 2**53 the float sum is exact; from 2**53 on the int sum is
+    # returned, here where the float sum would round 2**53 + 1 to 2**53
+    for values, want in (
+        ([complex(2 ** 52, 2 ** 52 - 1)], 2 ** 53 - 1),
+        ([complex(2 ** 52, -2 ** 52)], 2 ** 53),
+        ([complex(2 ** 53, 1), complex(-1, 0)], 2 ** 53 + 2),
+    ):
+        got = _integer_l1(values)
+        assert type(got) is int and got == want
+    assert _integer_l1([complex(1, 0.5), complex(2, 0)]) is None
+
+
+def matrix_kernel_cases(rng: random.Random, sig: Signature):
+    """Integer operand pairs (term dicts) for the matrix kernel: filled to
+    10 % up to 100 %, each operand on one x-group only, and single blades;
+    complex, real-valued, and real-valued with every imaginary part -0.0."""
+    masks = list(sig.blades())
+    xs = _matrix.matrix_rep(sig)[0]
+
+    def terms(support, imag):
+        return {m: complex(rng.choice((-3, -2, -1, 1, 2, 3)), rng.randint(-3, 3) * imag)
+                for m in support}
+
+    def x_group():
+        x = rng.choice(xs)
+        return [m for m in masks if xs[m] == x]
+
+    supports = [[rng.sample(masks, max(1, len(masks) * fill // 10)) for _ in "uv"]
+                for fill in (1, 4, 7, 10)]
+    supports += [[x_group(), x_group()] for _ in range(2)]
+    supports += [[[rng.choice(masks)], [rng.choice(masks)]] for _ in range(3)]
+    for su, sv in supports:
+        yield terms(su, 1), terms(sv, 1)
+        yield terms(su, 0), terms(sv, 0)
+        yield ({m: -c for m, c in terms(su, 0).items()},
+               {m: -c for m, c in terms(sv, 0).items()})
+
+
+@pytest.mark.parametrize("n", range(1, 10))
+def test_matrix_kernel_matches_pair_loop_bits(n):
+    # The kernel called directly, whatever the gate would pick: at every p
+    # for n <= 6 and at one seeded p from 7 on.  All sums are exact
+    # integers, so the bits, the term order and every +0.0 must agree.
+    rng = random.Random(100 + n)
+    for p in range(n + 1) if n <= 6 else [rng.randint(0, n)]:
+        sig = Signature(p, n - p)
+        for ta, tb in matrix_kernel_cases(rng, sig):
+            got = _matrix.matrix_product(sig, ta, tb)
+            want = _pair_product(sig, ta, tb)
+            assert [(m, c.real.hex(), c.imag.hex()) for m, c in got.items()] == \
+                [(m, c.real.hex(), c.imag.hex()) for m, c in want.items()], (sig, ta, tb)
 
 
 def test_readme_square_past_the_bound_still_rounds():
