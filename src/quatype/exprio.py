@@ -8,10 +8,13 @@ Expression grammar (whitespace allowed around '+'/'-', not inside a term):
     decimal := digits ['.' digits]
     blade   := 'e' digit+ | 'e{' index (',' index)* '}'
 
-Exponent notation is excluded on purpose: '2e2' must parse as the blade e2
-scaled by 2, not as 200.  Blade indices are 1-based and strictly increasing;
-the compact form takes one digit per index, the braced form any index up to
-the generator count.  Formatting is the inverse: parse(format(u)) == u.
+A digit is ASCII '0'-'9' only; a digit of another script, or a superscript,
+is a syntax error.  Exponent notation is excluded on purpose: '2e2' must
+parse as the blade e2 scaled by 2, not as 200.  Blade indices are 1-based
+and strictly increasing; the compact form takes one digit per index, the
+braced form any index up to the generator count.  An ExprSyntaxError's
+position is at most len(text), which is where end of input is reported.
+Formatting is the inverse: parse(format(u)) == u.
 """
 
 from __future__ import annotations
@@ -31,6 +34,10 @@ class ExprSyntaxError(ValueError):
         self.position = position
 
 
+_DIGITS = frozenset("0123456789")
+_SIGNS = frozenset("+-")
+
+
 class _Parser:
     def __init__(self, text: str, sig: Signature) -> None:
         self.text = text
@@ -45,6 +52,7 @@ class _Parser:
             self.pos += 1
 
     def peek(self) -> str:
+        # "" at end of input, which neither _DIGITS nor _SIGNS contains
         return self.text[self.pos] if self.pos < len(self.text) else ""
 
     def parse(self) -> dict[int, complex]:
@@ -52,12 +60,12 @@ class _Parser:
         self.skip_ws()
         if self.pos == len(self.text):
             raise self.error("empty expression")
-        sign = 1
-        if self.peek() in "+-":
-            sign = -1 if self.peek() == "-" else 1
-            self.pos += 1
-            self.skip_ws()
+        ch = self.peek()  # the first term's sign is optional
         while True:
+            sign = -1 if ch == "-" else 1
+            if ch in _SIGNS:
+                self.pos += 1
+                self.skip_ws()
             start = self.pos
             coeff, mask = self.term()
             total = terms.get(mask, 0j) + sign * coeff
@@ -68,34 +76,26 @@ class _Parser:
             if self.pos == len(self.text):
                 return terms
             ch = self.peek()
-            if ch not in "+-":
+            if ch not in _SIGNS:
                 raise self.error(f"expected '+' or '-', found {ch!r}")
-            sign = -1 if ch == "-" else 1
-            self.pos += 1
-            self.skip_ws()
 
     def term(self) -> tuple[complex, int]:
         ch = self.peek()
-        coeff = None
-        if ch == "(" or ch.isdigit():
-            coeff = self.coef()
-        if self.peek() == "e":
-            mask = self.blade()
-        elif coeff is None:
-            raise self.error(
-                f"expected a coefficient or blade, found {ch!r}" if ch
-                else "expected a coefficient or blade, found end of input"
-            )
-        else:
-            mask = 0
-        return (coeff if coeff is not None else (1 + 0j), mask)
+        if ch == "(" or ch in _DIGITS:
+            return self.coef(), (self.blade() if self.peek() == "e" else 0)
+        if ch == "e":
+            return 1 + 0j, self.blade()
+        raise self.error(
+            f"expected a coefficient or blade, found {ch!r}" if ch
+            else "expected a coefficient or blade, found end of input"
+        )
 
     def coef(self) -> complex:
         if self.peek() == "(":
             self.pos += 1
             re = self.decimal()
             ch = self.peek()
-            if ch not in "+-":
+            if ch not in _SIGNS:
                 raise self.error(f"expected '+' or '-' inside coefficient, found {ch!r}")
             self.pos += 1
             im = self.decimal()
@@ -114,14 +114,14 @@ class _Parser:
 
     def decimal(self) -> float:
         start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
+        while self.peek() in _DIGITS:
             self.pos += 1
         if self.pos == start:
             raise self.error(f"expected a number, found {self.peek()!r}", start)
         if self.peek() == ".":
             self.pos += 1
             frac = self.pos
-            while self.pos < len(self.text) and self.text[self.pos].isdigit():
+            while self.peek() in _DIGITS:
                 self.pos += 1
             if self.pos == frac:
                 raise self.error("expected digits after decimal point")
@@ -132,45 +132,41 @@ class _Parser:
 
     def blade(self) -> int:
         self.pos += 1  # past 'e'
-        indices: list[int] = []
+        mask = 0
         if self.peek() == "{":
             self.pos += 1
             while True:
                 start = self.pos
-                while self.pos < len(self.text) and self.text[self.pos].isdigit():
+                while self.peek() in _DIGITS:
                     self.pos += 1
                 if self.pos == start:
                     raise self.error(f"expected a blade index, found {self.peek()!r}")
-                self._push_index(indices, int(self.text[start:self.pos]), start)
+                mask = self._push_index(mask, int(self.text[start:self.pos]), start)
                 if self.peek() == ",":
                     self.pos += 1
-                    continue
-                if self.peek() == "}":
+                elif self.peek() == "}":
                     self.pos += 1
-                    break
-                raise self.error(f"expected ',' or '}}', found {self.peek()!r}")
-        else:
-            start = self.pos
-            while self.pos < len(self.text) and self.text[self.pos].isdigit():
-                self._push_index(indices, int(self.text[self.pos]), self.pos)
-                self.pos += 1
-            if self.pos == start:
-                raise self.error(f"expected blade indices, found {self.peek()!r}")
-        mask = 0
-        for idx in indices:
-            mask |= 1 << (idx - 1)
+                    return mask
+                else:
+                    raise self.error(f"expected ',' or '}}', found {self.peek()!r}")
+        start = self.pos
+        while self.peek() in _DIGITS:
+            mask = self._push_index(mask, int(self.peek()), self.pos)
+            self.pos += 1
+        if self.pos == start:
+            raise self.error(f"expected blade indices, found {self.peek()!r}")
         return mask
 
-    def _push_index(self, indices: list[int], idx: int, position: int) -> None:
+    def _push_index(self, mask: int, idx: int, position: int) -> int:
         if idx < 1 or idx > self.sig.n:
             raise self.error(
                 f"blade index {idx} outside 1..{self.sig.n} for {self.sig}", position
             )
-        if indices and idx <= indices[-1]:
+        if idx <= mask.bit_length():  # the highest index so far
             raise self.error(
                 f"blade index {idx} not strictly increasing", position
             )
-        indices.append(idx)
+        return mask | 1 << (idx - 1)
 
 
 def parse_expression(text: str, sig: Signature,
@@ -224,11 +220,8 @@ def _term_text(coeff: complex, blade: str) -> tuple[int, str]:
         if blade and mag == 1.0:
             return sign, blade
         return sign, format_float(mag) + blade
-    if re == 0.0:
-        s = "+" if im > 0 else "-"
-        return 1, f"(0{s}{format_float(abs(im))}i){blade}"
     sign = 1
-    if re < 0.0:
+    if re < 0.0:  # not at re = -0.0, which formats as "0" like +0.0
         sign = -1
         re, im = -re, -im
     s = "+" if im >= 0 else "-"
@@ -274,7 +267,9 @@ def mv_from_document(doc: dict, sig: Signature | None = None) -> Multivector:
     """Inverse of :func:`mv_to_document`, validating as it goes.
 
     ``sig`` asserts an expected signature; a mismatching document raises
-    ValueError (as does any malformed field)."""
+    ValueError (as does any malformed field).  A real ("R") document with a
+    nonzero ``im`` is well-formed but not real: it raises FieldMismatch, an
+    AlgebraError, as ``parse_expression(text, sig, Field.REAL)`` does."""
     if not isinstance(doc, dict):
         raise ValueError("document must be a JSON object")
     for key in ("p", "q", "field", "terms"):

@@ -291,6 +291,13 @@ def test_type_rejects_decreasing_indices(capsys):
     assert "position" in err
 
 
+def test_type_reports_end_of_input_within_the_text(capsys):
+    code, out, err = run_cli(capsys, "type", "--p", "2", "--q", "2",
+                             "--expr", "(1")
+    assert (code, out) == (2, "")
+    assert "(at position 2)" in err
+
+
 def test_type_from_document(capsys, tmp_path):
     doc = {"p": 2, "q": 2, "field": "C", "terms": [
         {"blade": [1, 2], "re": 0.0, "im": 1.0},

@@ -94,12 +94,31 @@ def test_field_inference():
     ("(x+1i)", 1),          # real part not a number
     ("e{1;2}", 3),
     ("2e", 2),              # 'e' with no indices
+    # digits are ASCII 0-9 only: no superscript, no digit of another script
+    ("²", 0),
+    ("e²", 1),
+    ("١٢", 0),
+    ("e{١}", 2),
+    ("1.٥", 2),
+    ("(1+٢i)", 3),
+    # end of input is reported at len(text), never past it
+    ("(1", 2),
+    ("2 + (3", 6),
 ])
 def test_error_positions(text, position):
     with pytest.raises(ExprSyntaxError) as err:
         parse_expression(text, S22)
     assert err.value.position == position
     assert f"position {position}" in str(err.value)
+
+
+@settings(max_examples=2000)
+@given(st.text(alphabet="0123456789.+-()ie{}, ²١"))
+def test_every_text_parses_or_is_refused_within_it(text):
+    try:
+        parse_expression(text, S22)
+    except ExprSyntaxError as err:
+        assert 0 <= err.position <= len(text)
 
 
 def test_number_too_large_for_a_double():
@@ -271,6 +290,17 @@ def test_document_validation(mutate):
     mutate(doc)
     with pytest.raises((ValueError, TypeError)):
         mv_from_document(doc)
+
+
+def test_document_real_field_with_imaginary_part():
+    # a real document with a nonzero im fails as parse_expression(..., REAL)
+    # does: FieldMismatch, an AlgebraError rather than a ValueError
+    doc = {"p": 2, "q": 2, "field": "R", "terms": [
+        {"blade": [1], "re": 1.0, "im": 2.0},
+    ]}
+    with pytest.raises(FieldMismatch) as err:
+        mv_from_document(doc)
+    assert not isinstance(err.value, ValueError)
 
 
 def test_document_signature_assertion():
