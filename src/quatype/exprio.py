@@ -22,7 +22,7 @@ from __future__ import annotations
 import cmath
 import math
 
-from .blades import Signature, blade_indices, grade, mask_from_indices
+from .blades import MAX_GENERATORS, Signature, blade_indices, grade, mask_from_indices
 from .multivector import Field, Multivector
 
 
@@ -36,6 +36,8 @@ class ExprSyntaxError(ValueError):
 
 _DIGITS = frozenset("0123456789")
 _SIGNS = frozenset("+-")
+# the most digits an index in range can have, leading zeros aside
+_INDEX_DIGITS = len(str(MAX_GENERATORS))
 
 
 class _Parser:
@@ -141,7 +143,12 @@ class _Parser:
                     self.pos += 1
                 if self.pos == start:
                     raise self.error(f"expected a blade index, found {self.peek()!r}")
-                mask = self._push_index(mask, int(self.text[start:self.pos]), start)
+                digits = self.text[start:self.pos]
+                if len(digits) > _INDEX_DIGITS:  # leading zeros, or out of range
+                    digits = digits.lstrip("0") or "0"
+                    if len(digits) > _INDEX_DIGITS:  # int() refuses a run past 4,300 digits
+                        raise self._outside(digits, start)
+                mask = self._push_index(mask, int(digits), start)
                 if self.peek() == ",":
                     self.pos += 1
                 elif self.peek() == "}":
@@ -159,14 +166,17 @@ class _Parser:
 
     def _push_index(self, mask: int, idx: int, position: int) -> int:
         if idx < 1 or idx > self.sig.n:
-            raise self.error(
-                f"blade index {idx} outside 1..{self.sig.n} for {self.sig}", position
-            )
+            raise self._outside(idx, position)
         if idx <= mask.bit_length():  # the highest index so far
             raise self.error(
                 f"blade index {idx} not strictly increasing", position
             )
         return mask | 1 << (idx - 1)
+
+    def _outside(self, index, position: int) -> ExprSyntaxError:
+        return self.error(
+            f"blade index {index} outside 1..{self.sig.n} for {self.sig}", position
+        )
 
 
 def parse_expression(text: str, sig: Signature,

@@ -15,15 +15,19 @@ exponentials.  Products, sums and ``exp`` list their result terms in
 ascending mask order.
 
 The matrix path (``quatype._matrix``) multiplies in the complex
-representation of Cl(p,q) by D x D matrices, D = 2**ceil(n/2), in about
-3 * 2**n * h + D**3 multiply-adds, h = ceil(n/2), instead of the pair
-loop's la * lb.  It runs when la * lb exceeds (la + lb + D**2 + 2**n) * D,
-a conservative count, and every part of both operands is an integer with
-l1(U) * l1(V) * D < 2**53: in practice dense integer products at n >= 6.
-Products at n <= 5, sparse ones and any with a non-integer part take the
-pair loop.  The module loads, and a signature's labels and slot tables are
-built and cached, on the first product that takes the path; they hold
-0.43 MB at n = 12, measured with tracemalloc.
+representation of Cl(p,q) by D x D matrices, D = 2**h, h = ceil(n/2).  At
+odd n those are block diagonal, split by the central pseudoscalar into
+two blocks of size b = 2**(n//2) (at even n, one block, b = D), and only
+the blocks are multiplied: about 3 * 2**n * h additions and
+2**(n % 2) * b**3 multiply-adds, instead of the pair loop's la * lb.  It
+runs when la * lb exceeds (la + lb + D**2 + 2**n) * D, a conservative
+count (more so at odd n, where it still counts D x D matrices), and every
+part of both operands is an integer with l1(U) * l1(V) * D < 2**53: in
+practice dense integer products at n >= 6.  Products at n <= 5, sparse
+ones and any with a non-integer part take the pair loop.  The module
+loads, and a signature's labels and slot tables are built and cached, on
+the first product that takes the path; they hold 0.43 MB at n = 12 and
+0.23 MB at n = 11, measured with tracemalloc.
 
 The pair loop and ``exp`` compute in floats when no operand coefficient has
 a nonzero imaginary part (-0.0 counts as zero), whatever the field, and turn
@@ -392,9 +396,12 @@ class Multivector:
            reading back 2**n traces one by one would cost, against one
            multiply-add per term pair.  The butterflies of ``_matrix`` do
            the build and the read-back in about 3 * 2**n * h additions,
-           so the path costs about that plus D**3, and the rule is
-           conservative: it sends some products to the pair loop that the
-           matrix path would finish sooner;
+           and it multiplies only the diagonal blocks of the matrices:
+           one of size D at even n, two of size D / 2 at odd n, split by
+           the central pseudoscalar.  So the path costs about that plus
+           D**3 at even n and D**3 / 4 at odd n, and the rule is
+           conservative, more so at odd n: it sends some products to the
+           pair loop that the matrix path would finish sooner;
         2. every re/im part of both operands is an integer, and
            l1(U) * l1(V) * D < 2**53, l1 being the sum of |re| + |im| over
            the terms (``_integer_l1``).
@@ -406,14 +413,16 @@ class Multivector:
         subset of its terms times units i**c, so it has |z| <= l1.  The
         parts of a complex product ab, and the real products that form
         them, are at most |a| * |b|, so an entry of the matrix product and
-        its partial sums are at most l1(U) * l1(V).  A read-back
-        butterfly's partial sums are signed sums of a subset of the D
-        entries with one x-mask, at most D times that, and multiplying a
-        trace by conj(i**c) / D only moves, negates and halves parts.  The
-        pair loop's slots are at most l1(U) * l1(V).  No sum is ever
-        inexact, so the order of summation does not matter (nor does a
-        compensated ``sum``).  The zero parts agree too: the pair loop's +0
-        slots never hold -0.0, and the matrix path adds 0j to each result.
+        its partial sums are at most l1(U) * l1(V); at odd n this holds
+        in each block.  A read-back butterfly's partial sums are signed
+        sums of a subset of the D product entries with one x-mask (at odd
+        n, b entries of each block, so each T+ +- T- is one of them), at
+        most D * l1(U) * l1(V), and multiplying a trace by conj(i**c) / D
+        only moves, negates and halves parts.  The pair loop's slots are
+        at most l1(U) * l1(V).  No sum is ever inexact, so the order of
+        summation does not matter (nor does a compensated ``sum``).  The
+        zero parts agree too: the pair loop's +0 slots never hold -0.0,
+        and the matrix path adds 0j to each result.
         Past the bound, products keep the pair loop's rounding.  A bracket
         is two products on either path.
         """

@@ -279,14 +279,26 @@ def test_matrix_rep_derives_every_sign_to_n6():
 
 
 def test_matrix_rep_labels_are_distinct_at_every_signature():
-    # the read-back puts blade s's trace at slot x_s * D + z_s, so no two
-    # blades may share (x, z); the x-masks and z-masks fit h bits
+    # the read-back puts blade s's trace at a slot made of its x- and
+    # z-mask, so no two blades may share (x, z); both masks fit h bits
     for n in range(1, MAX_GENERATORS + 1):
         h = (n + 1) // 2
         for sig in all_signatures(n):
             xs, zs, _ = matrix_rep(sig)
             assert len(set(zip(xs, zs))) == len(xs) == 1 << n, sig
             assert max(xs) < 1 << h and max(zs) < 1 << h
+        matrix_rep.cache_clear()
+
+
+def test_matrix_rep_top_qubit_is_identity_or_x_at_odd_n():
+    # the product's block split rests on this: at odd n every blade acts
+    # on the top qubit as I or X, by the top bit of its mask
+    for n in range(1, MAX_GENERATORS + 1, 2):
+        for sig in all_signatures(n):
+            xs, zs, _ = matrix_rep(sig)
+            for s in range(1 << n):
+                assert zs[s] >> (n // 2) == 0, (sig, s)
+                assert xs[s] >> (n // 2) == (s >> (n - 1)) & 1, (sig, s)
         matrix_rep.cache_clear()
 
 

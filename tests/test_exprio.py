@@ -53,6 +53,17 @@ def test_braced_blades():
     assert parse_expression("2e{1,12}", sig).terms == {(1 << 11) | 1: 2 + 0j}
 
 
+def test_braced_index_of_any_length():
+    # leading zeros never count; a run of any length is decided without
+    # int(), which refuses a string past 4,300 digits
+    assert parse_expression("e{0001}", S22).terms == {0b1: 1 + 0j}
+    assert parse_expression("e{" + "0" * 5000 + "1}", S22).terms == {0b1: 1 + 0j}
+    ones = "1" * 5000
+    with pytest.raises(ExprSyntaxError) as err:
+        parse_expression("e{" + ones + "}", S22)
+    assert str(err.value) == f"blade index {ones} outside 1..4 for Cl(2,2) (at position 2)"
+
+
 def test_leading_sign_and_spacing():
     assert parse_expression("-2e2", S22).terms == {0b10: -2 + 0j}
     assert parse_expression("+e1", S22).terms == {0b1: 1 + 0j}

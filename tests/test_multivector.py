@@ -461,10 +461,11 @@ def matrix_kernel_cases(rng: random.Random, sig: Signature):
 @pytest.mark.parametrize("n", range(1, 10))
 def test_matrix_kernel_matches_pair_loop_bits(n):
     # The kernel called directly, whatever the gate would pick: at every p
-    # for n <= 6 and at one seeded p from 7 on.  All sums are exact
-    # integers, so the bits, the term order and every +0.0 must agree.
+    # for n <= 7 (at n = 7, 8 x 8 blocks whose top generator squares to +1
+    # or -1) and at one seeded p from 8 on.  All sums are exact integers,
+    # so the bits, the term order and every +0.0 must agree.
     rng = random.Random(100 + n)
-    for p in range(n + 1) if n <= 6 else [rng.randint(0, n)]:
+    for p in range(n + 1) if n <= 7 else [rng.randint(0, n)]:
         sig = Signature(p, n - p)
         for ta, tb in matrix_kernel_cases(rng, sig):
             got = _matrix.matrix_product(sig, ta, tb)
