@@ -20,12 +20,11 @@ def main(argv=None) -> int:
     ap.add_argument("--min-n", type=int, default=1, help="smallest p+q to sweep")
     ap.add_argument("--samples", type=int, default=CheckConfig.samples)
     ap.add_argument("--seed", type=int, default=CheckConfig.seed)
-    ap.add_argument("--tol", type=float, default=CheckConfig.tol)
     ap.add_argument("--suite", default="all", choices=SUITE_NAMES)
     args = ap.parse_args(argv)
     try:
         configs = [CheckConfig(sig=Signature(p, n - p), seed=args.seed,
-                               samples=args.samples, tol=args.tol)
+                               samples=args.samples)
                    for n in range(args.min_n, args.max_n + 1) for p in range(n + 1)]
         if not configs:  # an empty sweep would pass vacuously
             raise ValueError(f"no signature with {args.min_n} <= p+q <= {args.max_n}")

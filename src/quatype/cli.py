@@ -52,8 +52,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="exp witness samples per theorem7 row")
     v.add_argument("--seed", type=int, default=CheckConfig.seed,
                    help="base seed for sampling")
-    v.add_argument("--tol", type=float, default=CheckConfig.tol,
-                   help="leakage tolerance")
     v.add_argument("--format", default="text", choices=["text", "json"],
                    help="report format")
 
@@ -95,7 +93,7 @@ def _fail_usage(message: str) -> int:
 
 def cmd_verify(args: argparse.Namespace) -> int:
     sig = Signature(args.p, args.q)
-    cfg = CheckConfig(sig=sig, seed=args.seed, samples=args.samples, tol=args.tol)
+    cfg = CheckConfig(sig=sig, seed=args.seed, samples=args.samples)
     reports = run_suite([args.suite], cfg)
     counts = {status: 0 for status in CheckStatus}
     for report in reports:

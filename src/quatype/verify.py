@@ -11,7 +11,7 @@ as a numeric witness; nothing else samples.
 
 The witness is deterministic: it runs on a splitmix64 generator whose
 stream is seeded by hashing ``(cfg.seed, check name)`` with FNV-1a, so two
-runs with the same ``CheckConfig`` (sig, seed, samples and tol) produce
+runs with the same ``CheckConfig`` (sig, seed and samples) produce
 byte-identical reports, and a reported counterexample can be replayed by
 any implementation of the same generator (the update and output constants
 are in ``SplitMix64``).  Sampling draws integer coefficients in [-3, 3] per
@@ -119,26 +119,23 @@ class CheckStatus(Enum):
 
 class CheckConfig(Frozen):
     """``sig``: the signature checked.  ``seed`` (mod 2^64) and ``samples``:
-    theorem 7's exp witness, ``samples`` draws per row.  ``tol``: the bound
-    on conj(u) + u in the membership tests (theorems 6 and 7, wc), below 1:
-    a unit basis element leaks 0 or 1 from a pattern and has conjugation
-    defect 0 or 2, so a tol of 1 or more cannot tell members apart."""
+    theorem 7's exp witness, ``samples`` draws per row.  ``tol`` is a
+    constant, not a field: the bound on conj(u) + u in the membership tests
+    (theorems 6 and 7, wc).  A unit basis element leaks 0 or 1 from a
+    pattern and has conjugation defect 0 or 2, and a witness sample's
+    defect is 0, so no value below 1 changes a verdict."""
 
     sig: Signature
     seed: int = 0
     samples: int = 200
-    tol: float = 1e-12
+    tol = 1e-12
 
-    def __init__(self, sig: Signature, seed: int = seed, samples: int = samples,
-                 tol: float = tol) -> None:
+    def __init__(self, sig: Signature, seed: int = seed, samples: int = samples) -> None:
         if not isinstance(sig, Signature):
             raise TypeError("sig must be a Signature")
         _check_count("samples", samples)
         seed = _check_int("seed", seed) & _MASK64
-        if _check_tol(tol) >= 1:
-            raise ValueError("tol must be below 1: the membership tests "
-                             "could not tell a unit basis element in or out")
-        self._store(sig, seed, samples, tol)
+        self._store(sig, seed, samples)
 
 
 class Counterexample(Frozen):
@@ -725,12 +722,14 @@ def _theorem7_exact(cfg: CheckConfig, name: str, lie: SubspacePattern,
     return CheckReport(name, CheckStatus.PASS, closure.cases_run + len(rows))
 
 
-# Real basis elements each theorem 7 witness sample draws at most.
+# Real basis elements each theorem 7 witness sample draws at most, and the
+# bound on its exp image's pseudo-unitary defect and pattern leakage.
 _WITNESS_K = 8
+_GROUP_TOL = 1e-9
 
 
 def _theorem7_row(cfg: CheckConfig, lie: SubspacePattern,
-                  ambient: SubspacePattern, group_tol: float) -> CheckReport:
+                  ambient: SubspacePattern) -> CheckReport:
     name = f"theorem7:{lie}->{ambient}"
     report = _theorem7_exact(cfg, name, lie, ambient)
     if report.status is CheckStatus.FAIL:
@@ -752,16 +751,16 @@ def _theorem7_row(cfg: CheckConfig, lie: SubspacePattern,
             return _fail(name, i, "conj", u, None, "conj(u) + u", anti)
         big_u = u.exp()
         defect = _unitary_defect(big_u)
-        if defect > group_tol:
+        if defect > _GROUP_TOL:
             return _fail(name, i, "exp", u, None, "conj(U) U - 1", defect)
         leak = ambient.leakage(big_u)
-        if leak > group_tol:
+        if leak > _GROUP_TOL:
             return _fail(name, i, "exp", u, None, f"outside pattern {ambient}", leak)
     return CheckReport(
         name, CheckStatus.PASS, cases + cfg.samples, None,
         f"exact: {lie} inside {ambient} and wC, {ambient} holds 1 and is "
         "product-closed, conj reverses every census cell; exp image "
-        f"pseudo-unitary and inside {ambient} to {group_tol:g}",
+        f"pseudo-unitary and inside {ambient} to {_GROUP_TOL:g}",
     )
 
 
@@ -775,8 +774,7 @@ def check_theorem7(cfg: CheckConfig) -> list[CheckReport]:
     Only the exponential image is probed; this does not decide whether the
     exponential map covers the corresponding group component.
     """
-    return [_theorem7_row(cfg, lie, ambient, 1e-9)
-            for lie, ambient in LIE_SUBALGEBRA_ROWS]
+    return [_theorem7_row(cfg, lie, ambient) for lie, ambient in LIE_SUBALGEBRA_ROWS]
 
 
 def check_theorem6_7(cfg: CheckConfig) -> list[CheckReport]:

@@ -51,7 +51,7 @@ def test_criterion_01_axiom_suite():
     t0 = time.monotonic()
     bad = []
     for sig in all_signatures(6):
-        cfg = CheckConfig(sig=sig, tol=0.0)
+        cfg = CheckConfig(sig=sig)
         for op in (OpKind.COMMUTATOR, OpKind.ANTICOMMUTATOR):
             r = check_quaternion_axioms(op, cfg)
             if r.status is not CheckStatus.PASS:
@@ -59,7 +59,7 @@ def test_criterion_01_axiom_suite():
     elapsed = time.monotonic() - t0
     ok = not bad and elapsed < 60.0
     _line(1, ok, "bracket residue axioms, exhaustive blade pairs, "
-                 f"all signatures n<=6, tol 0 ({elapsed:.1f}s)")
+                 f"all signatures n<=6, exact ({elapsed:.1f}s)")
     assert not bad, bad
     assert elapsed < 60.0
 
@@ -67,7 +67,7 @@ def test_criterion_01_axiom_suite():
 def test_criterion_02_grade_pattern_suite():
     bad = []
     for sig in all_signatures(6):
-        cfg = CheckConfig(sig=sig, tol=0.0)
+        cfg = CheckConfig(sig=sig)
         r = check_grade_pattern(cfg)
         if r.status is not CheckStatus.PASS:
             bad.append((str(sig), r.to_dict()))
@@ -100,7 +100,7 @@ def test_criterion_03_table_reproduction():
 def test_criterion_04_closure_with_negative_controls():
     bad = []
     for sig in (Signature(4, 0), S22, Signature(1, 3)):
-        cfg = CheckConfig(sig=sig, tol=0.0)
+        cfg = CheckConfig(sig=sig)
         for op, field, pattern in closure_catalog():
             r = check_pattern_closure(op, pattern, cfg, field)
             if r.status is not CheckStatus.PASS:
@@ -124,7 +124,7 @@ def test_criterion_04_closure_with_negative_controls():
 def test_criterion_05_star_relations_and_lie_subalgebras():
     bad = []
     for sig in (S22, Signature(4, 1)):
-        cfg = CheckConfig(sig=sig, tol=0.0)
+        cfg = CheckConfig(sig=sig)
         reports = [check_theorem5(cfg)] + check_theorem6(cfg)
         for r in reports:
             if r.status is not CheckStatus.PASS:
@@ -139,7 +139,7 @@ def test_criterion_05_star_relations_and_lie_subalgebras():
 def test_criterion_06_exponentials_land_in_groups():
     bad = []
     for sig in (Signature(4, 0), S22):
-        cfg = CheckConfig(sig=sig, samples=100, tol=0.0)
+        cfg = CheckConfig(sig=sig, samples=100)
         for r in check_theorem7(cfg):
             if r.status is not CheckStatus.PASS:
                 bad.append((str(sig), r.name, r.to_dict()))

@@ -53,6 +53,10 @@ def test_full_report_rejects_bad_suite_and_config():
     assert r.returncode == 2
     assert r.stdout == ""
     assert r.stderr.splitlines() == ["error: samples must be at least 1"]
+    r = run_script("full_report.py", "--tol", "1e-12")
+    assert r.returncode == 2
+    assert r.stdout == ""
+    assert "unrecognized arguments: --tol 1e-12" in r.stderr
     r = run_script("full_report.py", "--min-n", "5", "--max-n", "3")
     assert r.returncode == 2
     assert r.stdout == ""

@@ -52,7 +52,7 @@ S22 = Signature(2, 2)
 
 
 def cfg_for(sig: Signature, **kw) -> CheckConfig:
-    defaults = dict(seed=0, samples=25, tol=0.0)
+    defaults = dict(seed=0, samples=25)
     defaults.update(kw)
     return CheckConfig(sig=sig, **defaults)
 
@@ -149,36 +149,24 @@ def test_sample_cap_picks_k_real_basis_elements():
 # ----------------------------------------------------------------------
 # config plumbing
 
-def test_config_has_four_settings():
-    assert CheckConfig.__match_args__ == ("sig", "seed", "samples", "tol")
+def test_config_has_three_settings():
+    assert CheckConfig.__match_args__ == ("sig", "seed", "samples")
     assert list(Strategy) == [Strategy.EXHAUSTIVE]
-    # theorem 7 runs exp at exp's own eps and term budget
-    removed = {"strategy": Strategy.EXHAUSTIVE, "exp_eps": 1e-14, "exp_max_terms": 200}
+    # theorem 7 runs exp at exp's own eps and term budget, and no tol below 1
+    # changes a membership verdict (test_membership_defects_are_exact)
+    removed = {"strategy": Strategy.EXHAUSTIVE, "exp_eps": 1e-14, "exp_max_terms": 200,
+               "tol": 0.5}
     for name, value in removed.items():
         with pytest.raises(TypeError, match=name):
             CheckConfig(sig=S22, **{name: value})
+    assert CheckConfig(sig=S22).tol == 1e-12
 
 
 def test_config_validation():
     with pytest.raises(ValueError):
         CheckConfig(sig=S22, samples=0)
-    with pytest.raises(ValueError):
-        CheckConfig(sig=S22, tol=-1.0)
     with pytest.raises(TypeError):
         CheckConfig(sig="Cl(2,2)")
-    for bad in (float("nan"), float("inf")):
-        with pytest.raises(ValueError):
-            CheckConfig(sig=S22, tol=bad)
-    # A unit basis element leaks 0 or 1 from a pattern and has conjugation
-    # defect 0 or 2: at tol 1 wc failed a correct kernel, and from 2 on
-    # every membership test passed whatever conjugate did.
-    for bad in (1.0, 1.5, 2.0, 5.0):
-        with pytest.raises(ValueError, match="tol must be below 1"):
-            CheckConfig(sig=S22, tol=bad)
-    assert CheckConfig(sig=S22, tol=0.999).tol == 0.999
-    # a bool is not read as 0.0 or 1.0
-    with pytest.raises(TypeError, match="tolerance must be a real number, not bool"):
-        CheckConfig(sig=S22, tol=True)
 
 
 def test_config_refuses_non_integer_counts():
@@ -324,6 +312,29 @@ def test_wc_membership_check_passes(monkeypatch):
         report = check_wc_membership(cfg_for(sig, samples=50))
         assert report.status is CheckStatus.PASS
         assert report.cases_run == 2 ** (sig.n + 1)
+
+
+def test_membership_defects_are_exact():
+    # Why CheckConfig.tol can be a constant: at every signature with
+    # p + q <= 12, each real basis element has conjugation defect exactly 0
+    # or 2 and leaks exactly 0 or 1 from WC_PATTERN, and theorem 7's witness
+    # samples have defect exactly 0, so no tol below 1 changes a verdict.
+    for n in range(1, 13):
+        for p in range(n + 1):
+            sig = Signature(p, n - p)
+            defects, leaks = set(), set()
+            for mask, unit in verify._real_basis(sig, verify._EVERYTHING):
+                e = Multivector.basis_blade(sig, mask, unit)
+                defects.add(verify._wc_defect(e))
+                leaks.add(WC_PATTERN.leakage(e))
+            assert (defects, leaks) == ({0.0, 2.0}, {0.0, 1.0}), sig
+            for lie, ambient in verify.LIE_SUBALGEBRA_ROWS:
+                rng = SplitMix64(derive_subseed(0, f"theorem7:{lie}->{ambient}"))
+                for _ in range(5):  # drawn and scaled as _theorem7_row does
+                    u = sample_pattern_mv(sig, lie, rng, k=verify._WITNESS_K)
+                    l1 = sum(abs(c.real) + abs(c.imag) for c in u.terms.values())
+                    u = u.scale(1.0 / l1) if l1 > 1.0 else u
+                    assert verify._wc_defect(u) == 0.0, (sig, lie, u)
 
 
 def test_grade4_sign_error_fails_theorem6_and_wc(monkeypatch):
@@ -733,10 +744,12 @@ def test_non_closed_patterns_fail():
 
 
 def test_fail_report_magnitude_exceeds_tol():
+    # a leak is a basis pair's whole coefficient, far above CheckConfig.tol
     bad = SubspacePattern.from_parts(real="1")
-    report = check_pattern_closure(OpKind.COMMUTATOR, bad, cfg_for(S22, tol=0.5))
-    if report.counterexample is not None:
-        assert report.counterexample.magnitude > 0.5
+    report = check_pattern_closure(OpKind.COMMUTATOR, bad, cfg_for(S22))
+    assert report.to_dict() == _failed(
+        "closure:comm:C:1", 3, ("e1", "e2", "comm", "outside pattern 1", 2.0),
+        "abstract composition leaks: 1 composes to 2")
 
 
 # ----------------------------------------------------------------------
