@@ -10,7 +10,6 @@ import argparse
 import contextlib
 import io
 import json
-import math
 import os
 import sys
 
@@ -106,7 +105,6 @@ def cmd_verify(args: argparse.Namespace) -> int:
             "suite": args.suite,
             "seed": cfg.seed,
             "samples": cfg.samples,
-            "tol": cfg.tol,
             "strategy": Strategy.EXHAUSTIVE.value,
             "reports": [r.to_dict() for r in reports],
             "summary": {s.value: counts[s] for s in CheckStatus},
@@ -169,10 +167,6 @@ def cmd_type(args: argparse.Namespace) -> int:
     from .exprio import format_expression
 
     sig = Signature(args.p, args.q)
-    if not (math.isfinite(args.tol) and args.tol >= 0):
-        return _fail_usage("--tol must be finite and nonnegative")
-    if args.tol >= 1:  # every projection is below tol * (1 + inf-norm)
-        return _fail_usage("--tol must be below 1: every type would drop out")
     u = _load_operand(args, sig)
     qt = detect_qtype(u, args.tol)
     print(f"signature: {sig}")

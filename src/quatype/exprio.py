@@ -57,6 +57,10 @@ class _Parser:
         # "" at end of input, which neither _DIGITS nor _SIGNS contains
         return self.text[self.pos] if self.pos < len(self.text) else ""
 
+    def expected(self, what: str) -> ExprSyntaxError:
+        ch = self.peek()
+        return self.error(f"expected {what}, found {repr(ch) if ch else 'end of input'}")
+
     def parse(self) -> dict[int, complex]:
         terms: dict[int, complex] = {}
         self.skip_ws()
@@ -79,7 +83,7 @@ class _Parser:
                 return terms
             ch = self.peek()
             if ch not in _SIGNS:
-                raise self.error(f"expected '+' or '-', found {ch!r}")
+                raise self.expected("'+' or '-'")
 
     def term(self) -> tuple[complex, int]:
         ch = self.peek()
@@ -87,10 +91,7 @@ class _Parser:
             return self.coef(), (self.blade() if self.peek() == "e" else 0)
         if ch == "e":
             return 1 + 0j, self.blade()
-        raise self.error(
-            f"expected a coefficient or blade, found {ch!r}" if ch
-            else "expected a coefficient or blade, found end of input"
-        )
+        raise self.expected("a coefficient or blade")
 
     def coef(self) -> complex:
         if self.peek() == "(":
@@ -98,14 +99,14 @@ class _Parser:
             re = self.decimal()
             ch = self.peek()
             if ch not in _SIGNS:
-                raise self.error(f"expected '+' or '-' inside coefficient, found {ch!r}")
+                raise self.expected("'+' or '-' inside coefficient")
             self.pos += 1
             im = self.decimal()
             if self.peek() != "i":
-                raise self.error(f"expected 'i' inside coefficient, found {self.peek()!r}")
+                raise self.expected("'i' inside coefficient")
             self.pos += 1
             if self.peek() != ")":
-                raise self.error(f"expected ')', found {self.peek()!r}")
+                raise self.expected("')'")
             self.pos += 1
             return complex(re, im if ch == "+" else -im)
         value = self.decimal()
@@ -119,7 +120,7 @@ class _Parser:
         while self.peek() in _DIGITS:
             self.pos += 1
         if self.pos == start:
-            raise self.error(f"expected a number, found {self.peek()!r}", start)
+            raise self.expected("a number")
         if self.peek() == ".":
             self.pos += 1
             frac = self.pos
@@ -142,7 +143,7 @@ class _Parser:
                 while self.peek() in _DIGITS:
                     self.pos += 1
                 if self.pos == start:
-                    raise self.error(f"expected a blade index, found {self.peek()!r}")
+                    raise self.expected("a blade index")
                 digits = self.text[start:self.pos]
                 if len(digits) > _INDEX_DIGITS:  # leading zeros, or out of range
                     digits = digits.lstrip("0") or "0"
@@ -155,13 +156,13 @@ class _Parser:
                     self.pos += 1
                     return mask
                 else:
-                    raise self.error(f"expected ',' or '}}', found {self.peek()!r}")
+                    raise self.expected("',' or '}'")
         start = self.pos
         while self.peek() in _DIGITS:
             mask = self._push_index(mask, int(self.peek()), self.pos)
             self.pos += 1
         if self.pos == start:
-            raise self.error(f"expected blade indices, found {self.peek()!r}")
+            raise self.expected("blade indices")
         return mask
 
     def _push_index(self, mask: int, idx: int, position: int) -> int:

@@ -267,7 +267,7 @@ def _type_profile(mv: Multivector) -> tuple[list[float], list[float], list[float
 
 def _profile(mv: Multivector, tol: float):
     """``_type_profile(mv)`` and the threshold ``tol * (1 + inf_norm(mv))``;
-    a NaN or infinite tol is refused.
+    a tol outside [0, 1) is refused (from 1 on no part exceeds it).
 
     When some |re| + |im| overflows a double (its parts are finite), the
     profile and threshold are those of mv / 2, whose sums do not overflow:
@@ -275,7 +275,8 @@ def _profile(mv: Multivector, tol: float):
     is the same test at half scale, and halving is exact above 2**-1021,
     far below any such threshold but tol = 0's, which is 0 at every norm.
     """
-    tol = _check_tol(tol)
+    if _check_tol(tol) >= 1:
+        raise ValueError("tolerance must be below 1: every type would drop out")
     re, im, mag = _type_profile(mv)
     if tol and math.isinf(max(mag)):
         re, im, mag = _type_profile(mv.scale(0.5))

@@ -119,16 +119,11 @@ class CheckStatus(Enum):
 
 class CheckConfig(Frozen):
     """``sig``: the signature checked.  ``seed`` (mod 2^64) and ``samples``:
-    theorem 7's exp witness, ``samples`` draws per row.  ``tol`` is a
-    constant, not a field: the bound on conj(u) + u in the membership tests
-    (theorems 6 and 7, wc).  A unit basis element leaks 0 or 1 from a
-    pattern and has conjugation defect 0 or 2, and a witness sample's
-    defect is 0, so no value below 1 changes a verdict."""
+    theorem 7's exp witness, ``samples`` draws per row."""
 
     sig: Signature
     seed: int = 0
     samples: int = 200
-    tol = 1e-12
 
     def __init__(self, sig: Signature, seed: int = seed, samples: int = samples) -> None:
         if not isinstance(sig, Signature):
@@ -460,9 +455,10 @@ _BRACKETS = (OpKind.COMMUTATOR, OpKind.ANTICOMMUTATOR)
 
 def check_grade_pattern(cfg: CheckConfig) -> CheckReport:
     """Rank-level refinement: op on ranks (k, l) only reaches grades in one
-    residue class mod 4 (k-l or k-l+2, depending on the operation and on the
-    parities of the ordered ranks).  Reads every cell of the blade-pair
-    census."""
+    residue class mod 4, k-l or k-l+2 by the operation and the ordered
+    ranks' parities.  That is ``main_compose`` on k, l mod 4, so this decides
+    the predicate of ``axioms:*`` by a second derivation.  Reads every cell
+    of the blade-pair census."""
     name = "grades"
     sig = cfg.sig
     for a, b, k, l, g, s in _census(sig):
@@ -666,8 +662,7 @@ def _theorem6_row(cfg: CheckConfig, lie: SubspacePattern) -> CheckReport:
     basis = _real_basis(sig, lie)
     for i, (mask, unit) in enumerate(basis, 2):
         u = Multivector.basis_blade(sig, mask, unit)
-        anti = _wc_defect(u)
-        if anti > cfg.tol:
+        if anti := _wc_defect(u):
             return _fail(name, i, "conj", u, None, "conj(u) + u", anti, notes)
     if not inside:
         return CheckReport(name, CheckStatus.FAIL, 1, None, notes)
@@ -723,7 +718,7 @@ def _theorem7_exact(cfg: CheckConfig, name: str, lie: SubspacePattern,
 
 
 # Real basis elements each theorem 7 witness sample draws at most, and the
-# bound on its exp image's pseudo-unitary defect and pattern leakage.
+# bound on its exp image's pseudo-unitary defect.
 _WITNESS_K = 8
 _GROUP_TOL = 1e-9
 
@@ -746,30 +741,38 @@ def _theorem7_row(cfg: CheckConfig, lie: SubspacePattern,
         l1 = sum(abs(c.real) + abs(c.imag) for c in u.terms.values())
         if l1 > 1.0:
             u = u.scale(1.0 / l1)
-        anti = _wc_defect(u)
-        if anti > cfg.tol:
+        if anti := _wc_defect(u):
             return _fail(name, i, "conj", u, None, "conj(u) + u", anti)
         big_u = u.exp()
         defect = _unitary_defect(big_u)
         if defect > _GROUP_TOL:
             return _fail(name, i, "exp", u, None, "conj(U) U - 1", defect)
-        leak = ambient.leakage(big_u)
-        if leak > _GROUP_TOL:
+        if leak := ambient.leakage(big_u):
             return _fail(name, i, "exp", u, None, f"outside pattern {ambient}", leak)
     return CheckReport(
         name, CheckStatus.PASS, cases + cfg.samples, None,
         f"exact: {lie} inside {ambient} and wC, {ambient} holds 1 and is "
-        "product-closed, conj reverses every census cell; exp image "
-        f"pseudo-unitary and inside {ambient} to {_GROUP_TOL:g}",
+        "product-closed, conj reverses every census cell; exp image inside "
+        f"{ambient} exactly and pseudo-unitary to {_GROUP_TOL:g}",
     )
 
 
 def check_theorem7(cfg: CheckConfig) -> list[CheckReport]:
-    """Exponentials of each Lie subalgebra: pseudo-unitary to 1e-9 and inside
-    the row's ambient pattern to 1e-9, for samples with l1 norm (the sum of
+    """Exponentials of each Lie subalgebra: inside the row's ambient pattern
+    exactly and pseudo-unitary to 1e-9, for samples with l1 norm (the sum of
     |re| + |im| over terms) at most 1.  Each row first proves both claims
     exactly (``_theorem7_exact``); the samples stay as a numeric witness,
     the only sampling in the verifier.
+
+    On a correct kernel a sample's conj(u) + u and its exp image's leakage
+    are exactly 0, so any nonzero value fails the row.  The exact half
+    proves the ambient product-closed, so in a product (x + iy)(z + iw) =
+    (xz - yw) + i(xw + yz) of coefficients confined to its classes, each
+    part it forbids sums products with an exact +-0 factor: +-0 (the series
+    cannot overflow).  At l1 <= 1 ``exp`` squares nothing; each series term
+    is the previous one times u, summed per slot and scaled by 1/m, which
+    keep +-0, so every part the ambient forbids is a signed zero.  Negation
+    and conjugation flip signs exactly: conj(u) + u has parts x - x or x + x.
 
     Only the exponential image is probed; this does not decide whether the
     exponential map covers the corresponding group component.
@@ -793,7 +796,7 @@ def check_wc_membership(cfg: CheckConfig) -> CheckReport:
     for case, (mask, unit) in enumerate(basis, 1):
         e = Multivector.basis_blade(sig, mask, unit)
         conj = e.conjugate()
-        by_conj, by_pattern = is_in_wc(e, cfg.tol), WC_PATTERN.matches(e, cfg.tol)
+        by_conj, by_pattern = is_in_wc(e, 0.0), WC_PATTERN.matches(e)
         if conj != e and conj != -e:
             component = "conj(u) is neither u nor -u"
         elif by_conj != by_pattern:

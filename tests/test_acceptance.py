@@ -145,7 +145,7 @@ def test_criterion_06_exponentials_land_in_groups():
                 bad.append((str(sig), r.name, r.to_dict()))
     ok = not bad
     _line(6, ok, "exp of 4 Lie subalgebra rows, 100 samples at (4,0) and "
-                 "(2,2): pseudo-unitary and ambient-closed to 1e-9")
+                 "(2,2): inside the ambient exactly, pseudo-unitary to 1e-9")
     assert not bad, bad
 
 

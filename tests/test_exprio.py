@@ -123,6 +123,26 @@ def test_error_positions(text, position):
     assert f"position {position}" in str(err.value)
 
 
+@pytest.mark.parametrize("text, message", [
+    ("(1", "expected '+' or '-' inside coefficient, found end of input (at position 2)"),
+    ("(1+2", "expected 'i' inside coefficient, found end of input (at position 4)"),
+    ("(1+2i", "expected ')', found end of input (at position 5)"),
+    ("(", "expected a number, found end of input (at position 1)"),
+    ("e{", "expected a blade index, found end of input (at position 2)"),
+    ("e{1", "expected ',' or '}', found end of input (at position 3)"),
+    ("2e", "expected blade indices, found end of input (at position 2)"),
+    ("1.5e", "expected blade indices, found end of input (at position 4)"),
+    ("1 +", "expected a coefficient or blade, found end of input (at position 3)"),
+    ("1 2", "expected '+' or '-', found '2' (at position 2)"),
+])
+def test_error_messages_name_end_of_input(text, message):
+    # the first eight printed "found ''" at end of input; the last two are
+    # the other two wordings
+    with pytest.raises(ExprSyntaxError) as err:
+        parse_expression(text, S22)
+    assert str(err.value) == message
+
+
 @settings(max_examples=2000)
 @given(st.text(alphabet="0123456789.+-()ie{}, ²١"))
 def test_every_text_parses_or_is_refused_within_it(text):

@@ -90,7 +90,7 @@ def test_class_patterns_and_defaults():
     match Signature(2, 3):
         case Signature(p, q):
             assert (p, q) == (2, 3)
-    assert (CheckConfig.seed, CheckConfig.samples, CheckConfig.tol) == (0, 200, 1e-12)
+    assert (CheckConfig.seed, CheckConfig.samples) == (0, 200)
     assert (CheckReport.counterexample, CheckReport.notes) == (None, "")
 
 

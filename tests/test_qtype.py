@@ -346,6 +346,19 @@ def test_detect_qtype_basics():
             pattern_of(u, bad)
 
 
+def test_detect_qtype_and_pattern_of_refuse_tol_of_one_or_more():
+    # from tol 1 on every part is below tol * (1 + inf_norm), so any element
+    # would read as the empty type and pattern
+    u = Multivector(S22, Field.REAL, {0: 1.0, 0b11: 2.0})  # 1 + 2e12
+    for tol in (1.0, 1.5, 2.0, 5.0):
+        for read in (detect_qtype, pattern_of):
+            with pytest.raises(ValueError, match="tolerance must be below 1"):
+                read(u, tol)
+    # at 0.5 the threshold is 1.5: the grade-2 part (2) stays, the scalar drops
+    assert detect_qtype(u, 0.5) == QType.of(2)
+    assert str(pattern_of(u, 0.5)) == "2"
+
+
 def test_detect_qtype_relative_threshold():
     u = Multivector(S22, Field.COMPLEX, {0b1: 1.0, 0b11: 1e-14})
     assert detect_qtype(u, 0.0) == QType.of(1, 2)
@@ -363,7 +376,6 @@ def test_detect_qtype_and_pattern_of_when_the_inf_norm_overflows():
     # each part is below 0.5 * (1 + 2e308), the sum is above it
     assert detect_qtype(u, 0.5) == QType.of(1)
     assert str(pattern_of(u, 0.5)) == "empty"
-    assert detect_qtype(u, 1.0) == EMPTY_TYPE
     # a smallest subnormal still counts at tol 0 only
     v = Multivector(S22, Field.COMPLEX, {0b1: 1e308 + 1e308j, 0b11: 5e-324j})
     assert detect_qtype(v, 0.0) == QType.of(1, 2)

@@ -152,14 +152,14 @@ def test_sample_cap_picks_k_real_basis_elements():
 def test_config_has_three_settings():
     assert CheckConfig.__match_args__ == ("sig", "seed", "samples")
     assert list(Strategy) == [Strategy.EXHAUSTIVE]
-    # theorem 7 runs exp at exp's own eps and term budget, and no tol below 1
-    # changes a membership verdict (test_membership_defects_are_exact)
+    # theorem 7 runs exp at exp's own eps and term budget, and membership is
+    # decided exactly (test_membership_defects_are_exact)
     removed = {"strategy": Strategy.EXHAUSTIVE, "exp_eps": 1e-14, "exp_max_terms": 200,
                "tol": 0.5}
     for name, value in removed.items():
         with pytest.raises(TypeError, match=name):
             CheckConfig(sig=S22, **{name: value})
-    assert CheckConfig(sig=S22).tol == 1e-12
+    assert not hasattr(CheckConfig, "tol")
 
 
 def test_config_validation():
@@ -213,6 +213,16 @@ def test_axioms_trivial_at_n1():
 def test_grade_pattern_census_passes():
     for sig in (S22, Signature(4, 3)):
         assert check_grade_pattern(cfg_for(sig)).status is CheckStatus.PASS
+
+
+def test_grade_residue_is_main_compose_mod_4():
+    # grades and axioms:* decide one predicate through two derivations: the
+    # rank-level rule is the main-type rule read on ranks mod 4
+    for op in (OpKind.COMMUTATOR, OpKind.ANTICOMMUTATOR):
+        for k in range(13):
+            for l in range(13):
+                assert verify._grade_residue(op, k, l) == main_compose(op, k & 3, l & 3), \
+                    (op, k, l)
 
 
 def test_type_table_sound_all_ops():
@@ -315,10 +325,11 @@ def test_wc_membership_check_passes(monkeypatch):
 
 
 def test_membership_defects_are_exact():
-    # Why CheckConfig.tol can be a constant: at every signature with
-    # p + q <= 12, each real basis element has conjugation defect exactly 0
-    # or 2 and leaks exactly 0 or 1 from WC_PATTERN, and theorem 7's witness
-    # samples have defect exactly 0, so no tol below 1 changes a verdict.
+    # Why membership is decided exactly: at every signature with p + q <= 12,
+    # each real basis element has conjugation defect exactly 0 or 2 and
+    # leaks exactly 0 or 1 from WC_PATTERN, and theorem 7's witness samples
+    # have defect exactly 0 and exp images that leak exactly 0 from the
+    # row's ambient (check_theorem7's docstring proves both).
     for n in range(1, 13):
         for p in range(n + 1):
             sig = Signature(p, n - p)
@@ -335,6 +346,45 @@ def test_membership_defects_are_exact():
                     l1 = sum(abs(c.real) + abs(c.imag) for c in u.terms.values())
                     u = u.scale(1.0 / l1) if l1 > 1.0 else u
                     assert verify._wc_defect(u) == 0.0, (sig, lie, u)
+                    assert ambient.leakage(u.exp()) == 0.0, (sig, lie, u)
+
+
+def test_theorem7_fails_an_exp_image_leaking_1e_12(monkeypatch):
+    # 1e-12 on e1 is outside every ambient but 0123 and far below the
+    # pseudo-unitary bound: only the exact leakage read can see it
+    original = Multivector.exp
+
+    def exp(self, *args):
+        return original(self, *args) + Multivector.basis_blade(
+            self.sig, 0b1, 1e-12, self.field)
+
+    monkeypatch.setattr(Multivector, "exp", exp)
+    reports = {r.name: r for r in check_theorem7(cfg_for(S22))}
+    assert reports["theorem7:23->0123"].status is CheckStatus.PASS
+    for name in ("theorem7:2->02", "theorem7:2+i0->02+i02", "theorem7:2+i1->02+i13"):
+        ce = reports[name].counterexample
+        assert reports[name].status is CheckStatus.FAIL, name
+        assert (ce.operation, ce.magnitude) == ("exp", 1e-12), name
+        assert ce.component == "outside pattern " + name.split("->")[1]
+
+
+def test_conjugate_off_by_1e_13_fails_wc_and_theorem6(monkeypatch):
+    # a conjugation defect of 1e-13, below any tolerance a float check
+    # would pick, fails the exact reads
+    original = Multivector.conjugate
+
+    def conjugate(self):
+        return original(self) + Multivector.scalar(self.sig, 1e-13, self.field)
+
+    monkeypatch.setattr(Multivector, "conjugate", conjugate)
+    assert check_wc_membership(cfg_for(S22)).to_dict() == _failed("wc", 1, (
+        "1", None, "conj", "conj(u) is neither u nor -u", 2.0000000000001))
+    # each row fails on its first real basis element, counted after the
+    # abstract case
+    assert [r.to_dict() for r in check_theorem6(cfg_for(S22))] == [
+        _failed(f"theorem6:{lie}", 2, (lhs, None, "conj", "conj(u) + u", 1e-13))
+        for lie, lhs in (("2", "e12"), ("2+i0", "(0+1i)"), ("2+i1", "(0+1i)e1"),
+                         ("23", "e12"))]
 
 
 def test_grade4_sign_error_fails_theorem6_and_wc(monkeypatch):
@@ -744,7 +794,7 @@ def test_non_closed_patterns_fail():
 
 
 def test_fail_report_magnitude_exceeds_tol():
-    # a leak is a basis pair's whole coefficient, far above CheckConfig.tol
+    # a leak is a basis pair's whole coefficient
     bad = SubspacePattern.from_parts(real="1")
     report = check_pattern_closure(OpKind.COMMUTATOR, bad, cfg_for(S22))
     assert report.to_dict() == _failed(
