@@ -7,9 +7,11 @@ constants are computed exactly in integer arithmetic.
 
 Each signature builds one split sign table of at most 4**6 entries
 (``sign_table``) from one GF(2) bilinear form (``_form``); the product's
-pair loop, ``exp`` and every ``canonical_sign`` call read it.  The table
-holds sign bits (0 for +1, 1 for -1), so the sign of a product of signs is
-the XOR of their bits.
+pair loop, ``exp``, every ``canonical_sign`` call and the verifier's
+census (``verify._census``, which reads every entry; the rest of the
+verifier reaches the table only through products and ``exp``) read it.
+The table holds sign bits (0 for +1, 1 for -1), so the sign of a product
+of signs is the XOR of their bits.
 """
 
 from __future__ import annotations

@@ -20,14 +20,13 @@ odd n those are block diagonal, split by the central pseudoscalar into
 two blocks of size b = 2**(n//2) (at even n, one block, b = D), and only
 the blocks are multiplied: about 3 * 2**n * h additions and
 2**(n % 2) * b**3 multiply-adds, instead of the pair loop's la * lb.  It
-runs when la * lb exceeds (la + lb + D**2 + 2**n) * D, a conservative
-count (more so at odd n, where it still counts D x D matrices), and every
-part of both operands is an integer with l1(U) * l1(V) * D < 2**53: in
-practice dense integer products at n >= 6.  Products at n <= 5, sparse
-ones and any with a non-integer part take the pair loop.  The module
-loads, and a signature's labels and slot tables are built and cached, on
-the first product that takes the path; they hold 0.43 MB at n = 12 and
-0.23 MB at n = 11, measured with tracemalloc.
+runs when la * lb exceeds that cost and every part of both operands is an
+integer with l1(U) * l1(V) * D < 2**53: in practice dense integer products
+at n >= 4.  Products at n <= 3, sparse ones and any with a non-integer
+part take the pair loop.  The module loads, and a signature's labels and
+slot tables are built and cached, on the first product that takes the
+path; they hold 0.43 MB at n = 12 and 0.23 MB at n = 11, measured with
+tracemalloc.
 
 The pair loop and ``exp`` compute in floats when no operand coefficient has
 a nonzero imaginary part (-0.0 counts as zero), whatever the field, and turn
@@ -391,20 +390,16 @@ class Multivector:
 
         The matrix path (``_matrix.matrix_product``) runs when both hold:
 
-        1. la * lb > (la + lb + D**2 + 2**n) * D with D = 2**ceil(n/2):
-           what building two matrices entry by entry, multiplying them and
-           reading back 2**n traces one by one would cost, against one
-           multiply-add per term pair.  The butterflies of ``_matrix`` do
-           the build and the read-back in about 3 * 2**n * h additions,
-           and it multiplies only the diagonal blocks of the matrices:
-           one of size D at even n, two of size D / 2 at odd n, split by
-           the central pseudoscalar.  So the path costs about that plus
-           D**3 at even n and D**3 / 4 at odd n, and the rule is
-           conservative, more so at odd n: it sends some products to the
-           pair loop that the matrix path would finish sooner;
+        1. la * lb > 3 * 2**n * h + 2**(n % 2) * b**3, h = ceil(n/2) and
+           b = 2**(n//2): one multiply-add per term pair against the
+           matrix path's own cost.  The butterflies of ``_matrix`` build
+           both operands and read the product back in about 3 * 2**n * h
+           additions, and it multiplies only the diagonal blocks of the
+           matrices, one of size b at even n and two at odd n, split by
+           the central pseudoscalar;
         2. every re/im part of both operands is an integer, and
-           l1(U) * l1(V) * D < 2**53, l1 being the sum of |re| + |im| over
-           the terms (``_integer_l1``).
+           l1(U) * l1(V) * D < 2**53 with D = 2**h, l1 being the sum of
+           |re| + |im| over the terms (``_integer_l1``).
 
         The pair loop (``_pair_product``) runs otherwise.  Under 2, every
         intermediate of both paths is an integer below 2**53, so both are
@@ -429,8 +424,9 @@ class Multivector:
         self._like(other)
         sig, ta, tb = self.sig, self._terms, other._terms
         la, lb = len(ta), len(tb)
-        h = (sig.n + 1) // 2
-        if la * lb > (la + lb + (1 << 2 * h) + sig.blade_count) << h:
+        n = sig.n
+        h = (n + 1) // 2
+        if la * lb > (3 * h << n) + ((1 << n // 2) ** 3 << n % 2):
             a = _integer_l1(ta.values())
             b = None if a is None else _integer_l1(tb.values())
             if b is not None and (a * b << h) < 1 << 53:

@@ -313,6 +313,38 @@ def test_matrix_rep_derives_seeded_signs_to_n12(n):
         matrix_rep.cache_clear()  # 0.1 MB of labels at n = 12
 
 
+def test_sign_table_matches_matrix_rep_at_every_signature():
+    # Pauli strings multiply as i**c_s Z**z_s X**x_s i**c_t Z**z_t X**x_t =
+    # i**(c_s + c_t) (-1)**|x_s & z_t| Z**(z_s ^ z_t) X**(x_s ^ x_t), and the
+    # labels are XOR-linear in the mask, so e_s e_t = i**e e_(s ^ t) with
+    # e = c_s + c_t - c_(s ^ t) + 2 |x_s & z_t|: every entry in O(1), from
+    # labels built from the generators alone
+    for n in range(1, MAX_GENERATORS + 1):
+        for sig in all_signatures(n):
+            xs, zs, cs = matrix_rep(sig)
+
+            def exponent(s, t):
+                return cs[s] + cs[t] - cs[s ^ t] + 2 * (xs[s] & zs[t]).bit_count()
+
+            # the labels' premises: e_i**2 = eta_i, e_i e_j = -e_j e_i
+            for i in range(n):
+                g = 1 << i
+                assert exponent(g, g) & 3 == (0 if i < sig.p else 2), (sig, i)
+                for j in range(i):
+                    assert (exponent(g, 1 << j) - exponent(1 << j, g)) & 3 == 2
+            h, (low0, low1), high = sign_table(sig)
+            # (table, high bits of a, shift): low1[aL][bL] is the entry of
+            # (aL | e_(h+1)) * bL, read only when a has a high generator
+            parts = [(low0, 0, 0), (high, 0, h)] + [(low1, 1 << h, 0)] * (n > h)
+            for table, top, shift in parts:
+                for a, row in enumerate(table):
+                    s = top | a << shift
+                    es = [exponent(s, b << shift) for b in range(len(row))]
+                    assert not any(e & 1 for e in es), (sig, a)  # a real sign
+                    assert row == [e >> 1 & 1 for e in es], (sig, a)
+        matrix_rep.cache_clear()
+
+
 def test_matrix_rep_and_product_read_no_sign_kernel(monkeypatch):
     sig = Signature(3, 3)
     rng = random.Random(6)

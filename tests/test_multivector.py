@@ -364,7 +364,7 @@ def dense_integer_pairs(rng: random.Random, sig: Signature) -> list:
 @pytest.mark.parametrize("n", range(1, 9))
 def test_dense_integer_products_match_signed_pair_sums(n):
     # Every signature with this n.  Dense integer operands take the matrix
-    # path at n >= 6 and the pair loop below; integer sums are exact, so both
+    # path at n >= 4 and the pair loop below; integer sums are exact, so both
     # must give the pair sums' bits, with every zero part +0.0.
     rng = random.Random(n)
     for p in range(n + 1):
@@ -395,7 +395,21 @@ def test_matrix_path_runs_only_under_its_gate(monkeypatch):
     rng = random.Random(27)
     for n in range(1, 9):
         for u, v in dense_integer_pairs(rng, Signature(n // 2, n - n // 2)):
-            assert takes_matrix_path(u, v) is (n >= 6), (n, u.field)
+            assert takes_matrix_path(u, v) is (n >= 4), (n, u.field)
+    # the matrix path's cost 3 * 2**n * h + 2**(n % 2) * b**3, h = ceil(n/2),
+    # b = 2**(n//2), against la * lb; it is a multiple of 2**n, so
+    # (cost / 2**n, 2**n) terms sit on it exactly
+    for n, cost in ((4, 160), (5, 416), (6, 1088), (7, 2560), (8, 7168), (9, 15872)):
+        sig = Signature(n // 2, n - n // 2)
+        root, dense = math.isqrt(cost), 1 << n
+        for (la, lb), matrix in (((root, root), False), ((root + 1, root + 1), True),
+                                 ((cost // dense, dense), False),
+                                 ((cost // dense + 1, dense), True)):
+            u, v = (Multivector(sig, Field.COMPLEX, {
+                m: complex(rng.randint(1, 3), rng.randint(-3, 3))
+                for m in rng.sample(range(dense), size)}) for size in (la, lb))
+            assert takes_matrix_path(u, v) is matrix, (n, la, lb)
+            assert takes_matrix_path(v, u) is matrix, (n, lb, la)
     # sparse integer operands at n = 10 and 12, as in the benchmark's mix
     for n, (la, lb) in ((10, (64, 256)), (12, (128, 128))):
         sig = Signature(n // 2, n - n // 2)
@@ -688,6 +702,29 @@ def test_exp_boost_closed_form():
     expected = Multivector(sig, Field.REAL,
                            {0: math.cosh(0.8), 0b11: math.sinh(0.8)})
     assert (u.exp() - expected).inf_norm() < 1e-13
+
+
+def test_exp_matches_closed_forms_on_real_basis_elements():
+    # e = unit * blade has e**2 = +-1, so exp(t e) is cosh t + e sinh t or
+    # cos t + e sin t, and exp(t unit) on the scalar blade; t = 5 takes
+    # three halvings
+    for sig, step in ((Signature(2, 2), 1), (Signature(3, 1), 1), (Signature(1, 3), 1),
+                      (Signature(4, 4), 1), (Signature(6, 6), 37)):
+        for m in range(0, sig.blade_count, step):
+            square = oracle_sign(m, m, sig)[0]
+            for unit, field in ((1, Field.REAL), (1j, Field.COMPLEX)):
+                for theta in (0.3, 1.7, 5.0):
+                    if m == 0:
+                        want = {0: cmath.exp(theta * unit)}
+                    elif square * unit * unit == 1:
+                        want = {0: math.cosh(theta), m: unit * math.sinh(theta)}
+                    else:
+                        want = {0: math.cos(theta), m: unit * math.sin(theta)}
+                    got = Multivector.basis_blade(sig, m, theta * unit, field).exp()
+                    assert set(got.terms) <= set(want), (sig, m, unit, theta)
+                    scale = max(map(abs, want.values()))
+                    err = max(abs(got.terms.get(k, 0) - c) for k, c in want.items())
+                    assert err <= 1e-13 * scale, (sig, m, unit, theta, err)
 
 
 def test_exp_agrees_with_complex_exponential_on_scalars():
