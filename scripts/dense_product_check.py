@@ -1,10 +1,12 @@
-"""Check a dense integer product against the pair loop, bit for bit.
+"""Check a dense integer product and its brackets against the pair loop.
 
-Multiplies two seeded elements of Cl(p,q) with an integer coefficient on
-every blade, through the product's matrix path and through the public
-product, and compares every part's float.hex with the pair loop's, an
-independent summation of the same exact integers.  Prints the time of
-each and exits 1 on any difference.
+Multiplies two seeded elements u, v of Cl(p,q) with an integer coefficient
+on every blade, through the product's matrix path and through the public
+product, and compares every part's float.hex with the pair loop's uv, an
+independent summation of the same exact integers.  The public commutator
+and anticommutator (one matrix pass each, while 2 * l1(u) * l1(v) * D <
+2**53) are compared with the pair loop's uv - vu and uv + vu.  Prints the
+time of each and exits 1 on any difference.
 
     python3 scripts/dense_product_check.py --p 6 --q 6 --seed 1
 """
@@ -43,17 +45,25 @@ def main(argv=None) -> int:
     for name, run in (
         ("pair loop", lambda: _pair_product(sig, u.terms, v.terms)),
         ("matrix path", lambda: matrix_product(sig, u.terms, v.terms)),
-        ("product", lambda: dict(u.geometric_product(v).terms)),
+        ("product", lambda: u.geometric_product(v).terms),
+        ("pair loop vu", lambda: _pair_product(sig, v.terms, u.terms)),
+        ("commutator", lambda: u.commutator(v).terms),
+        ("anticommutator", lambda: u.anticommutator(v).terms),
     ):
         t0 = time.perf_counter()
-        results[name] = _bits(run())
+        results[name] = run()
         print(f"{name}: {time.perf_counter() - t0:.3f} s")
-    want = results.pop("pair loop")
-    differ = [name for name, got in results.items() if got != want]
+    uv, vu = (Multivector._raw(sig, Field.COMPLEX, results.pop(name))
+              for name in ("pair loop", "pair loop vu"))
+    wants = {"matrix path": uv, "product": uv,
+             "commutator": uv - vu, "anticommutator": uv + vu}
+    differ = [name for name, want in wants.items()
+              if _bits(results[name]) != _bits(want.terms)]
     if differ:
         print(f"differ from the pair loop: {', '.join(differ)}")
         return 1
-    print(f"{len(want)} terms, every float.hex equal")
+    print(f"{len(uv.terms)} terms in uv, {len(wants['commutator'].terms)} in [u, v] "
+          f"and {len(wants['anticommutator'].terms)} in {{u, v}}, every float.hex equal")
     return 0
 
 

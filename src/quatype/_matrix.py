@@ -2,9 +2,10 @@
 
 Over C, Cl(p,q) is represented faithfully by complex D x D matrices with
 D = 2**h, h = ceil(n/2).  ``multivector`` loads this module on the first
-product that takes the matrix path, so a process that takes none never
-compiles it; the rule that picks the path and the proof that both paths
-give the same bits are in ``Multivector.geometric_product``.
+product or bracket that takes the matrix path, so a process that takes
+none never compiles it; the rule that picks the path and the proof that
+both paths give the same bits are in ``Multivector.geometric_product``,
+and a bracket's in ``Multivector.commutator``.
 
 Every blade is a Pauli string i**c Z**z X**x on h qubits: its entry (r,
 r ^ x) is i**c (-1)**|r & z| and every other entry is 0.  So an operand's
@@ -25,6 +26,12 @@ Even n is the same code with one block, b = D.  Each operand and the
 read-back are h butterfly passes over 2**n slots, 3 * h * 2**n additions,
 besides the 2**(n % 2) * b**3 multiply-adds of the block products (D**3
 at even n, D**3 / 4 at odd n).
+
+A bracket UV -+ VU builds each operand once, multiplies the blocks both
+ways, combines the two products entry by entry and reads the result back
+once: the same 3 * h * 2**n additions (two products take twice that)
+and 2 * 2**(n % 2) * b**3 multiply-adds.  Its sums are exact while
+2 * l1(U) * l1(V) * D < 2**53, one bit below the product's bound.
 
 Only the generators' squares come from the signature: the representation
 never reads the sign kernel in ``blades``, so its products are a second
@@ -122,11 +129,13 @@ def _butterflies(y: list, h: int) -> list:
     return y
 
 
-def matrix_product(sig, ta: dict, tb: dict) -> dict:
-    """Terms of uv: both operands as block diagonal D x D matrices, the
-    products of their b x b blocks, and each blade's coefficient
-    tr(B_s^H P) / D plus 0j; the nonzero ones in ascending mask order.
-    Exact only under the gate in ``Multivector.geometric_product``."""
+def matrix_product(sig, ta: dict, tb: dict, sign: int = 0) -> dict:
+    """Terms of uv (``sign`` 0), uv - vu (-1) or uv + vu (+1): both
+    operands as block diagonal D x D matrices, the products of their
+    b x b blocks (both ways for a bracket, combined entry by entry), and
+    each blade's coefficient tr(B_s^H P) / D plus 0j; the nonzero ones in
+    ascending mask order.  Exact only under the gate in
+    ``Multivector.geometric_product`` (``commutator`` for a bracket)."""
     put, phases, get, factors, rows, cols = _layout(sig)
     h = (sig.n + 1) // 2
     b = 1 << sig.n // 2
@@ -137,12 +146,18 @@ def matrix_product(sig, ta: dict, tb: dict) -> dict:
             y[put[s]] = c * phases[s]
         return _butterflies(y, h)
 
+    def block_products(u, v):
+        # slot R * b + x': the product's entry (R, R ^ x'), which blades
+        # with x-mask x' (and either t) read
+        vcols = [col(v) for col in cols]
+        return [sum(map(mul, urow, vcols[r ^ x]))
+                for r, urow in enumerate(row(u) for row in rows)
+                for x in range(b)]
+
     u, v = matrix(ta), matrix(tb)
-    vcols = [col(v) for col in cols]
-    # slot R * b + x': P's entry (R, R ^ x'), which blades with x-mask
-    # x' (and either t) read
-    traces = _butterflies([sum(map(mul, urow, vcols[r ^ x]))
-                           for r, urow in enumerate(row(u) for row in rows)
-                           for x in range(b)], h)
+    p = block_products(u, v)
+    if sign:
+        p = list(map(add if sign > 0 else sub, p, block_products(v, u)))
+    traces = _butterflies(p, h)
     return {m: t for m, (slot, f) in enumerate(zip(get, factors))
             if (t := traces[slot] * f + 0j)}

@@ -8,6 +8,7 @@ the exit-code contract (0 pass, 1 verification failure, 2 usage/parse,
 import hashlib
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -16,10 +17,13 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from quatype import verify
+from quatype import _matrix, verify
+from quatype.blades import Signature
 from quatype.cli import main
-from quatype.multivector import ConvergenceFailure, Multivector
+from quatype.exprio import format_expression, mv_to_document
+from quatype.multivector import ConvergenceFailure, Field, Multivector
 from quatype.verify import SUITE_NAMES
+from test_multivector import signed_pair_sum
 from test_verifier import _comm_11_off_by_one
 
 
@@ -397,6 +401,38 @@ def test_eval_field_promotion(capsys):
                            "--lhs", "2e1", "--rhs", "1i")
     assert code == 0
     assert json.loads(out.splitlines()[1])["field"] == "C"
+
+
+def test_eval_dense_mixed_field_bracket_takes_one_matrix_pass(capsys, monkeypatch):
+    # A dense integer REAL lhs and COMPLEX rhs at Cl(3,3): eval promotes the
+    # lhs, and each bracket is one pass of the matrix kernel, whose result
+    # must print as the signed pair sums' uv - vu and uv + vu.
+    sig = Signature(3, 3)
+    rng = random.Random(6)
+    lhs, rhs = (Multivector(sig, field, {
+        m: complex(rng.choice((-3, -2, -1, 1, 2, 3)), rng.randint(-3, 3) * imag)
+        for m in sig.blades()}) for field, imag in ((Field.REAL, 0), (Field.COMPLEX, 1)))
+    promoted = Multivector(sig, Field.COMPLEX, dict(lhs.terms))
+    uv, vu = signed_pair_sum(promoted, rhs), signed_pair_sum(rhs, promoted)
+    signs = []
+    matrix_product = _matrix.matrix_product
+
+    def counted(sig, ta, tb, sign=0):
+        signs.append(sign)
+        return matrix_product(sig, ta, tb, sign)
+
+    monkeypatch.setattr(_matrix, "matrix_product", counted)
+    for op, sign in (("comm", -1), ("anticomm", 1)):
+        want = Multivector(sig, Field.COMPLEX, {
+            m: uv.get(m, 0j) + sign * vu.get(m, 0j) for m in sorted(uv.keys() | vu.keys())})
+        signs.clear()
+        code, out, err = run_cli(capsys, "eval", "--p", "3", "--q", "3", "--op", op,
+                                 "--lhs", format_expression(lhs),
+                                 "--rhs", format_expression(rhs))
+        assert (code, err, signs) == (0, "", [sign])
+        text, doc_line = out.splitlines()
+        assert text == format_expression(want)
+        assert json.loads(doc_line) == mv_to_document(want)
 
 
 def test_eval_arity_errors(capsys):

@@ -433,6 +433,77 @@ def test_matrix_path_runs_only_under_its_gate(monkeypatch):
         assert_bits_match_signed_pair_sums(u, v)
 
 
+def test_bracket_takes_one_matrix_pass_only_under_its_gate(monkeypatch):
+    kernel, products = [], []
+    matrix_product = _matrix.matrix_product
+    geometric_product = Multivector.geometric_product
+
+    def counted_kernel(sig, ta, tb, sign=0):
+        kernel.append(sign)
+        return matrix_product(sig, ta, tb, sign)
+
+    def counted_product(u, v):
+        products.append(v)
+        return geometric_product(u, v)
+
+    monkeypatch.setattr(_matrix, "matrix_product", counted_kernel)
+    monkeypatch.setattr(Multivector, "geometric_product", counted_product)
+
+    def routes(u, v):
+        """(kernel signs, public products) of [u, v] and then {u, v}."""
+        out = []
+        for bracket in (u.commutator, u.anticommutator):
+            kernel.clear()
+            products.clear()
+            bracket(v)
+            out.append((kernel[:], len(products)))
+        return out
+
+    one_pass = [([-1], 0), ([1], 0)]
+    two_products = [([], 2), ([], 2)]
+    rng = random.Random(38)
+    for n in range(4, 9):
+        for u, v in dense_integer_pairs(rng, Signature(n // 2, n - n // 2)):
+            assert routes(u, v) == one_pass, (n, u.field)
+    # sparse integer operands at n = 10 and 12, as in the benchmark's mix
+    for n, (la, lb) in ((10, (64, 256)), (12, (128, 128))):
+        sig = Signature(n // 2, n - n // 2)
+        u, v = (Multivector(sig, Field.COMPLEX, {
+            m: complex(rng.randint(1, 3), rng.randint(-3, 3))
+            for m in rng.sample(range(1 << n), size)}) for size in (la, lb))
+        assert routes(u, v) == two_products, n
+    sig = Signature(3, 3)
+    u, v = dense_integer_pairs(rng, sig)[1]
+    half = Multivector(sig, Field.COMPLEX, {0: 0.5})
+    assert routes(u + half, v) == two_products
+    assert routes(u, v + half.scale(1j)) == two_products
+    # operands of another field or signature are refused before the gate
+    real = dense_integer_pairs(rng, sig)[0][0]
+    other = dense_integer_pairs(rng, Signature(4, 2))[1][0]
+    for w, error in ((real, FieldMismatch), (other, SignatureMismatch)):
+        for bracket in (u.commutator, u.anticommutator):
+            kernel.clear()
+            products.clear()
+            with pytest.raises(error):
+                bracket(w)
+            assert kernel == products == []
+    # the bracket that perfbench's tracer test pins at two products
+    sig = Signature(2, 1)
+    u = Multivector(sig, Field.COMPLEX, {1: 1, 2: 2, 3: 1})
+    v = Multivector(sig, Field.COMPLEX, {0: 1, 4: 1})
+    assert routes(u, v) == two_products
+    # 2 * l1(u) * l1(v) * D against 2**53 at n = 6 (D = 8): v's l1 is 64,
+    # u's is 63 + c, so c = 2**43 - 63 puts it at 2**53 exactly, and each
+    # product at 2**52, still on the matrix path
+    sig = Signature(3, 3)
+    v = Multivector(sig, Field.REAL, {m: 1 for m in sig.blades()})
+    for c, route in ((2 ** 43 - 64, one_pass),
+                     (2 ** 43 - 63, [([0, 0], 2), ([0, 0], 2)])):
+        u = Multivector(sig, Field.REAL, {m: c if m == 5 else 1 for m in sig.blades()})
+        assert routes(u, v) == route, c
+        assert_bits_match_signed_pair_sums(u, v)
+
+
 def test_integer_l1_is_exact_on_both_sides_of_2_53():
     # below 2**53 the float sum is exact; from 2**53 on the int sum is
     # returned, here where the float sum would round 2**53 + 1 to 2**53
@@ -476,16 +547,21 @@ def matrix_kernel_cases(rng: random.Random, sig: Signature):
 def test_matrix_kernel_matches_pair_loop_bits(n):
     # The kernel called directly, whatever the gate would pick: at every p
     # for n <= 7 (at n = 7, 8 x 8 blocks whose top generator squares to +1
-    # or -1) and at one seeded p from 8 on.  All sums are exact integers,
-    # so the bits, the term order and every +0.0 must agree.
+    # or -1) and at one seeded p from 8 on.  Its product (sign 0) is the
+    # pair loop's uv, and its brackets (sign -1 and +1) the pair loop's uv
+    # and vu combined as _combine does.  All sums are exact integers, so
+    # the bits, the term order and every +0.0 must agree.
     rng = random.Random(100 + n)
     for p in range(n + 1) if n <= 7 else [rng.randint(0, n)]:
         sig = Signature(p, n - p)
         for ta, tb in matrix_kernel_cases(rng, sig):
-            got = _matrix.matrix_product(sig, ta, tb)
-            want = _pair_product(sig, ta, tb)
-            assert [(m, c.real.hex(), c.imag.hex()) for m, c in got.items()] == \
-                [(m, c.real.hex(), c.imag.hex()) for m, c in want.items()], (sig, ta, tb)
+            uv, vu = (Multivector._raw(sig, Field.COMPLEX, _pair_product(sig, a, b))
+                      for a, b in ((ta, tb), (tb, ta)))
+            for sign, want in ((0, uv), (-1, uv - vu), (1, uv + vu)):
+                got = Multivector._raw(sig, Field.COMPLEX,
+                                       _matrix.matrix_product(sig, ta, tb, sign))
+                assert _bits(got) == _bits(want), (sig, sign, ta, tb)
+                assert "-0x0.0p+0" not in sum(_bits(got), ())
 
 
 def test_readme_square_past_the_bound_still_rounds():
