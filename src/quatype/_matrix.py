@@ -3,9 +3,9 @@
 Over C, Cl(p,q) is represented faithfully by complex D x D matrices with
 D = 2**h, h = ceil(n/2).  ``multivector`` loads this module on the first
 product or bracket that takes the matrix path, so a process that takes
-none never compiles it; the rule that picks the path and the proof that
-both paths give the same bits are in ``Multivector.geometric_product``,
-and a bracket's in ``Multivector.commutator``.
+none never compiles it; the rule that picks the path, and the proof that
+it gives the bits of the pair loop's products, are in
+``Multivector.geometric_product``.
 
 Every blade is a Pauli string i**c Z**z X**x on h qubits: its entry (r,
 r ^ x) is i**c (-1)**|r & z| and every other entry is 0.  So an operand's
@@ -30,8 +30,7 @@ at even n, D**3 / 4 at odd n).
 A bracket UV -+ VU builds each operand once, multiplies the blocks both
 ways, combines the two products entry by entry and reads the result back
 once: the same 3 * h * 2**n additions (two products take twice that)
-and 2 * 2**(n % 2) * b**3 multiply-adds.  Its sums are exact while
-2 * l1(U) * l1(V) * D < 2**53, one bit below the product's bound.
+and 2 * 2**(n % 2) * b**3 multiply-adds.
 
 Only the generators' squares come from the signature: the representation
 never reads the sign kernel in ``blades``, so its products are a second
@@ -135,7 +134,7 @@ def matrix_product(sig, ta: dict, tb: dict, sign: int = 0) -> dict:
     b x b blocks (both ways for a bracket, combined entry by entry), and
     each blade's coefficient tr(B_s^H P) / D plus 0j; the nonzero ones in
     ascending mask order.  Exact only under the gate in
-    ``Multivector.geometric_product`` (``commutator`` for a bracket)."""
+    ``Multivector.geometric_product``."""
     put, phases, get, factors, rows, cols = _layout(sig)
     h = (sig.n + 1) // 2
     b = 1 << sig.n // 2

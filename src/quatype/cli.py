@@ -53,6 +53,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="base seed for sampling")
     v.add_argument("--format", default="text", choices=["text", "json"],
                    help="report format")
+    v.set_defaults(func=cmd_verify)
 
     t = sub.add_parser(
         "table", help="print a 15 x 15 type composition table",
@@ -62,6 +63,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="operation the table composes under")
     t.add_argument("--format", default="markdown",
                    choices=["markdown", "csv", "json"], help="output format")
+    t.set_defaults(func=cmd_table)
 
     ty = sub.add_parser(
         "type", help="classify a multivector", parents=[signature],
@@ -72,6 +74,7 @@ def build_parser() -> argparse.ArgumentParser:
     src.add_argument("--input", help="path to a multivector document (JSON)")
     ty.add_argument("--tol", type=float, default=1e-12,
                     help="detection tolerance (relative)")
+    ty.set_defaults(func=cmd_type)
 
     ev = sub.add_parser(
         "eval", help="evaluate an operation on expressions", parents=[signature],
@@ -82,6 +85,7 @@ def build_parser() -> argparse.ArgumentParser:
     ev.add_argument("--op", required=True,
                     choices=[*_BINARY_OPS, "conj", "exp"],
                     help="gp/comm/anticomm are binary, conj/exp unary")
+    ev.set_defaults(func=cmd_eval)
     return ap
 
 
@@ -216,14 +220,8 @@ def _run(argv) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
-    handlers = {
-        "verify": cmd_verify,
-        "table": cmd_table,
-        "type": cmd_type,
-        "eval": cmd_eval,
-    }
     try:
-        return handlers[args.command](args)
+        return args.func(args)
     except ConvergenceFailure as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

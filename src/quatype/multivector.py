@@ -5,36 +5,18 @@ are stored as complex doubles even in real mode (the imaginary part is pinned
 to zero there), so integer-valued inputs stay exact through products, sums and
 projections.
 
-A product takes one of two paths, which give the same bits (the proof is
-in ``Multivector.geometric_product``).  The pair loop accumulates every term
-pair into a list of 2**n slots, one per blade mask (a fixed O(2**n) cost per
+A product takes one of two paths with the same bits, and a commutator or
+anticommutator takes one matrix pass or two products;
+``Multivector.geometric_product`` states the rule that picks the route and
+proves that the routes agree.  The pair loop accumulates every term pair
+into a list of 2**n slots, one per blade mask (a fixed O(2**n) cost per
 call, whatever the operand sizes), and reads its left operand in ascending
 mask order, so every slot sums in the same order however the operands list
 their terms: elements that are ``==`` have ``==`` products, brackets and
-exponentials.  Products, sums and ``exp`` list their result terms in
-ascending mask order.
-
-The matrix path (``quatype._matrix``) multiplies in the complex
-representation of Cl(p,q) by D x D matrices, D = 2**h, h = ceil(n/2).  At
-odd n those are block diagonal, split by the central pseudoscalar into
-two blocks of size b = 2**(n//2) (at even n, one block, b = D), and only
-the blocks are multiplied: about 3 * 2**n * h additions and
-2**(n % 2) * b**3 multiply-adds, instead of the pair loop's la * lb.  It
-runs when la * lb exceeds that cost and every part of both operands is an
-integer with l1(U) * l1(V) * D < 2**53: in practice dense integer products
-at n >= 4.  Products at n <= 3, sparse ones and any with a non-integer
-part take the pair loop.  The module loads, and a signature's labels and
-slot tables are built and cached, on the first product that takes the
-path; they hold 0.43 MB at n = 12 and 0.23 MB at n = 11, measured with
-tracemalloc.
-
-A commutator or anticommutator whose operands pass that gate with one bit
-spare, 2 * l1(U) * l1(V) * D < 2**53 (dense integer brackets at n >= 4),
-takes one matrix pass: U and V are built once, their blocks multiplied
-both ways, UV and VU combined entry by entry and read back once, in
-3 * 2**n * h additions and 2 * 2**(n % 2) * b**3 multiply-adds.  Its sums
-stay exact integers, so it gives the bits of the two products'
-difference or sum, which every other bracket computes from two products.
+exponentials.  Products, sums, brackets and ``exp`` list their result
+terms in ascending mask order.  The matrix path (``quatype._matrix``)
+multiplies in the complex matrix representation of Cl(p,q); in practice
+dense integer products and brackets at n >= 4 take it.
 
 The pair loop and ``exp`` compute in floats when no operand coefficient has
 a nonzero imaginary part (-0.0 counts as zero), whatever the field, and turn
@@ -215,19 +197,6 @@ def _integer_l1(values) -> int | None:
     return int(total) if total < 2 ** 53 else sum(map(abs, map(int, parts)))
 
 
-def _takes_matrix_path(sig: Signature, ta: dict, tb: dict, spare_bits: int) -> bool:
-    """The matrix path's gate (``Multivector.geometric_product`` states and
-    proves it): la * lb above the path's cost, and integer parts with
-    l1(U) * l1(V) * D below 2**(53 - spare_bits)."""
-    n = sig.n
-    h = (n + 1) // 2
-    if len(ta) * len(tb) <= (3 * h << n) + ((1 << n // 2) ** 3 << n % 2):
-        return False
-    a = _integer_l1(ta.values())
-    b = None if a is None else _integer_l1(tb.values())
-    return b is not None and (a * b << h + spare_bits) < 1 << 53
-
-
 def _pair_product(sig: Signature, ta: dict, tb: dict) -> dict:
     """Terms of uv from the pair loop: every term pair adds its signed
     product into one of 2**n slots, a in ascending order and b in ``tb``'s
@@ -406,6 +375,27 @@ class Multivector:
             return self.scale(other)
         return NotImplemented
 
+    def _multiply(self, other: "Multivector", sign: int) -> "Multivector":
+        """UV (``sign`` 0), UV - VU (-1) or UV + VU (+1), by the route that
+        ``geometric_product`` states."""
+        self._like(other)
+        sig, ta, tb = self.sig, self._terms, other._terms
+        n = sig.n
+        h = (n + 1) // 2
+        if len(ta) * len(tb) > (3 * h << n) + ((1 << n // 2) ** 3 << n % 2):
+            a = _integer_l1(ta.values())
+            b = None if a is None else _integer_l1(tb.values())
+            # a bracket keeps one bit spare for its combined entries
+            if b is not None and (a * b << h + abs(sign)) < 1 << 53:
+                from . import _matrix  # loads on the path's first use
+
+                return Multivector._raw(sig, self.field,
+                                        _matrix.matrix_product(sig, ta, tb, sign))
+        if not sign:
+            return Multivector._raw(sig, self.field, _pair_product(sig, ta, tb))
+        uv, vu = self.geometric_product(other), other.geometric_product(self)
+        return uv + vu if sign > 0 else uv - vu
+
     def geometric_product(self, other: "Multivector") -> "Multivector":
         """UV, from one of two paths with the same bits.
 
@@ -439,57 +429,24 @@ class Multivector:
         summation does not matter (nor does a compensated ``sum``).  The
         zero parts agree too: the pair loop's +0 slots never hold -0.0,
         and the matrix path adds 0j to each result.
-        Past the bound, products keep the pair loop's rounding.  A bracket
-        whose operands pass this gate with one bit spare takes one matrix
-        pass (``commutator`` gives its cost and bound); any other bracket is
-        two products.
+        Past the bound, products keep the pair loop's rounding.
+
+        A commutator or anticommutator takes one matrix pass (``_matrix``
+        gives its cost) when 1 holds and 2 holds with one bit spare,
+        2 * l1(U) * l1(V) * D < 2**53.  Its combined entries are at most
+        twice a product's, so every intermediate is an integer below 2**53
+        and the bits are those of the two products' difference or sum.  Any
+        other bracket is that difference or sum of two public products.
         """
-        self._like(other)
-        sig, ta, tb = self.sig, self._terms, other._terms
-        if _takes_matrix_path(sig, ta, tb, 0):
-            from . import _matrix  # loads on the path's first product
-
-            return Multivector._raw(sig, self.field,
-                                    _matrix.matrix_product(sig, ta, tb))
-        return Multivector._raw(sig, self.field, _pair_product(sig, ta, tb))
-
-    def _bracket(self, other: "Multivector", sign: int) -> "Multivector":
-        """UV - VU (``sign`` -1) or UV + VU (+1): one matrix pass when the
-        product's gate holds with a spare bit, else two public products."""
-        self._like(other)
-        sig, ta, tb = self.sig, self._terms, other._terms
-        if _takes_matrix_path(sig, ta, tb, 1):
-            from . import _matrix
-
-            return Multivector._raw(sig, self.field,
-                                    _matrix.matrix_product(sig, ta, tb, sign))
-        uv, vu = self.geometric_product(other), other.geometric_product(self)
-        return uv + vu if sign > 0 else uv - vu
+        return self._multiply(other, 0)
 
     def commutator(self, other: "Multivector") -> "Multivector":
-        """[U, V] = UV - VU.
-
-        When ``geometric_product``'s gate holds with one bit spare, its cost
-        rule and 2 * l1(U) * l1(V) * D < 2**53 (in practice dense integer
-        brackets at n >= 4), one matrix pass builds U and V once, multiplies
-        their blocks both ways, subtracts VU from UV entry by entry and
-        reads back once: 3 * 2**n * h additions and 2 * 2**(n % 2) * b**3
-        multiply-adds, against twice the additions for two products.  Each
-        product's entries and partial sums are at most l1(U) * l1(V), as in
-        ``geometric_product``'s proof, so the combined entries are at most
-        twice that and the read-back's partial sums at most
-        2 * l1(U) * l1(V) * D: every intermediate is an integer below 2**53,
-        and the bits are those of the two products' difference, with +0.0
-        zero parts and terms in ascending mask order.  Any other bracket,
-        sparse, with a non-integer part or past the bound, is that
-        difference of two public products.
-        """
-        return self._bracket(other, -1)
+        """[U, V] = UV - VU (``geometric_product`` gives the route)."""
+        return self._multiply(other, -1)
 
     def anticommutator(self, other: "Multivector") -> "Multivector":
-        """{U, V} = UV + VU, by ``commutator``'s route with the products
-        added."""
-        return self._bracket(other, 1)
+        """{U, V} = UV + VU (``geometric_product`` gives the route)."""
+        return self._multiply(other, 1)
 
     # ------------------------------------------------------------------
     # projections

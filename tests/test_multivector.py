@@ -381,9 +381,9 @@ def test_matrix_path_runs_only_under_its_gate(monkeypatch):
     calls = []
     matrix_product = _matrix.matrix_product
 
-    def counted(sig, ta, tb):
+    def counted(sig, ta, tb, sign=0):
         calls.append(sig)
-        return matrix_product(sig, ta, tb)
+        return matrix_product(sig, ta, tb, sign)
 
     monkeypatch.setattr(_matrix, "matrix_product", counted)
 
@@ -462,9 +462,11 @@ def test_bracket_takes_one_matrix_pass_only_under_its_gate(monkeypatch):
     one_pass = [([-1], 0), ([1], 0)]
     two_products = [([], 2), ([], 2)]
     rng = random.Random(38)
-    for n in range(4, 9):
+    # at n <= 3 la * lb never exceeds the matrix path's cost (at n = 3,
+    # 64 = 64), so dense brackets there stay on two pair-loop products
+    for n in range(1, 9):
         for u, v in dense_integer_pairs(rng, Signature(n // 2, n - n // 2)):
-            assert routes(u, v) == one_pass, (n, u.field)
+            assert routes(u, v) == (one_pass if n >= 4 else two_products), (n, u.field)
     # sparse integer operands at n = 10 and 12, as in the benchmark's mix
     for n, (la, lb) in ((10, (64, 256)), (12, (128, 128))):
         sig = Signature(n // 2, n - n // 2)

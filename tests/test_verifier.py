@@ -671,6 +671,13 @@ def test_census_table_coverage_pins():
             exact = check_type_table(op, cfg_for(sig))
             assert exact.status is CheckStatus.PASS
             assert _coverage(exact) == want
+    # from n = 5 on the blade pairs reach every main type of every cell
+    for n in range(5, 13):
+        sig = Signature(n // 2, n - n // 2)
+        for op in OpKind:
+            exact = check_type_table(op, cfg_for(sig))
+            assert exact.status is CheckStatus.PASS
+            assert _coverage(exact) == 100.0, (sig, op)
 
 
 def test_census_checks_exact_at_n12():
