@@ -150,7 +150,7 @@ def cmd_table(args: argparse.Namespace) -> int:
         print("| " + args.op + " | " + " | ".join(order) + " |")
         print("|" + "---|" * (len(order) + 1))
         for label, row in zip(order, cells):
-            print("| " + label + " | " + " | ".join(c or " " for c in row) + " |")
+            print("| " + label + " | " + " | ".join(row) + " |")
     return 0
 
 

@@ -25,16 +25,10 @@ complex arithmetic: there each pair's real part is ``ar*br - (±0)``, the
 same double as ``ar*br``, and its imaginary part is a signed zero that the
 +0j slots clear.
 
-``exp`` keeps that order without calling the product.  Every series term
-lies in the XOR span of the argument's masks, 2**rank blades, which the
-series numbers 0 .. 2**rank - 1 in ascending mask order (the sorted XOR
-closure), so that numbers XOR as their masks do.  Its slots, its sign-folded
-rows and its partial sum are all indexed by that number.  The rows are built
-before the series starts, one per span mask in ascending order while they
-fit a fixed entry budget (``_ROW_CACHE_ENTRIES``), and reused for every
-term; a span mask past the budget folds its signs inline.  The series
-cannot overflow at n <= MAX_GENERATORS (``exp`` gives the bound, and a test
-pins its premise); only the squarings, public products, can.
+``exp`` keeps that order without calling the product: its series runs over
+the XOR span of the argument's masks, and ``Multivector.exp`` states how it
+reads its signs and why the series cannot overflow at n <= MAX_GENERATORS
+(a test pins the premise); only the squarings, public products, can.
 """
 
 from __future__ import annotations
@@ -53,8 +47,8 @@ from .blades import MAX_GENERATORS, Signature, grade, sign_table
 # object, so that picking the nonzero slots of a product allocates no int.
 _MASKS = tuple(range(1 << MAX_GENERATORS))
 
-# Entries (one per left mask and right term) that exp's series may keep in
-# its row cache per call, at most about 0.4 MB.
+# Entries (one per left mask and right term) that exp's prebuilt rows may
+# hold per call, at most about 0.4 MB; ``Multivector.exp`` states the rule.
 _ROW_CACHE_ENTRIES = 4096
 
 # Per blade mask, nonzero when reversion flips its sign: grade mod 4 is 2 or 3
@@ -161,11 +155,7 @@ def _inf_norm(values) -> float:
 
 def _xor_span(masks) -> list:
     """Every XOR of a subset of ``masks``, ascending: the sorted XOR
-    closure, numbered so that ``span[i] ^ span[j] == span[i ^ j]``.  ``exp``
-    builds a sign-folded row for each of these masks, in this order, before
-    its series starts, as long as the rows fit its entry budget; the span
-    holds every term of the series, so the series itself builds no row (a
-    mask past the budget folds its signs inline).
+    closure, numbered so that ``span[i] ^ span[j] == span[i ^ j]``.
 
     The span has a reduced basis, in which no basis vector holds another
     one's leading bit; every span mask is the XOR of the basis vectors that
@@ -520,12 +510,14 @@ class Multivector:
         ascending order, numbered so that numbers XOR as their masks do;
         each term's slots and the partial sum hold one slot per span mask,
         indexed by that number, so the same slots add in the same order as
-        over all 2**n masks.  Before the series starts, the sign-folded row
-        ``[(a ^ b, ±cb) for each term b of u]`` of every span mask a is
-        built from the split sign table, in ascending order of a, as long
-        as the rows hold at most ``_ROW_CACHE_ENTRIES`` entries in all; a
-        term entry at a built row only adds ``ca * (±cb)`` per row entry,
-        and one past them folds its signs inline, the same sums.  Each
+        over all 2**n masks.  Right after the span, ``signs`` takes each
+        span mask's row pair from the split sign table, once, by position.
+        Before the series starts, the sign-folded row ``[(a ^ b, ±cb) for
+        each term b of u]`` of every span mask a is built from its pair, in
+        ascending order of a, as long as the rows hold at most
+        ``_ROW_CACHE_ENTRIES`` entries in all; a term entry at a built row
+        only adds ``ca * (±cb)`` per row entry, and one past them folds the
+        signs of its pair in ``signs`` inline, the same sums.  Each
         term adds into the partial sum in place, and the result is built
         from its nonzero slots, which are already in ascending mask order.
 
@@ -589,14 +581,12 @@ class Multivector:
         real = not any(map(_IMAG, terms.values()))
         zero, root2 = (0.0, 1.0) if real else (0j, _SQRT2)
         span = _xor_span(terms)
+        signs = [(low[(a >> h).bit_count() & 1][a & lo], high[a >> h]) for a in span]
         rhs = [(span.index(b), b & lo, b >> h, (cb, -cb))
                for b, cb in (_real_items(terms) if real else terms.items())]
-        rows = []
-        for a in span[:_ROW_CACHE_ENTRIES // (len(rhs) or 1)]:
-            i, ah = len(rows), a >> h
-            row_lo, row_hi = low[ah.bit_count() & 1][a & lo], high[ah]
-            rows.append([(i ^ j, pm[row_lo[bl] ^ row_hi[bh]])
-                         for j, bl, bh, pm in rhs])
+        rows = [[(i ^ j, pm[row_lo[bl] ^ row_hi[bh]]) for j, bl, bh, pm in rhs]
+                for i, (row_lo, row_hi)
+                in enumerate(signs[:_ROW_CACHE_ENTRIES // (len(rhs) or 1)])]
         built = len(rows)
         size = len(span)
         # The partial sum, one slot per span mask.  Every slot starts at +0
@@ -620,9 +610,7 @@ class Multivector:
                     for t, c in rows[i]:
                         slots[t] += ca * c
                     continue
-                a = span[i]
-                ah = a >> h
-                row_lo, row_hi = low[ah.bit_count() & 1][a & lo], high[ah]
+                row_lo, row_hi = signs[i]
                 for j, bl, bh, pm in rhs:
                     slots[i ^ j] += ca * pm[row_lo[bl] ^ row_hi[bh]]
             # One pass empties the slots: 1/m scaling, running sum, the

@@ -112,31 +112,39 @@ def test_sample_pattern_respects_pattern():
         assert p.matches(u, 0.0) and u.field is Field.COMPLEX
 
 
+def _reference_basis(sig, p):
+    """Real basis elements unit * blade of ``p``, ascending masks, 1 before i."""
+    return [(m, unit) for m in range(sig.blade_count) for bit, unit in ((0, 1), (1, 1j))
+            if int(p[grade(m) & 3]) >> bit & 1]
+
+
+def _reference_draw(sig, basis, k, replay):
+    """A capped sample as README's Determinism section states it: k partial
+    Fisher-Yates steps over the whole basis list, then one draw per pick in
+    ascending basis order, from the raw splitmix64 stream ``replay``."""
+    order = list(range(len(basis)))
+    for i in range(k):
+        j = i + replay.next_u64() % (len(basis) - i)
+        order[i], order[j] = order[j], order[i]
+    want = {}
+    for index in sorted(order[:k]):
+        mask, unit = basis[index]
+        want[mask] = want.get(mask, 0) + (replay.next_u64() % 7 - 3) * unit
+    return Multivector(sig, Field.COMPLEX, want)
+
+
 def test_sample_cap_picks_k_real_basis_elements():
     p = SubspacePattern.from_parts(real="23", imag="1")
-    # real basis elements unit * blade, ascending masks, 1 before i
-    basis = [(m, unit) for m in range(16) for bit, unit in ((0, 1), (1, 1j))
-             if int(p[grade(m) & 3]) >> bit & 1]
+    basis = _reference_basis(S22, p)
     assert list(verify._real_basis(S22, p)) == basis and len(basis) == 14
     for seed in range(20):
         # a cap of at least the basis size keeps the dense draw, bit for bit
         dense = sample_pattern_mv(S22, p, SplitMix64(seed))
         capped = sample_pattern_mv(S22, p, SplitMix64(seed), k=14)
         assert dense == capped and list(dense.terms) == list(capped.terms)
-        # a smaller cap: 3 partial Fisher-Yates steps, then 3 draws in
-        # ascending basis order, replayed from the raw splitmix64 stream
-        g = SplitMix64(seed)
-        u = sample_pattern_mv(S22, p, g, k=3)
-        replay = SplitMix64(seed)
-        order = list(range(14))
-        for i in range(3):
-            j = i + replay.next_u64() % (14 - i)
-            order[i], order[j] = order[j], order[i]
-        want = {}
-        for index in sorted(order[:3]):
-            mask, unit = basis[index]
-            want[mask] = want.get(mask, 0) + (replay.next_u64() % 7 - 3) * unit
-        assert u == Multivector(S22, Field.COMPLEX, want)
+        # a smaller cap: 3 partial Fisher-Yates steps, then 3 draws
+        g, replay = SplitMix64(seed), SplitMix64(seed)
+        assert sample_pattern_mv(S22, p, g, k=3) == _reference_draw(S22, basis, 3, replay)
         assert g.next_u64() == replay.next_u64()
     with pytest.raises(ValueError, match="at least 1"):
         sample_pattern_mv(S22, p, SplitMix64(1), k=0)
@@ -144,6 +152,22 @@ def test_sample_cap_picks_k_real_basis_elements():
     for bad in (2.5, "3", True):
         with pytest.raises(TypeError, match="k must be an integer"):
             sample_pattern_mv(S22, p, SplitMix64(1), k=bad)
+
+
+def test_witness_draws_replay_at_n_ge_5():
+    # theorem 7's capped witness draw on every Lie row above n = 4, where
+    # the cap bites; each sample continues the stream where the last stopped
+    k = verify._WITNESS_K
+    for sig in (Signature(3, 2), Signature(4, 4), Signature(6, 6)):
+        for lie, _ in verify.LIE_SUBALGEBRA_ROWS:
+            basis = _reference_basis(sig, lie)
+            assert len(basis) > k
+            g, replay = SplitMix64(sig.n), SplitMix64(sig.n)
+            for _ in range(3):
+                u = sample_pattern_mv(sig, lie, g, k=k)
+                assert u == _reference_draw(sig, basis, k, replay)
+                assert list(u.terms) == sorted(u.terms)
+            assert g.next_u64() == replay.next_u64()
 
 
 # ----------------------------------------------------------------------
@@ -811,10 +835,9 @@ def test_resolve_suite_expansion():
     assert resolve_suite(["tables"]) == \
         ["tables:product", "tables:comm", "tables:anticomm"]
     assert resolve_suite(["grades", "grades"]) == ["grades"]
-    all_leaves = resolve_suite(["all"])
-    assert all_leaves[0] == "axioms:anticomm"
-    assert "rank" in all_leaves
-    assert len(all_leaves) == len(set(all_leaves))
+    assert resolve_suite(["all"]) == [
+        "axioms:anticomm", "axioms:comm", "grades", "tables:product", "tables:comm",
+        "tables:anticomm", "closures", "theorem5", "theorem6", "theorem7", "wc", "rank"]
     assert resolve_suite(["theorems"]) == \
         ["closures", "theorem5", "theorem6", "theorem7", "wc"]
 
